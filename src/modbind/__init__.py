@@ -14,7 +14,6 @@ from .contrastive import (  # noqa: E402,F401
     TemperatureParam,
     info_nce,
     l2_regression_loss,
-    similarity_matrix,
     symmetric_info_nce,
 )
 from .encoders import EncoderArch, EncoderParams, encode, encode_backward, init_encoder  # noqa: F401
@@ -28,7 +27,6 @@ from .evaluation import (  # noqa: F401
     emergent_zero_shot_accuracy,
     few_shot_probe,
     frozen_hub_eval,
-    modality_ensemble,
     run_eval_plan,
     zero_shot_classify,
 )

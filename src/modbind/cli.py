@@ -29,6 +29,7 @@ from .numerics import NumericsError
 from .report import ReportError
 from .trainer import (
     TrainerError,
+    check_resume,
     init_train_state,
     load_checkpoint,
     save_checkpoint,
@@ -83,19 +84,23 @@ def _write_manifest(out: Path, name: str, command: str, cfg_hash: str, seed: int
 
 
 def _load_state_for(cfg: ExperimentConfig, world, checkpoint: str | None):
-    """Checkpointed state when given (validated against the config), else fresh init."""
+    """Checkpointed state when given (validated against the config and seed), else fresh init.
+
+    A checkpoint without a config_hash or seed key is not checked on that key.
+    """
     if checkpoint is None:
         return init_train_state(world, cfg.archs, cfg.train)
     state = load_checkpoint(checkpoint)
-    doc = json.loads(Path(checkpoint).read_text())
-    ck_hash = doc.get("config_hash")
-    if ck_hash is not None and ck_hash != cfg.hash:
-        raise ConfigError("checkpoint", "checkpoint config_hash does not match --config")
-    for name, arch in cfg.archs.items():
-        if name not in state.encoders:
-            raise ConfigError("checkpoint", f"checkpoint has no encoder for modality {name!r}")
-        if state.encoders[name].arch != arch:
-            raise ConfigError("checkpoint", f"encoder arch mismatch for modality {name!r}")
+    for key, want in (("config_hash", cfg.hash), ("seed", cfg.seed)):
+        if state.extra.get(key, want) != want:
+            raise ConfigError(
+                "checkpoint",
+                f"checkpoint {key} does not match the run: {state.extra[key]!r} != {want!r}",
+            )
+    try:
+        check_resume(state, cfg.archs)
+    except TrainerError as e:
+        raise ConfigError("checkpoint", str(e)) from e
     return state
 
 

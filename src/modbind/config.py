@@ -2,29 +2,27 @@
 
 A config document is validated before any compute; unknown keys are rejected
 and every diagnostic names the offending path (e.g. config.train.pairs[0]).
-Parsing produces a normalized dict with all defaults filled; the config hash
-is the canonical-JSON sha256 of that dict minus the seed and output
+This module checks the JSON itself (through the codec), modality-name
+references, the seed and ablation grids; every range rule lives in the
+constructor of the object that owns it. The normalized document is the
+config document of the parsed objects, all defaults filled; the config hash
+is the canonical-JSON sha256 of that document minus the seed and output
 directory, so the hash identifies the experiment while the seed names the
 realization.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .contrastive import TemperatureParam
+from .codec import ConfigError, check_keys, decode, from_doc, to_doc
 from .encoders import EncoderArch
 from .evaluation import EvalPlan
 from .report import canonical_hash
-from .trainer import PairConfig, TrainConfig, TrainerError
-from .world import ModalityConfig, WorldConfig
-
-_NONLINEARITIES = ("tanh", "gelu", "identity")
-_HEADS = ("linear", "mlp")
-_ACTIVATIONS = ("gelu", "tanh")
+from .trainer import TrainConfig, TrainerError, check_layout
+from .world import WorldConfig
 
 ABLATION_AXES = (
     "temperature",
@@ -48,65 +46,17 @@ DEFAULT_GRIDS = {
     "loss_mix": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
 }
 
-
-class ConfigError(ValueError):
-    """Validation failure; the message always starts with the config path."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
-
-
-def _check_keys(obj, path: str, required: tuple, optional: tuple) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an object")
-    for key in obj:
-        if key not in required and key not in optional:
-            raise ConfigError(f"{path}.{key}", "unknown key")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-
-
-def _as_int(value, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_num(value, path: str, minimum: float | None = None, positive: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    value = float(value)
-    if positive and value <= 0:
-        raise ConfigError(path, f"must be positive, got {value}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_str(value, path: str, choices: tuple | None = None) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(path, f"expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(path, f"must be one of {list(choices)}, got {value!r}")
-    return value
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"expected a boolean, got {value!r}")
-    return value
-
-
-def _as_list(value, path: str, min_len: int = 0) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(path, f"expected a list, got {value!r}")
-    if len(value) < min_len:
-        raise ConfigError(path, f"expected at least {min_len} entries")
-    return value
+# JSON type of each axis's grid values; "learnable" is also a temperature
+_GRID_TYPES = {
+    "temperature": float,
+    "projection_head": str,
+    "epochs": int,
+    "batch_size": int,
+    "hub_capacity": int,
+    "noise_strength": float,
+    "alignment": str,
+    "loss_mix": tuple[float, float],
+}
 
 
 @dataclass
@@ -119,316 +69,73 @@ class ExperimentConfig:
     eval_plan: EvalPlan
     output_dir: str
     seed: int
-    normalized: dict
+
+    @property
+    def normalized(self) -> dict:
+        """The config document of these objects, defaults filled in (see codec)."""
+        return {
+            "world": to_doc(self.world, config=True),
+            "archs": to_doc(self.archs, config=True),
+            "train": to_doc(self.train, config=True),
+            "eval": to_doc(self.eval_plan, config=True),
+            "output_dir": self.output_dir,
+            "seed": self.seed,
+        }
 
     @property
     def hash(self) -> str:
-        doc = json.loads(json.dumps(self.normalized))
-        doc.pop("seed", None)
-        doc.pop("output_dir", None)
+        doc = self.normalized
+        del doc["seed"], doc["output_dir"]
         return canonical_hash(doc)
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        normalized = json.loads(json.dumps(self.normalized))
-        normalized["seed"] = seed
-        return parse_experiment_config(normalized)
+        return parse_experiment_config({**self.normalized, "seed": seed})
 
 
-def _parse_world(doc, path: str) -> WorldConfig:
-    _check_keys(
-        doc, path, ("latent_dim", "num_classes", "within_class_scale", "modalities"), ()
-    )
-    modalities = []
-    hub_count = 0
-    for i, m in enumerate(_as_list(doc["modalities"], f"{path}.modalities", min_len=2)):
-        mpath = f"{path}.modalities[{i}]"
-        _check_keys(m, mpath, ("name", "obs_dim"), ("nonlinearity", "obs_noise_scale", "hub"))
-        hub = _as_bool(m.get("hub", False), f"{mpath}.hub")
-        hub_count += hub
-        modalities.append(
-            ModalityConfig(
-                name=_as_str(m["name"], f"{mpath}.name"),
-                obs_dim=_as_int(m["obs_dim"], f"{mpath}.obs_dim", minimum=1),
-                nonlinearity=_as_str(
-                    m.get("nonlinearity", "tanh"), f"{mpath}.nonlinearity", _NONLINEARITIES
-                ),
-                obs_noise_scale=_as_num(
-                    m.get("obs_noise_scale", 0.0), f"{mpath}.obs_noise_scale", minimum=0.0
-                ),
-                hub=hub,
-            )
-        )
-    if hub_count != 1:
-        raise ConfigError(f"{path}.modalities", f"exactly one hub modality required, found {hub_count}")
-    names = [m.name for m in modalities]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"{path}.modalities", "modality names must be unique")
-    return WorldConfig(
-        latent_dim=_as_int(doc["latent_dim"], f"{path}.latent_dim", minimum=2),
-        num_classes=_as_int(doc["num_classes"], f"{path}.num_classes", minimum=2),
-        within_class_scale=_as_num(
-            doc["within_class_scale"], f"{path}.within_class_scale", positive=True
-        ),
-        modalities=modalities,
-    )
-
-
-def _parse_arch(doc, path: str, input_dim: int) -> EncoderArch:
-    _check_keys(doc, path, ("hidden_widths", "embed_dim"), ("head", "activation"))
-    widths = [
-        _as_int(w, f"{path}.hidden_widths[{i}]", minimum=1)
-        for i, w in enumerate(_as_list(doc["hidden_widths"], f"{path}.hidden_widths"))
-    ]
-    return EncoderArch(
-        input_dim=input_dim,
-        hidden_widths=tuple(widths),
-        embed_dim=_as_int(doc["embed_dim"], f"{path}.embed_dim", minimum=1),
-        head=_as_str(doc.get("head", "linear"), f"{path}.head", _HEADS),
-        activation=_as_str(doc.get("activation", "gelu"), f"{path}.activation", _ACTIVATIONS),
-    )
-
-
-def _parse_temperature(doc, path: str) -> TemperatureParam:
-    _check_keys(doc, path, ("mode", "value"), ("clamp_min", "clamp_max"))
-    mode = _as_str(doc["mode"], f"{path}.mode", ("fixed", "learnable"))
-    kwargs = {}
-    if "clamp_min" in doc:
-        kwargs["clamp_min"] = _as_num(doc["clamp_min"], f"{path}.clamp_min", positive=True)
-    if "clamp_max" in doc:
-        kwargs["clamp_max"] = _as_num(doc["clamp_max"], f"{path}.clamp_max", positive=True)
-    return TemperatureParam(
-        mode=mode, value=_as_num(doc["value"], f"{path}.value", positive=True), **kwargs
-    )
-
-
-def _parse_pair(doc, path: str, modality_names: list[str], hub_name: str) -> PairConfig:
-    _check_keys(
-        doc, path, ("spoke",),
-        ("batch_size", "temperature", "replication_factor", "infonce_weight", "l2_weight", "aligned"),
-    )
-    spoke = _as_str(doc["spoke"], f"{path}.spoke")
-    if spoke not in modality_names:
-        raise ConfigError(f"{path}.spoke", f"unknown modality {spoke!r}")
-    if spoke == hub_name:
-        raise ConfigError(f"{path}.spoke", "pair spoke must not be the hub modality")
-    temp = (
-        _parse_temperature(doc["temperature"], f"{path}.temperature")
-        if "temperature" in doc
-        else TemperatureParam(mode="learnable", value=0.07)
-    )
-    try:
-        return PairConfig(
-            spoke=spoke,
-            batch_size=_as_int(doc.get("batch_size", 64), f"{path}.batch_size", minimum=1),
-            temperature=temp,
-            replication_factor=_as_int(
-                doc.get("replication_factor", 1), f"{path}.replication_factor", minimum=1
-            ),
-            infonce_weight=_as_num(doc.get("infonce_weight", 1.0), f"{path}.infonce_weight", minimum=0.0),
-            l2_weight=_as_num(doc.get("l2_weight", 0.0), f"{path}.l2_weight", minimum=0.0),
-            aligned=_as_bool(doc.get("aligned", True), f"{path}.aligned"),
-        )
-    except TrainerError as e:
-        raise ConfigError(path, str(e)) from e
-
-
-def _parse_train(doc, path: str, modality_names: list[str], hub_name: str, seed: int) -> TrainConfig:
-    _check_keys(
-        doc, path, ("pairs", "epochs", "steps_per_epoch", "learning_rate"),
-        ("weight_decay", "betas", "grad_clip_norm", "hub_frozen", "warmup_epochs",
-         "adam_eps", "shared_temperature"),
-    )
-    pairs = [
-        _parse_pair(p, f"{path}.pairs[{i}]", modality_names, hub_name)
-        for i, p in enumerate(_as_list(doc["pairs"], f"{path}.pairs", min_len=1))
-    ]
-    betas_doc = _as_list(doc.get("betas", [0.9, 0.95]), f"{path}.betas")
-    if len(betas_doc) != 2:
-        raise ConfigError(f"{path}.betas", "expected exactly two values")
-    betas = tuple(_as_num(b, f"{path}.betas[{i}]", minimum=0.0) for i, b in enumerate(betas_doc))
-    try:
-        return TrainConfig(
-            pairs=pairs,
-            epochs=_as_int(doc["epochs"], f"{path}.epochs", minimum=0),
-            steps_per_epoch=_as_int(doc["steps_per_epoch"], f"{path}.steps_per_epoch", minimum=1),
-            learning_rate=_as_num(doc["learning_rate"], f"{path}.learning_rate", positive=True),
-            weight_decay=_as_num(doc.get("weight_decay", 0.01), f"{path}.weight_decay", minimum=0.0),
-            betas=betas,  # type: ignore[arg-type]
-            grad_clip_norm=_as_num(doc.get("grad_clip_norm", 1.0), f"{path}.grad_clip_norm", positive=True),
-            hub_frozen=_as_bool(doc.get("hub_frozen", False), f"{path}.hub_frozen"),
-            warmup_epochs=_as_num(doc.get("warmup_epochs", 1.0), f"{path}.warmup_epochs", minimum=0.0),
-            adam_eps=_as_num(doc.get("adam_eps", 1e-8), f"{path}.adam_eps", positive=True),
-            shared_temperature=_as_bool(
-                doc.get("shared_temperature", False), f"{path}.shared_temperature"
-            ),
-            seed=seed,
-        )
-    except TrainerError as e:
-        raise ConfigError(path, str(e)) from e
-
-
-def _parse_modality_pair(value, path: str, modality_names: list[str]) -> tuple[str, str]:
-    pair = _as_list(value, path)
-    if len(pair) != 2:
-        raise ConfigError(path, "expected a [modality, modality] pair")
-    a = _as_str(pair[0], f"{path}[0]")
-    b = _as_str(pair[1], f"{path}[1]")
-    for name, sub in ((a, f"{path}[0]"), (b, f"{path}[1]")):
-        if name not in modality_names:
-            raise ConfigError(sub, f"unknown modality {name!r}")
-    return (a, b)
-
-
-def _parse_eval(doc, path: str, modality_names: list[str]) -> EvalPlan:
-    _check_keys(
-        doc, path, (),
-        ("emergent_pairs", "retrieval_pairs", "k_list", "few_shot_modality", "few_shot_ks",
-         "arithmetic_pair", "arithmetic_queries", "arithmetic_weight", "ensemble_pair",
-         "ensemble_weights", "n_per_class", "prompts_per_class", "retrieval_index_size",
-         "retrieval_k", "stream"),
-    )
-    plan = EvalPlan(
-        emergent_pairs=[
-            _parse_modality_pair(p, f"{path}.emergent_pairs[{i}]", modality_names)
-            for i, p in enumerate(_as_list(doc.get("emergent_pairs", []), f"{path}.emergent_pairs"))
-        ],
-        retrieval_pairs=[
-            _parse_modality_pair(p, f"{path}.retrieval_pairs[{i}]", modality_names)
-            for i, p in enumerate(_as_list(doc.get("retrieval_pairs", []), f"{path}.retrieval_pairs"))
-        ],
-        k_list=[
-            _as_int(k, f"{path}.k_list[{i}]", minimum=1)
-            for i, k in enumerate(_as_list(doc.get("k_list", [1, 5, 10]), f"{path}.k_list", min_len=1))
-        ],
-        few_shot_modality=(
-            _as_str(doc["few_shot_modality"], f"{path}.few_shot_modality", tuple(modality_names))
-            if doc.get("few_shot_modality") is not None
-            else None
-        ),
-        few_shot_ks=[
-            _as_int(k, f"{path}.few_shot_ks[{i}]", minimum=1)
-            for i, k in enumerate(_as_list(doc.get("few_shot_ks", []), f"{path}.few_shot_ks"))
-        ],
-        arithmetic_pair=(
-            _parse_modality_pair(doc["arithmetic_pair"], f"{path}.arithmetic_pair", modality_names)
-            if doc.get("arithmetic_pair") is not None
-            else None
-        ),
-        arithmetic_queries=_as_int(doc.get("arithmetic_queries", 0), f"{path}.arithmetic_queries", minimum=0),
-        arithmetic_weight=_as_num(doc.get("arithmetic_weight", 0.5), f"{path}.arithmetic_weight", minimum=0.0),
-        ensemble_pair=(
-            _parse_modality_pair(doc["ensemble_pair"], f"{path}.ensemble_pair", modality_names)
-            if doc.get("ensemble_pair") is not None
-            else None
-        ),
-        ensemble_weights=[
-            _as_num(w, f"{path}.ensemble_weights[{i}]", minimum=0.0)
-            for i, w in enumerate(_as_list(doc.get("ensemble_weights", []), f"{path}.ensemble_weights"))
-        ],
-        n_per_class=_as_int(doc.get("n_per_class", 50), f"{path}.n_per_class", minimum=1),
-        prompts_per_class=_as_int(doc.get("prompts_per_class", 16), f"{path}.prompts_per_class", minimum=1),
-        retrieval_index_size=_as_int(
-            doc.get("retrieval_index_size", 200), f"{path}.retrieval_index_size", minimum=1
-        ),
-        retrieval_k=_as_int(doc.get("retrieval_k", 10), f"{path}.retrieval_k", minimum=1),
-        stream=_as_str(doc.get("stream", "eval"), f"{path}.stream"),
-    )
-    if plan.arithmetic_weight > 1.0:
-        raise ConfigError(f"{path}.arithmetic_weight", "must lie in [0, 1]")
-    for i, w in enumerate(plan.ensemble_weights):
-        if w > 1.0:
-            raise ConfigError(f"{path}.ensemble_weights[{i}]", "must lie in [0, 1]")
-    limit = plan.retrieval_index_size
-    for i, k in enumerate(plan.k_list):
-        if k > limit:
-            raise ConfigError(f"{path}.k_list[{i}]", f"K={k} exceeds retrieval_index_size={limit}")
-    if plan.retrieval_k > limit:
-        raise ConfigError(f"{path}.retrieval_k", f"K={plan.retrieval_k} exceeds retrieval_index_size={limit}")
-    return plan
+def _check_names(value, path: str, names: list[str]) -> None:
+    """Every modality name in `value` (a name, or nested lists of names) must exist."""
+    if isinstance(value, str):
+        if value not in names:
+            raise ConfigError(path, f"unknown modality {value!r}")
+    elif value is not None:
+        for i, v in enumerate(value):
+            _check_names(v, f"{path}[{i}]", names)
 
 
 def parse_experiment_config(doc, path: str = "config") -> ExperimentConfig:
-    """Validate a raw JSON document; returns the config plus its normalized form."""
-    _check_keys(doc, path, ("world", "archs", "train"), ("eval", "output_dir", "seed"))
-    seed = _as_int(doc.get("seed", 0), f"{path}.seed", minimum=0)
-    world = _parse_world(doc["world"], f"{path}.world")
-    names = [m.name for m in world.modalities]
-    hub_name = next(m.name for m in world.modalities if m.hub)
+    """Validate a raw JSON document into an ExperimentConfig."""
+    check_keys(doc, path, ("world", "archs", "train"), ("eval", "output_dir", "seed"))
+    seed = decode(int, doc.get("seed", 0), f"{path}.seed")
+    if seed < 0:
+        raise ConfigError(f"{path}.seed", f"must be >= 0, got {seed}")
+    world = from_doc(WorldConfig, doc["world"], f"{path}.world", config=True)
     obs_dims = {m.name: m.obs_dim for m in world.modalities}
+    names = list(obs_dims)
 
-    archs_doc = doc["archs"]
-    if not isinstance(archs_doc, dict):
-        raise ConfigError(f"{path}.archs", "expected an object keyed by modality name")
-    for name in archs_doc:
-        if name not in names:
-            raise ConfigError(f"{path}.archs.{name}", f"unknown modality {name!r}")
-    for name in names:
-        if name not in archs_doc:
-            raise ConfigError(f"{path}.archs.{name}", "missing required field")
+    check_keys(doc["archs"], f"{path}.archs", names, ())
     archs = {
-        name: _parse_arch(archs_doc[name], f"{path}.archs.{name}", obs_dims[name])
+        name: from_doc(
+            EncoderArch, doc["archs"][name], f"{path}.archs.{name}", config=True,
+            input_dim=obs_dims[name],
+        )
         for name in names
     }
-    embed_dims = {a.embed_dim for a in archs.values()}
-    if len(embed_dims) != 1:
-        raise ConfigError(f"{path}.archs", f"all encoders must share one embed_dim, got {sorted(embed_dims)}")
-
-    train = _parse_train(doc["train"], f"{path}.train", names, hub_name, seed)
-    eval_plan = _parse_eval(doc.get("eval", {}), f"{path}.eval", names)
-    output_dir = _as_str(doc.get("output_dir", "runs/out"), f"{path}.output_dir")
-
-    normalized = {
-        "world": {
-            "latent_dim": world.latent_dim,
-            "num_classes": world.num_classes,
-            "within_class_scale": world.within_class_scale,
-            "modalities": [
-                {
-                    "name": m.name,
-                    "obs_dim": m.obs_dim,
-                    "nonlinearity": m.nonlinearity,
-                    "obs_noise_scale": m.obs_noise_scale,
-                    "hub": m.hub,
-                }
-                for m in world.modalities
-            ],
-        },
-        "archs": {
-            name: {
-                "hidden_widths": list(arch.hidden_widths),
-                "embed_dim": arch.embed_dim,
-                "head": arch.head,
-                "activation": arch.activation,
-            }
-            for name, arch in archs.items()
-        },
-        "train": _normalized_train(train),
-        "eval": eval_plan.to_dict(),
-        "output_dir": output_dir,
-        "seed": seed,
-    }
+    train = from_doc(TrainConfig, doc["train"], f"{path}.train", config=True, seed=seed)
+    for i, pc in enumerate(train.pairs):
+        _check_names(pc.spoke, f"{path}.train.pairs[{i}].spoke", names)
+    eval_plan = from_doc(EvalPlan, doc.get("eval", {}), f"{path}.eval", config=True)
+    for key in ("emergent_pairs", "retrieval_pairs", "few_shot_modality", "arithmetic_pair",
+                "ensemble_pair"):
+        _check_names(getattr(eval_plan, key), f"{path}.eval.{key}", names)
+    hub = next(m.name for m in world.modalities if m.hub)
+    try:
+        check_layout(obs_dims, hub, archs, train)
+    except TrainerError as e:
+        raise ConfigError(path, str(e)) from e
+    output_dir = decode(str, doc.get("output_dir", "runs/out"), f"{path}.output_dir")
     return ExperimentConfig(
-        world=world,
-        archs=archs,
-        train=train,
-        eval_plan=eval_plan,
-        output_dir=output_dir,
-        seed=seed,
-        normalized=normalized,
+        world=world, archs=archs, train=train, eval_plan=eval_plan, output_dir=output_dir, seed=seed
     )
-
-
-def _normalized_train(train: TrainConfig) -> dict:
-    doc = train.to_dict()
-    doc.pop("seed")
-    for pair in doc["pairs"]:
-        temp = pair["temperature"]
-        pair["temperature"] = {"mode": temp["mode"], "value": temp["value"]}
-        if temp["clamp_min"] != TemperatureParam().clamp_min:
-            pair["temperature"]["clamp_min"] = temp["clamp_min"]
-        if temp["clamp_max"] != TemperatureParam().clamp_max:
-            pair["temperature"]["clamp_max"] = temp["clamp_max"]
-    return doc
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -456,50 +163,46 @@ class AblationSuiteSpec:
     seeds: list[int]
 
 
-def _validate_grid_value(axis: str, value, path: str):
-    if axis == "temperature":
-        if value == "learnable":
-            return value
-        return _as_num(value, path, positive=True)
-    if axis == "projection_head":
-        return _as_str(value, path, ("linear", "mlp"))
-    if axis == "epochs":
-        return _as_int(value, path, minimum=0)
-    if axis in ("batch_size", "hub_capacity"):
-        return _as_int(value, path, minimum=1)
-    if axis == "noise_strength":
-        return _as_num(value, path, minimum=0.0)
-    if axis == "alignment":
-        return _as_str(value, path, ("aligned", "class_only"))
+def _grid_value(base: ExperimentConfig, axis: str, value, path: str):
+    """A grid value of the axis's JSON type whose cell config is valid."""
+    if not (axis == "temperature" and value == "learnable"):
+        value = decode(_GRID_TYPES[axis], value, path)
     if axis == "loss_mix":
-        pair = _as_list(value, path)
-        if len(pair) != 2:
-            raise ConfigError(path, "expected [infonce_weight, l2_weight]")
-        return [_as_num(pair[0], f"{path}[0]", minimum=0.0), _as_num(pair[1], f"{path}[1]", minimum=0.0)]
-    raise ConfigError(path, f"unknown ablation axis {axis!r}")
+        value = list(value)
+    if axis == "alignment" and value not in ("aligned", "class_only"):
+        raise ConfigError(path, f"must be one of ['aligned', 'class_only'], got {value!r}")
+    if axis == "noise_strength" and value < 0:
+        raise ConfigError(path, f"must be >= 0, got {value}")
+    try:
+        parse_experiment_config(apply_axis(base.normalized, axis, value))
+    except ConfigError as e:
+        raise ConfigError(path, str(e)) from e
+    return value
 
 
 def parse_ablation_suite(doc, path: str = "suite") -> AblationSuiteSpec:
-    _check_keys(doc, path, ("base",), ("axes", "seeds"))
+    check_keys(doc, path, ("base",), ("axes", "seeds"))
     base = parse_experiment_config(doc["base"], f"{path}.base")
-    seeds = [
-        _as_int(s, f"{path}.seeds[{i}]", minimum=0)
-        for i, s in enumerate(_as_list(doc.get("seeds", [base.seed]), f"{path}.seeds", min_len=1))
-    ]
+    seeds = decode(list[int], doc.get("seeds", [base.seed]), f"{path}.seeds")
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"{path}.seeds", "expected at least one seed, each >= 0")
     axes_doc = doc.get("axes")
     if axes_doc is None:
         axes = [AxisSpec(axis=a, grid=list(DEFAULT_GRIDS[a])) for a in ABLATION_AXES]
     else:
+        if not decode(list, axes_doc, f"{path}.axes"):
+            raise ConfigError(f"{path}.axes", "expected at least one entry")
         axes = []
-        for i, a in enumerate(_as_list(axes_doc, f"{path}.axes", min_len=1)):
+        for i, a in enumerate(axes_doc):
             apath = f"{path}.axes[{i}]"
-            _check_keys(a, apath, ("axis",), ("grid",))
-            axis = _as_str(a["axis"], f"{apath}.axis", ABLATION_AXES)
-            grid = a.get("grid", list(DEFAULT_GRIDS[axis]))
-            grid = [
-                _validate_grid_value(axis, v, f"{apath}.grid[{j}]")
-                for j, v in enumerate(_as_list(grid, f"{apath}.grid", min_len=1))
-            ]
+            check_keys(a, apath, ("axis",), ("grid",))
+            axis = decode(str, a["axis"], f"{apath}.axis")
+            if axis not in ABLATION_AXES:
+                raise ConfigError(f"{apath}.axis", f"must be one of {list(ABLATION_AXES)}, got {axis!r}")
+            grid = decode(list, a.get("grid", DEFAULT_GRIDS[axis]), f"{apath}.grid")
+            if not grid:
+                raise ConfigError(f"{apath}.grid", "expected at least one entry")
+            grid = [_grid_value(base, axis, v, f"{apath}.grid[{j}]") for j, v in enumerate(grid)]
             axes.append(AxisSpec(axis=axis, grid=grid))
     return AblationSuiteSpec(base=base, axes=axes, seeds=seeds)
 

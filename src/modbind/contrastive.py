@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import CONFIG_REQUIRED, OMIT_DEFAULT, RUN_STATE
 from .numerics import NumericsError, as_matrix, softmax_rows
 
 TAU_CLAMP_MIN = 0.01
@@ -34,15 +35,15 @@ class TemperatureParam:
     the invariant clamp_min <= tau <= clamp_max holds at all times.
     """
 
-    mode: str = "fixed"  # "fixed" | "learnable"
-    value: float = 0.07
-    log_tau: float = field(default=None)  # type: ignore[assignment]
-    clamp_min: float = TAU_CLAMP_MIN
-    clamp_max: float = TAU_CLAMP_MAX
+    mode: str = field(default="fixed", metadata=CONFIG_REQUIRED)  # "fixed" | "learnable"
+    value: float = field(default=0.07, metadata=CONFIG_REQUIRED)
+    log_tau: float = field(default=None, metadata=RUN_STATE)  # type: ignore[assignment]
+    clamp_min: float = field(default=TAU_CLAMP_MIN, metadata=OMIT_DEFAULT)
+    clamp_max: float = field(default=TAU_CLAMP_MAX, metadata=OMIT_DEFAULT)
 
     def __post_init__(self):
         if self.mode not in ("fixed", "learnable"):
-            raise ValueError(f"unknown temperature mode {self.mode!r}")
+            raise ValueError(f"mode must be one of ['fixed', 'learnable'], got {self.mode!r}")
         if not (self.clamp_min > 0 and self.clamp_min <= self.clamp_max):
             raise ValueError("temperature clamps must satisfy 0 < clamp_min <= clamp_max")
         if self.value <= 0:
@@ -71,19 +72,6 @@ class TemperatureParam:
         self.log_tau = float(new_log_tau)
         self._clamp()
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "value": self.value,
-            "log_tau": self.log_tau,
-            "clamp_min": self.clamp_min,
-            "clamp_max": self.clamp_max,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TemperatureParam":
-        return cls(**d)
-
 
 @dataclass
 class LossOutput:
@@ -93,15 +81,6 @@ class LossOutput:
     grad_q: np.ndarray
     grad_k: np.ndarray
     grad_log_tau: float = 0.0
-
-
-def similarity_matrix(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Pairwise inner products: entry (i, j) = q_i . k_j."""
-    q = as_matrix(q)
-    k = as_matrix(k)
-    if q.shape[1] != k.shape[1]:
-        raise NumericsError(f"embedding dim mismatch: {q.shape} vs {k.shape}")
-    return q @ k.T
 
 
 def info_nce(q: np.ndarray, k: np.ndarray, temp: TemperatureParam) -> LossOutput:
@@ -119,7 +98,7 @@ def info_nce(q: np.ndarray, k: np.ndarray, temp: TemperatureParam) -> LossOutput
     if n == 0:
         raise NumericsError("info_nce requires a non-empty batch")
     tau = temp.tau
-    s = similarity_matrix(q, k)
+    s = q @ k.T
     logits = s / tau
     # stable log-sum-exp per row
     m = logits.max(axis=1, keepdims=True)

@@ -8,10 +8,11 @@ Linear(in, in) -> GELU -> Linear(in, d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import RUN_STATE
 from .numerics import (
     NumericsError,
     gelu_backward,
@@ -33,7 +34,7 @@ _ACTIVATIONS = {
 class EncoderArch:
     """Shape of one modality's encoder; embed_dim must match across modalities."""
 
-    input_dim: int
+    input_dim: int = field(metadata=RUN_STATE)  # the modality's obs_dim
     hidden_widths: tuple[int, ...]
     embed_dim: int
     head: str = "linear"  # "linear" | "mlp"
@@ -64,34 +65,16 @@ class EncoderArch:
             plan.append((prev, self.embed_dim, None))
         return plan
 
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_widths": list(self.hidden_widths),
-            "embed_dim": self.embed_dim,
-            "head": self.head,
-            "activation": self.activation,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderArch":
-        return cls(
-            input_dim=d["input_dim"],
-            hidden_widths=tuple(d["hidden_widths"]),
-            embed_dim=d["embed_dim"],
-            head=d["head"],
-            activation=d["activation"],
-        )
-
 
 @dataclass
 class EncoderParams:
     """Weights/biases for every affine layer of one encoder, in layer order."""
 
     arch: EncoderArch
+    # declared here so checkpoints list it before the arrays
+    frozen: bool = field(default=False, kw_only=True)
     weights: list[np.ndarray]  # each (out_dim, in_dim)
     biases: list[np.ndarray]  # each (out_dim,)
-    frozen: bool = False
 
     def copy(self) -> "EncoderParams":
         return EncoderParams(
@@ -111,23 +94,6 @@ class EncoderParams:
 
     def num_params(self) -> int:
         return sum(a.size for a in self.arrays())
-
-    def to_dict(self) -> dict:
-        return {
-            "arch": self.arch.to_dict(),
-            "frozen": self.frozen,
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderParams":
-        return cls(
-            arch=EncoderArch.from_dict(d["arch"]),
-            weights=[np.asarray(w, dtype=np.float64) for w in d["weights"]],
-            biases=[np.asarray(b, dtype=np.float64) for b in d["biases"]],
-            frozen=d["frozen"],
-        )
 
 
 @dataclass
@@ -237,7 +203,3 @@ def vec_to_params(arch: EncoderArch, vec: np.ndarray, frozen: bool = False) -> E
     if pos != vec.size:
         raise NumericsError(f"parameter vector length {vec.size} does not match arch (need {pos})")
     return EncoderParams(arch=arch, weights=weights, biases=biases, frozen=frozen)
-
-
-def with_frozen(params: EncoderParams, frozen: bool) -> EncoderParams:
-    return replace(params, frozen=frozen)

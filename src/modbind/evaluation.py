@@ -25,7 +25,6 @@ from .trainer import TrainConfig, TrainState, init_train_state, train_run
 from .world import ModalityId, WorldSpec, class_prototypes, make_eval_set
 
 DEFAULT_ARITHMETIC_WEIGHT = 0.5
-DEFAULT_ENSEMBLE_WEIGHT = 0.95
 _DEGENERATE_NORM = 1e-9
 
 
@@ -103,35 +102,23 @@ class EvalPlan:
     retrieval_k: int = 10
     stream: str = "eval"
 
-    def to_dict(self) -> dict:
-        return {
-            "emergent_pairs": [list(p) for p in self.emergent_pairs],
-            "retrieval_pairs": [list(p) for p in self.retrieval_pairs],
-            "k_list": list(self.k_list),
-            "few_shot_modality": self.few_shot_modality,
-            "few_shot_ks": list(self.few_shot_ks),
-            "arithmetic_pair": list(self.arithmetic_pair) if self.arithmetic_pair else None,
-            "arithmetic_queries": self.arithmetic_queries,
-            "arithmetic_weight": self.arithmetic_weight,
-            "ensemble_pair": list(self.ensemble_pair) if self.ensemble_pair else None,
-            "ensemble_weights": list(self.ensemble_weights),
-            "n_per_class": self.n_per_class,
-            "prompts_per_class": self.prompts_per_class,
-            "retrieval_index_size": self.retrieval_index_size,
-            "retrieval_k": self.retrieval_k,
-            "stream": self.stream,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalPlan":
-        d = dict(d)
-        d["emergent_pairs"] = [tuple(p) for p in d.get("emergent_pairs", [])]
-        d["retrieval_pairs"] = [tuple(p) for p in d.get("retrieval_pairs", [])]
-        if d.get("arithmetic_pair"):
-            d["arithmetic_pair"] = tuple(d["arithmetic_pair"])
-        if d.get("ensemble_pair"):
-            d["ensemble_pair"] = tuple(d["ensemble_pair"])
-        return cls(**d)
+    def __post_init__(self):
+        for name in ("n_per_class", "prompts_per_class", "retrieval_index_size", "retrieval_k"):
+            if getattr(self, name) < 1:
+                raise EvaluationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.k_list:
+            raise EvaluationError("k_list must not be empty")
+        if min([*self.k_list, *self.few_shot_ks]) < 1:
+            raise EvaluationError("every entry of k_list and few_shot_ks must be >= 1")
+        if self.arithmetic_queries < 0:
+            raise EvaluationError(f"arithmetic_queries must be >= 0, got {self.arithmetic_queries}")
+        if not all(0.0 <= w <= 1.0 for w in [self.arithmetic_weight, *self.ensemble_weights]):
+            raise EvaluationError("arithmetic_weight and ensemble_weights must lie in [0, 1]")
+        for k in [*self.k_list, self.retrieval_k]:
+            if k > self.retrieval_index_size:
+                raise EvaluationError(
+                    f"K={k} exceeds retrieval_index_size={self.retrieval_index_size}"
+                )
 
 
 def trained_pair_registry(world: WorldSpec, state: TrainState) -> set[frozenset]:
@@ -237,6 +224,8 @@ def cross_modal_recall_at_k(
     with a lower id (deterministic tie order).
     """
     queries = np.asarray(queries, dtype=np.float64)
+    if not np.all(np.isfinite(queries)):
+        raise EvaluationError("query embeddings must be finite")
     n_items = index.embeddings.shape[0]
     for k in k_list:
         if k < 1 or k > n_items:
@@ -321,11 +310,6 @@ def embed_arithmetic(e1: np.ndarray, e2: np.ndarray, w: float = DEFAULT_ARITHMET
     if np.any(norms < _DEGENERATE_NORM):
         raise EvaluationError("degenerate composition: a combined row has near-zero norm")
     return combo / norms
-
-
-def modality_ensemble(e_a: np.ndarray, e_b: np.ndarray, w: float = DEFAULT_ENSEMBLE_WEIGHT):
-    """Ensemble of two modality views of the same item; defaults to w=0.95."""
-    return embed_arithmetic(e_a, e_b, w)
 
 
 def aligned_eval_items(

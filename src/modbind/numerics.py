@@ -41,17 +41,6 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b with an explicit conformability check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise NumericsError(
-            f"matmul dimension mismatch: ({a.shape[0]}x{a.shape[1]}) @ ({b.shape[0]}x{b.shape[1]})"
-        )
-    return a @ b
-
-
 def gelu_forward(x: np.ndarray) -> np.ndarray:
     """Elementwise GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + a*x^3)))."""
     x = np.asarray(x, dtype=np.float64)

@@ -15,6 +15,7 @@ uninterrupted one.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import CONFIG_REQUIRED, RUN_STATE, from_doc, to_doc
 from .contrastive import TemperatureParam, l2_regression_loss, symmetric_info_nce
 from .encoders import EncoderArch, EncoderParams, encode, encode_backward, init_encoder
 from .world import WorldSpec, sample_training_batch, stream_rng
@@ -55,30 +57,13 @@ class PairConfig:
         if self.infonce_weight < 0 or self.l2_weight < 0:
             raise TrainerError("loss weights must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "spoke": self.spoke,
-            "batch_size": self.batch_size,
-            "temperature": self.temperature.to_dict(),
-            "replication_factor": self.replication_factor,
-            "infonce_weight": self.infonce_weight,
-            "l2_weight": self.l2_weight,
-            "aligned": self.aligned,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PairConfig":
-        d = dict(d)
-        d["temperature"] = TemperatureParam.from_dict(d["temperature"])
-        return cls(**d)
-
 
 @dataclass
 class TrainConfig:
     pairs: list[PairConfig]
-    epochs: int = 1
-    steps_per_epoch: int = 1
-    learning_rate: float = 1e-3
+    epochs: int = field(default=1, metadata=CONFIG_REQUIRED)
+    steps_per_epoch: int = field(default=1, metadata=CONFIG_REQUIRED)
+    learning_rate: float = field(default=1e-3, metadata=CONFIG_REQUIRED)
     weight_decay: float = 0.01
     betas: tuple[float, float] = (0.9, 0.95)
     grad_clip_norm: float = 1.0
@@ -86,7 +71,7 @@ class TrainConfig:
     warmup_epochs: float = 1.0
     adam_eps: float = 1e-8
     shared_temperature: bool = False
-    seed: int = 0
+    seed: int = field(default=0, metadata=RUN_STATE)  # the run's seed, not a config key
 
     def __post_init__(self):
         if not self.pairs:
@@ -104,41 +89,20 @@ class TrainConfig:
             raise TrainerError("grad_clip_norm must be positive")
         if self.warmup_epochs < 0:
             raise TrainerError("warmup_epochs must be non-negative")
+        if self.adam_eps <= 0:
+            raise TrainerError("adam_eps must be positive")
         self.betas = (float(self.betas[0]), float(self.betas[1]))
         if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):
             raise TrainerError("betas must lie in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "pairs": [p.to_dict() for p in self.pairs],
-            "epochs": self.epochs,
-            "steps_per_epoch": self.steps_per_epoch,
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "betas": list(self.betas),
-            "grad_clip_norm": self.grad_clip_norm,
-            "hub_frozen": self.hub_frozen,
-            "warmup_epochs": self.warmup_epochs,
-            "adam_eps": self.adam_eps,
-            "shared_temperature": self.shared_temperature,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        d["pairs"] = [PairConfig.from_dict(p) for p in d["pairs"]]
-        d["betas"] = tuple(d["betas"])
-        return cls(**d)
 
 
 @dataclass
 class AdamMoments:
     """First/second moment buffers for one encoder; t counts applied updates."""
 
+    t: int = field(default=0, kw_only=True)  # declared first: checkpoints list it first
     m: list[np.ndarray]
     v: list[np.ndarray]
-    t: int = 0
 
 
 @dataclass
@@ -168,6 +132,8 @@ class TrainState:
     tau_moments: dict[str, ScalarMoments]
     step: int = 0
     loss_history: list[LossRecord] = field(default_factory=list)
+    # keys a loaded checkpoint carried beside the state, such as config_hash and seed
+    extra: dict = field(default_factory=dict)
 
 
 _SHARED_TAU_KEY = "__shared__"
@@ -229,6 +195,32 @@ def encoder_init_seed(seed: int, name: str) -> int:
     return int(stream_rng(seed, f"train/init/{name}").integers(0, 2**31 - 1))
 
 
+def check_layout(
+    obs_dims: dict[str, int], hub: str, archs: dict[str, EncoderArch], config: TrainConfig
+) -> None:
+    """Check the rules that span world, archs and training config.
+
+    Each arch fits its modality's observations, the hub and every spoke have
+    an arch, all archs share one embed_dim, and no pair's spoke is the hub.
+    """
+    for name, arch in archs.items():
+        if name not in obs_dims:
+            raise TrainerError(f"arch for unknown modality {name!r}")
+        if arch.input_dim != obs_dims[name]:
+            raise TrainerError(
+                f"arch input_dim {arch.input_dim} does not match {name!r} obs dim {obs_dims[name]}"
+            )
+    for pc in config.pairs:
+        if pc.spoke == hub:
+            raise TrainerError(f"pair spoke {hub!r} must not be the hub modality")
+    for name in [hub] + [pc.spoke for pc in config.pairs]:
+        if name not in archs:
+            raise TrainerError(f"missing arch for modality {name!r}")
+    embed_dims = sorted({a.embed_dim for a in archs.values()})
+    if len(embed_dims) != 1:
+        raise TrainerError(f"all encoders must share one embed_dim, got {embed_dims}")
+
+
 def init_train_state(
     world: WorldSpec,
     archs: dict[str, EncoderArch],
@@ -241,54 +233,48 @@ def init_train_state(
     measure a pretrained hub's representation quality against frozen weights).
     """
     hub_name = world.hub.name
-    if hub_name not in archs:
-        raise TrainerError(f"missing arch for hub modality {hub_name!r}")
-    embed_dims = {a.embed_dim for a in archs.values()}
-    if len(embed_dims) != 1:
-        raise TrainerError(f"all encoders must share one embed_dim, got {sorted(embed_dims)}")
-    for pc in config.pairs:
-        if pc.spoke == hub_name:
-            raise TrainerError("training pairs must pair the hub with a non-hub spoke")
-        if pc.spoke not in archs:
-            raise TrainerError(f"missing arch for spoke {pc.spoke!r}")
-        world.observer(pc.spoke)
-
-    encoders: dict[str, EncoderParams] = {}
-    moments: dict[str, AdamMoments] = {}
-    for name, arch in archs.items():
-        obs_dim = world.observer(name).obs_dim
-        if arch.input_dim != obs_dim:
-            raise TrainerError(
-                f"arch input_dim {arch.input_dim} does not match {name!r} obs dim {obs_dim}"
-            )
-        encoders[name] = init_encoder(arch, encoder_init_seed(config.seed, name))
     if hub_params is not None:
-        if hub_params.arch.input_dim != world.observer(hub_name).obs_dim:
-            raise TrainerError("supplied hub encoder does not match the world's hub obs dim")
-        if hub_params.arch.embed_dim != next(iter(embed_dims)):
-            raise TrainerError("supplied hub encoder embed_dim does not match the other encoders")
+        archs = {**archs, hub_name: hub_params.arch}
+    obs_dims = {m.modality.name: m.obs_dim for m in world.modalities}
+    check_layout(obs_dims, hub_name, archs, config)
+
+    encoders = {
+        name: init_encoder(arch, encoder_init_seed(config.seed, name)) for name, arch in archs.items()
+    }
+    if hub_params is not None:
         encoders[hub_name] = hub_params.copy()
     encoders[hub_name].frozen = config.hub_frozen
-    for name, enc in encoders.items():
-        moments[name] = AdamMoments(
+    moments = {
+        name: AdamMoments(
             m=[np.zeros_like(a) for a in enc.arrays()],
             v=[np.zeros_like(a) for a in enc.arrays()],
         )
+        for name, enc in encoders.items()
+    }
 
     temperatures: dict[str, TemperatureParam] = {}
     tau_moments: dict[str, ScalarMoments] = {}
     if config.shared_temperature:
-        shared = TemperatureParam.from_dict(config.pairs[0].temperature.to_dict())
+        shared = dataclasses.replace(config.pairs[0].temperature)
         for pc in config.pairs:
             temperatures[pc.spoke] = shared
         tau_moments[_SHARED_TAU_KEY] = ScalarMoments()
     else:
         for pc in config.pairs:
-            temperatures[pc.spoke] = TemperatureParam.from_dict(pc.temperature.to_dict())
+            temperatures[pc.spoke] = dataclasses.replace(pc.temperature)
             tau_moments[pc.spoke] = ScalarMoments()
     return TrainState(
         encoders=encoders, moments=moments, temperatures=temperatures, tau_moments=tau_moments
     )
+
+
+def check_resume(state: TrainState, archs: dict[str, EncoderArch]) -> None:
+    """A state continues a run only if it holds an encoder of every arch, unchanged."""
+    for name, arch in archs.items():
+        if name not in state.encoders:
+            raise TrainerError(f"checkpoint is missing encoder {name!r}")
+        if state.encoders[name].arch != arch:
+            raise TrainerError(f"checkpoint arch mismatch for encoder {name!r}")
 
 
 def _build_pools(world: WorldSpec, config: TrainConfig) -> dict[str, object]:
@@ -325,11 +311,7 @@ def train_run(
     if state is None:
         state = init_train_state(world, archs, config)
     else:
-        for name, arch in archs.items():
-            if name not in state.encoders:
-                raise TrainerError(f"checkpoint is missing encoder {name!r}")
-            if state.encoders[name].arch != arch:
-                raise TrainerError(f"checkpoint arch mismatch for encoder {name!r}")
+        check_resume(state, archs)
     num_pairs = len(config.pairs)
     total_steps = config.epochs * config.steps_per_epoch
     target = total_steps if max_steps is None else min(total_steps, state.step + max_steps)
@@ -451,20 +433,19 @@ def save_checkpoint(state: TrainState, path: str | Path, extra: dict | None = No
         "version": CHECKPOINT_FORMAT_VERSION,
         "kind": "checkpoint",
         "step": state.step,
-        "encoders": {name: p.to_dict() for name, p in state.encoders.items()},
-        "moments": {
-            name: {"t": mom.t, "m": [a.tolist() for a in mom.m], "v": [a.tolist() for a in mom.v]}
-            for name, mom in state.moments.items()
-        },
-        "temperatures": {name: t.to_dict() for name, t in state.temperatures.items()},
-        "tau_moments": {
-            name: {"m": sm.m, "v": sm.v, "t": sm.t} for name, sm in state.tau_moments.items()
-        },
+        "encoders": to_doc(state.encoders),
+        "moments": to_doc(state.moments),
+        "temperatures": to_doc(state.temperatures),
+        "tau_moments": to_doc(state.tau_moments),
         "loss_history": [[r.step, r.pair, r.loss, r.tau] for r in state.loss_history],
     }
     if extra:
         doc.update(extra)
     Path(path).write_text(json.dumps(doc, indent=1))
+
+
+_STATE_KEYS = ("version", "kind", "step", "encoders", "moments", "temperatures", "tau_moments",
+               "loss_history")
 
 
 def _validate_encoder_shapes(name: str, enc: EncoderParams) -> None:
@@ -477,7 +458,8 @@ def _validate_encoder_shapes(name: str, enc: EncoderParams) -> None:
 
 
 def load_checkpoint(path: str | Path) -> TrainState:
-    """Read a checkpoint back; rejects unknown versions and malformed content."""
+    """Read a checkpoint back; rejects unknown versions, malformed content and
+    non-finite weights or moments. Keys beside the state land in `extra`."""
     text = Path(path).read_text()
     try:
         doc = json.loads(text)
@@ -488,43 +470,34 @@ def load_checkpoint(path: str | Path) -> TrainState:
     if doc.get("version") != CHECKPOINT_FORMAT_VERSION:
         raise TrainerError(f"unsupported checkpoint version {doc.get('version')!r}")
     try:
-        encoders = {name: EncoderParams.from_dict(d) for name, d in doc["encoders"].items()}
-        for name, enc in encoders.items():
-            _validate_encoder_shapes(name, enc)
-        moments = {
-            name: AdamMoments(
-                m=[np.asarray(a, dtype=np.float64) for a in d["m"]],
-                v=[np.asarray(a, dtype=np.float64) for a in d["v"]],
-                t=d["t"],
-            )
-            for name, d in doc["moments"].items()
+        parts = {
+            key: {name: from_doc(cls, d, f"{key}.{name}") for name, d in doc[key].items()}
+            for key, cls in (("encoders", EncoderParams), ("moments", AdamMoments),
+                             ("temperatures", TemperatureParam), ("tau_moments", ScalarMoments))
         }
-        temperatures = {
-            name: TemperatureParam.from_dict(d) for name, d in doc["temperatures"].items()
-        }
-        tau_moments = {
-            name: ScalarMoments(m=d["m"], v=d["v"], t=d["t"])
-            for name, d in doc["tau_moments"].items()
-        }
-        history = [
-            LossRecord(step=r[0], pair=r[1], loss=r[2], tau=r[3]) for r in doc["loss_history"]
-        ]
+        history = [LossRecord(*r) for r in doc["loss_history"]]
         step = doc["step"]
-    except (KeyError, TypeError, IndexError) as e:
+    except (KeyError, TypeError, IndexError, AttributeError, ValueError) as e:
         raise TrainerError(f"corrupt checkpoint: {e!r}") from e
+    encoders, moments = parts["encoders"], parts["moments"]
+    for name, enc in encoders.items():
+        _validate_encoder_shapes(name, enc)
     for name, mom in moments.items():
         if name not in encoders:
             raise TrainerError(f"corrupt checkpoint: moments for unknown encoder {name!r}")
         shapes = [a.shape for a in encoders[name].arrays()]
         if [a.shape for a in mom.m] != shapes or [a.shape for a in mom.v] != shapes:
             raise TrainerError(f"corrupt checkpoint: moment shapes mismatch for {name!r}")
+    arrays = [a for enc in encoders.values() for a in enc.arrays()]
+    arrays += [a for mom in moments.values() for a in mom.m + mom.v]
+    arrays += [np.array([sm.m, sm.v]) for sm in parts["tau_moments"].values()]
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise TrainerError("corrupt checkpoint: non-finite weights or optimizer moments")
     return TrainState(
-        encoders=encoders,
-        moments=moments,
-        temperatures=temperatures,
-        tau_moments=tau_moments,
+        **parts,
         step=step,
         loss_history=history,
+        extra={k: v for k, v in doc.items() if k not in _STATE_KEYS},
     )
 
 

@@ -26,6 +26,8 @@ WORLD_FORMAT_VERSION = 1
 # prompt-like observations are drawn this much tighter than data samples
 PROTOTYPE_NOISE_DIVISOR = 4.0
 
+NONLINEARITIES = ("tanh", "gelu", "identity")
+
 _SEPARABILITY_FACTOR = 4.0  # min pairwise class-mean distance, in within-class scales
 _MAX_MEAN_ATTEMPTS = 8
 
@@ -58,7 +60,7 @@ class ModalityObserver:
     modality: ModalityId
     weight: np.ndarray  # (obs_dim, latent_dim)
     bias: np.ndarray  # (obs_dim,)
-    nonlinearity: str = "tanh"  # "tanh" | "gelu" | "identity"
+    nonlinearity: str = "tanh"  # one of NONLINEARITIES
     obs_noise_scale: float = 0.0
 
     @property
@@ -92,10 +94,38 @@ class ModalityConfig:
 
 @dataclass
 class WorldConfig:
+    """A world's shape; its constructor checks every modality too."""
+
     latent_dim: int
     num_classes: int
     within_class_scale: float
     modalities: list[ModalityConfig]
+
+    def __post_init__(self):
+        if self.latent_dim < 2:
+            raise WorldError("latent_dim must be >= 2")
+        if self.num_classes < 2:
+            raise WorldError("num_classes must be >= 2")
+        if self.within_class_scale < 0:
+            raise WorldError("within_class_scale must be non-negative")
+        if len(self.modalities) < 2:
+            raise WorldError("need at least two modalities (hub plus one spoke)")
+        for m in self.modalities:
+            if m.obs_dim < 1:
+                raise WorldError(f"obs_dim must be >= 1 for {m.name!r}")
+            if m.nonlinearity not in NONLINEARITIES:
+                raise WorldError(
+                    f"nonlinearity of {m.name!r} must be one of {list(NONLINEARITIES)}, "
+                    f"got {m.nonlinearity!r}"
+                )
+            if m.obs_noise_scale < 0:
+                raise WorldError(f"obs_noise_scale must be >= 0 for {m.name!r}")
+        hubs = sum(m.hub for m in self.modalities)
+        if hubs != 1:
+            raise WorldError(f"exactly one hub modality required, found {hubs}")
+        names = [m.name for m in self.modalities]
+        if len(set(names)) != len(names):
+            raise WorldError("modality names must be unique")
 
 
 @dataclass
@@ -224,21 +254,6 @@ def make_world(config: WorldConfig, seed: int) -> WorldSpec:
     guarantee). Observer weights are drawn once per modality from dedicated
     streams and are immutable afterwards.
     """
-    if config.latent_dim < 2:
-        raise WorldError("latent_dim must be >= 2")
-    if config.num_classes < 2:
-        raise WorldError("num_classes must be >= 2")
-    if config.within_class_scale < 0:
-        raise WorldError("within_class_scale must be non-negative")
-    if len(config.modalities) < 2:
-        raise WorldError("need at least two modalities (hub plus one spoke)")
-    hubs = [m for m in config.modalities if m.hub]
-    if len(hubs) != 1:
-        raise WorldError(f"exactly one modality must be the hub, found {len(hubs)}")
-    names = [m.name for m in config.modalities]
-    if len(set(names)) != len(names):
-        raise WorldError("modality names must be unique")
-
     target = _SEPARABILITY_FACTOR * config.within_class_scale
     rng = stream_rng(seed, "world/class_means")
     means = None
@@ -257,10 +272,6 @@ def make_world(config: WorldConfig, seed: int) -> WorldSpec:
     observers = []
     hub_id = None
     for idx, mc in enumerate(config.modalities):
-        if mc.obs_dim < 1:
-            raise WorldError(f"obs_dim must be >= 1 for {mc.name!r}")
-        if mc.obs_noise_scale < 0:
-            raise WorldError(f"obs_noise_scale must be >= 0 for {mc.name!r}")
         w_rng = stream_rng(seed, f"world/observer/{mc.name}")
         weight = w_rng.standard_normal((mc.obs_dim, config.latent_dim)) / np.sqrt(config.latent_dim)
         bias = 0.1 * w_rng.standard_normal(mc.obs_dim)

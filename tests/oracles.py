@@ -16,19 +16,6 @@ def dot(u, v):
     return total
 
 
-def matmul_loops(a, b):
-    """Triple-loop matrix product of list-of-lists."""
-    n, inner, m = len(a), len(b), len(b[0])
-    out = [[0.0] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for t in range(inner):
-                s += float(a[i][t]) * float(b[t][j])
-            out[i][j] = s
-    return out
-
-
 def normalize_rows_loops(x):
     out = []
     for row in x:

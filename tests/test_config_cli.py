@@ -116,6 +116,39 @@ class TestConfigValidation:
             parse_experiment_config(small_config_doc)
         assert exc.value.path == "config.train.bogus"
 
+    @pytest.mark.parametrize(
+        "section, key, value, path",
+        [
+            ("pairs", "temperature", {"mode": "fixed", "value": 0.1, "clamp_min": 1.0, "clamp_max": 0.5},
+             "config.train.pairs[0].temperature"),
+            ("pairs", "batch_size", 0, "config.train.pairs[0]"),
+            ("train", "adam_eps", 0.0, "config.train"),
+            ("modality", "nonlinearity", "relu", "config.world"),
+            ("world", "within_class_scale", -0.1, "config.world"),
+            ("arch", "hidden_widths", [0], "config.archs.alpha"),
+            ("eval", "retrieval_k", 31, "config.eval"),
+            ("eval", "arithmetic_weight", 1.5, "config.eval"),
+        ],
+    )
+    def test_constructor_errors_name_the_object(self, small_config_doc, section, key, value, path):
+        target = {
+            "pairs": small_config_doc["train"]["pairs"][0],
+            "train": small_config_doc["train"],
+            "modality": small_config_doc["world"]["modalities"][1],
+            "world": small_config_doc["world"],
+            "arch": small_config_doc["archs"]["alpha"],
+            "eval": small_config_doc["eval"],
+        }[section]
+        target[key] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_experiment_config(small_config_doc)
+        assert exc.value.path == path
+
+    def test_zero_within_class_scale_accepted(self, small_config_doc):
+        # zero spread puts every sample on its class mean, which a world allows
+        small_config_doc["world"]["within_class_scale"] = 0
+        assert parse_experiment_config(small_config_doc).world.within_class_scale == 0.0
+
 
 class TestConfigHash:
     def test_stable_across_parses(self, small_config_doc):
@@ -135,6 +168,21 @@ class TestConfigHash:
         small_config_doc["output_dir"] = "elsewhere"
         b = parse_experiment_config(small_config_doc)
         assert a.hash == b.hash
+
+    @pytest.mark.parametrize(
+        "name, want",
+        [
+            ("desk.json", "d5616438913550113b5e7a619479febab034a3622411eba4880419650025852f"),
+            ("desk_m1m2.json", "170715a29678b9357f70c41c7599da8d2d1f06d47bd424604b305483e05fef71"),
+            ("ablate_quick.json", "49140aca5a90eb12968657247cde4966fd7e91ea403226f5daf07e0fa477a0ff"),
+        ],
+    )
+    def test_bundled_config_hashes_are_pinned(self, name, want):
+        doc = json.loads(resources.files("modbind").joinpath("configs", name).read_text())
+        if name == "ablate_quick.json":
+            assert parse_ablation_suite(doc).base.hash == want
+        else:
+            assert parse_experiment_config(doc).hash == want
 
     def test_material_change_alters_hash(self, small_config_doc):
         a = parse_experiment_config(small_config_doc)
@@ -381,6 +429,46 @@ class TestCliEval:
         report = MetricsReport.from_json((tmp_path / "metrics.json").read_text())
         assert "emergent_zero_shot/alpha_vs_beta" in report.metrics
 
+    def test_seed_mismatch_is_config_error(self, cli_space, tmp_path, capsys):
+        _, cfg_path, out = cli_space
+        ckpt = str(out / "checkpoint.json")
+        code = main(["eval", "--config", str(cfg_path), "--seed", "4", "--checkpoint", ckpt,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "seed does not match" in capsys.readouterr().err
+        # retrieve has no --seed flag; the seed comes from the config document
+        doc = json.loads(cfg_path.read_text())
+        doc["seed"] = 4
+        other = tmp_path / "seed4.json"
+        other.write_text(json.dumps(doc))
+        code = main(["retrieve", "--config", str(other), "--checkpoint", ckpt,
+                     "--index-modality", "hub", "--query-modality", "alpha"])
+        assert code == 2
+        assert "seed does not match" in capsys.readouterr().err
+
+    def test_checkpoint_without_seed_still_loads(self, cli_space, tmp_path):
+        _, cfg_path, out = cli_space
+        doc = json.loads((out / "checkpoint.json").read_text())
+        del doc["seed"]
+        ckpt = tmp_path / "no_seed.json"
+        ckpt.write_text(json.dumps(doc))
+        code = main(["eval", "--config", str(cfg_path), "--seed", "4", "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path)])
+        assert code == 0
+
+    def test_non_finite_weight_is_runtime_error(self, cli_space, tmp_path, capsys):
+        # NaN weights give NaN embeddings, which the ranking would count as hits
+        _, cfg_path, out = cli_space
+        doc = json.loads((out / "checkpoint.json").read_text())
+        doc["encoders"]["alpha"]["weights"][0][0][0] = float("nan")
+        ckpt = tmp_path / "poisoned.json"
+        ckpt.write_text(json.dumps(doc))
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_checkpoint_config_mismatch_is_config_error(self, cli_space, tmp_path, capsys):
         _, cfg_path, out = cli_space
         doc = json.loads(cfg_path.read_text())
@@ -477,6 +565,17 @@ class TestCliWorldgenAndErrors:
         cfg_path.write_text(json.dumps(doc))
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert "config.train.epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["worldgen", "train"])
+    def test_inverted_temperature_clamps_exit_2(self, tmp_path, capsys, command):
+        doc = json.loads(resources.files("modbind").joinpath("configs", "desk.json").read_text())
+        doc["train"]["pairs"][0]["temperature"] = {
+            "mode": "learnable", "value": 0.07, "clamp_min": 1.0, "clamp_max": 0.5
+        }
+        cfg_path = tmp_path / "clamps.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "config.train.pairs[0].temperature" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3(self, tmp_path, capsys):

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from modbind.codec import from_doc, to_doc
 from modbind.contrastive import (
     TemperatureParam,
     info_nce,
     l2_regression_loss,
-    similarity_matrix,
     symmetric_info_nce,
 )
 from modbind.numerics import finite_difference_check, l2_normalize_rows
@@ -53,33 +53,8 @@ class TestTemperatureParam:
     def test_dict_round_trip(self):
         t = TemperatureParam(mode="learnable", value=0.07)
         t.apply_update(math.log(0.2))
-        back = TemperatureParam.from_dict(t.to_dict())
+        back = from_doc(TemperatureParam, to_doc(t))
         assert back == t
-
-
-class TestSimilarityMatrix:
-    def test_orthonormal_identity(self):
-        q = np.eye(3)
-        assert np.max(np.abs(similarity_matrix(q, q) - np.eye(3))) <= 1e-15
-
-    def test_unit_diagonal_when_paired(self, rng):
-        q = unit(rng, 5, 7)
-        sims = similarity_matrix(q, q)
-        np.testing.assert_allclose(np.diag(sims), 1.0, atol=1e-12)
-
-    def test_matches_loop_oracle(self, rng):
-        q = rng.standard_normal((4, 6))
-        k = rng.standard_normal((5, 6))
-        sims = similarity_matrix(q, k)
-        assert sims.shape == (4, 5)
-        for i in range(4):
-            for j in range(5):
-                want = sum(q[i, t] * k[j, t] for t in range(6))
-                assert abs(sims[i, j] - want) <= 1e-12
-
-    def test_dim_mismatch_rejected(self, rng):
-        with pytest.raises(Exception):
-            similarity_matrix(rng.standard_normal((2, 3)), rng.standard_normal((2, 4)))
 
 
 class TestInfoNCE:
@@ -183,6 +158,10 @@ class TestInfoNCE:
     def test_row_count_mismatch_rejected(self, rng):
         with pytest.raises(Exception):
             info_nce(unit(rng, 3, 4), unit(rng, 4, 4), TemperatureParam())
+
+    def test_dim_mismatch_rejected(self, rng):
+        with pytest.raises(Exception):
+            info_nce(rng.standard_normal((2, 3)), rng.standard_normal((2, 4)), TemperatureParam())
 
 
 class TestSymmetricInfoNCE:

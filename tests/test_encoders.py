@@ -1,8 +1,11 @@
 """Tests for the per-modality MLP encoders and their hand-written backward pass."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from modbind.codec import from_doc, to_doc
 from modbind.encoders import (
     EncoderArch,
     EncoderParams,
@@ -11,7 +14,6 @@ from modbind.encoders import (
     init_encoder,
     params_to_vec,
     vec_to_params,
-    with_frozen,
     zero_grads,
 )
 from modbind.numerics import NumericsError, finite_difference_check, l2_normalize_rows
@@ -47,7 +49,7 @@ class TestArch:
 
     def test_dict_round_trip(self):
         arch = ARCHS["hidden_mlp"]
-        assert EncoderArch.from_dict(arch.to_dict()) == arch
+        assert from_doc(EncoderArch, to_doc(arch)) == arch
 
 
 class TestInit:
@@ -137,7 +139,7 @@ class TestBackward:
         assert report.max_rel_error <= 1e-4
 
     def test_frozen_yields_zero_grads(self, rng):
-        params = with_frozen(init_encoder(ARCHS["hidden_mlp"], seed=5), True)
+        params = dataclasses.replace(init_encoder(ARCHS["hidden_mlp"], seed=5), frozen=True)
         x = rng.standard_normal((4, 6))
         _, cache = encode(params, x)
         grads = encode_backward(params, cache, rng.standard_normal((4, 5)))
@@ -185,7 +187,7 @@ class TestParamVector:
 
     def test_dict_round_trip_is_exact(self):
         params = init_encoder(ARCHS["hidden_mlp"], seed=5)
-        back = EncoderParams.from_dict(params.to_dict())
+        back = from_doc(EncoderParams, to_doc(params))
         assert back.arch == params.arch
         assert back.frozen == params.frozen
         for a, b in zip(params.arrays(), back.arrays()):

@@ -6,9 +6,12 @@ seeded, so directional assertions on trained states are exact reruns, not
 statistical gambles.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from modbind.codec import from_doc, to_doc
 from modbind.encoders import EncoderArch, encode, init_encoder
 from modbind.evaluation import (
     EvalPlan,
@@ -23,7 +26,6 @@ from modbind.evaluation import (
     emergent_zero_shot_accuracy,
     few_shot_probe,
     frozen_hub_eval,
-    modality_ensemble,
     run_eval_plan,
     trained_pair_registry,
     zero_shot_classify,
@@ -282,6 +284,16 @@ class TestRecallAtK:
         with pytest.raises(EvaluationError):
             cross_modal_recall_at_k(index, unit_rows(2, 6, rng), [0], [1])
 
+    def test_non_finite_queries_rejected(self, rng):
+        # a NaN query compares false with every item, so its true item would rank first
+        index = RetrievalIndex(
+            embeddings=unit_rows(5, 6, rng), item_ids=np.arange(5), modality="hub"
+        )
+        queries = unit_rows(2, 6, rng)
+        queries[1, 0] = np.nan
+        with pytest.raises(EvaluationError):
+            cross_modal_recall_at_k(index, queries, [0, 1], [1])
+
     def test_duplicate_index_ids_rejected(self, rng):
         with pytest.raises(EvaluationError):
             RetrievalIndex(
@@ -354,11 +366,6 @@ class TestEmbedArithmetic:
     def test_batch_rows_normalized(self, rng):
         out = embed_arithmetic(unit_rows(5, 6, rng), unit_rows(5, 6, rng), 0.4)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
-
-    def test_ensemble_default_weight(self, rng):
-        a = unit_rows(3, 6, rng)
-        b = unit_rows(3, 6, rng)
-        np.testing.assert_array_equal(modality_ensemble(a, b), embed_arithmetic(a, b, 0.95))
 
 
 class TestAlignedEvalItems:
@@ -480,9 +487,26 @@ class TestRunEvalPlan:
         b = run_eval_plan(world, state, self.full_plan())
         assert a.to_json() == b.to_json()
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"k_list": [1, 41]},
+            {"retrieval_k": 41},
+            {"k_list": []},
+            {"few_shot_ks": [0]},
+            {"arithmetic_weight": 1.5},
+            {"ensemble_weights": [0.5, -0.1]},
+            {"n_per_class": 0},
+            {"arithmetic_queries": -1},
+        ],
+    )
+    def test_invalid_plan_rejected(self, change):
+        with pytest.raises(EvaluationError):
+            dataclasses.replace(self.full_plan(), **change)
+
     def test_plan_round_trips_through_dict(self):
         plan = self.full_plan()
-        assert EvalPlan.from_dict(plan.to_dict()) == plan
+        assert from_doc(EvalPlan, to_doc(plan)) == plan
 
     def test_empty_plan_yields_empty_report(self, world, trained):
         _, state = trained

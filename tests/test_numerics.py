@@ -16,13 +16,12 @@ from modbind.numerics import (
     gelu_forward,
     l2_normalize_rows,
     l2_normalize_rows_backward,
-    matmul,
     softmax_rows,
     tanh_backward,
     tanh_forward,
 )
 
-from .oracles import central_diff_scalar, matmul_loops, normalize_rows_loops, softmax_row_loops
+from .oracles import central_diff_scalar, normalize_rows_loops, softmax_row_loops
 
 
 # elements are zero or comfortably normal so row norms never underflow
@@ -48,36 +47,6 @@ class TestAsMatrix:
     def test_rejects_3d(self):
         with pytest.raises(NumericsError):
             as_matrix(np.zeros((2, 2, 2)))
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        m = rng.standard_normal((2, 3))
-        np.testing.assert_array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_value(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-        np.testing.assert_array_equal(out, [[3.0], [7.0]])
-
-    def test_matches_loop_oracle(self, rng):
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 2))
-        got = matmul(a, b)
-        want = matmul_loops(a.tolist(), b.tolist())
-        assert np.max(np.abs(got - np.array(want))) <= 1e-12
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(NumericsError):
-            matmul(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
-
-    def test_associativity(self, rng):
-        for _ in range(5):
-            a = rng.standard_normal((3, 4))
-            b = rng.standard_normal((4, 5))
-            c = rng.standard_normal((5, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.max(np.abs(left - right)) <= 1e-10
 
 
 class TestGelu:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import modbind.trainer as trainer_mod
+from modbind.codec import from_doc, to_doc
 from modbind.contrastive import LossOutput, TemperatureParam
 from modbind.encoders import EncoderArch
 from modbind.trainer import (
@@ -160,9 +161,13 @@ class TestConfigValidation:
         with pytest.raises(TrainerError):
             PairConfig(spoke="a", infonce_weight=-1.0)
 
+    def test_rejects_non_positive_adam_eps(self):
+        with pytest.raises(TrainerError):
+            TrainConfig(pairs=[PairConfig(spoke="a")], adam_eps=0.0)
+
     def test_round_trips(self):
         cfg = quick_config()
-        back = TrainConfig.from_dict(cfg.to_dict())
+        back = from_doc(TrainConfig, to_doc(cfg))
         assert back == cfg
 
 
@@ -300,7 +305,7 @@ class TestCheckpointing:
             for a, b in zip(enc.arrays(), back.encoders[name].arrays()):
                 np.testing.assert_array_equal(a, b)
         for name, temp in state.temperatures.items():
-            assert back.temperatures[name].to_dict() == temp.to_dict()
+            assert to_doc(back.temperatures[name]) == to_doc(temp)
         assert [r.loss for r in back.loss_history] == [r.loss for r in state.loss_history]
 
     def test_resume_matches_uninterrupted_run(self, tiny_world, tmp_path):
@@ -329,6 +334,34 @@ class TestCheckpointing:
         )
         with pytest.raises(TrainerError):
             train_run(tiny_world, other, quick_config(), state=state)
+
+    def test_extra_keys_come_back_beside_the_state(self, tiny_world, tmp_path):
+        state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config(), max_steps=2)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path, extra={"config_hash": "abc", "seed": 11})
+        assert load_checkpoint(path).extra == {"config_hash": "abc", "seed": 11}
+
+    @pytest.mark.parametrize(
+        "keys, bad",
+        [
+            (("encoders", "alpha", "weights", 0, 0, 0), float("nan")),
+            (("encoders", "hub", "biases", 0, 0), float("inf")),
+            (("moments", "beta", "v", 0, 0, 0), float("nan")),
+            (("tau_moments", "alpha", "m"), float("-inf")),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, tiny_world, tmp_path, keys, bad):
+        state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config(), max_steps=2)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path)
+        doc = json.loads(path.read_text())
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TrainerError, match="non-finite"):
+            load_checkpoint(path)
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"

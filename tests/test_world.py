@@ -116,6 +116,9 @@ class TestMakeWorld:
         bad_dim = [ModalityConfig("hub", 0, hub=True), ModalityConfig("b", 4)]
         with pytest.raises(WorldError):
             make_world(WorldConfig(4, 3, 0.1, bad_dim), seed=0)
+        bad_map = [ModalityConfig("hub", 4, hub=True), ModalityConfig("b", 4, nonlinearity="relu")]
+        with pytest.raises(WorldError):
+            WorldConfig(4, 3, 0.1, bad_map)
 
     def test_unknown_modality_lookup(self, tiny_world):
         with pytest.raises(WorldError):
