@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import CONFIG_REQUIRED, OMIT_DEFAULT, RUN_STATE
-from .numerics import NumericsError, as_matrix, softmax_rows
+from .numerics import NumericsError, as_matrix, softmax_rows  # noqa: F401  (perfbench traces it here)
 
 TAU_CLAMP_MIN = 0.01
 TAU_CLAMP_MAX = 5.0
@@ -46,14 +46,15 @@ class TemperatureParam:
             raise ValueError(f"mode must be one of ['fixed', 'learnable'], got {self.mode!r}")
         if not (self.clamp_min > 0 and self.clamp_min <= self.clamp_max):
             raise ValueError("temperature clamps must satisfy 0 < clamp_min <= clamp_max")
-        if self.value <= 0:
-            raise ValueError(f"temperature must be positive, got {self.value}")
-        if self.log_tau is None:
-            self.log_tau = math.log(self.value)
-        self._clamp()
+        if not (math.isfinite(self.value) and self.value > 0):
+            raise ValueError(f"temperature must be positive and finite, got {self.value}")
+        self._set_log_tau(math.log(self.value) if self.log_tau is None else self.log_tau)
 
-    def _clamp(self):
-        self.log_tau = min(max(self.log_tau, math.log(self.clamp_min)), math.log(self.clamp_max))
+    def _set_log_tau(self, log_tau: float) -> None:
+        # min/max would keep a NaN, so it is rejected before clamping
+        if not math.isfinite(log_tau):
+            raise ValueError(f"log_tau must be finite, got {log_tau}")
+        self.log_tau = min(max(log_tau, math.log(self.clamp_min)), math.log(self.clamp_max))
 
     @property
     def learnable(self) -> bool:
@@ -69,8 +70,7 @@ class TemperatureParam:
         """Set the trained log-temperature, enforcing the clamp range."""
         if not self.learnable:
             raise ValueError("cannot update a fixed temperature")
-        self.log_tau = float(new_log_tau)
-        self._clamp()
+        self._set_log_tau(float(new_log_tau))
 
 
 @dataclass
@@ -83,6 +83,36 @@ class LossOutput:
     grad_log_tau: float = 0.0
 
 
+def _check_pair(q, k) -> tuple[np.ndarray, np.ndarray]:
+    q = as_matrix(q)
+    k = as_matrix(k)
+    if q.shape != k.shape:
+        raise NumericsError(f"embedding shape mismatch: {q.shape} vs {k.shape}")
+    if q.shape[0] == 0:
+        raise NumericsError("info_nce requires a non-empty batch")
+    return q, k
+
+
+def _direction(s: np.ndarray, temp: TemperatureParam) -> tuple[float, np.ndarray, float]:
+    """Loss, dL/dS and grad_log_tau of the InfoNCE direction whose rows are S's rows.
+
+    One exp(logits - max) serves both the log-sum-exp and the softmax.
+    """
+    n = s.shape[0]
+    tau = temp.tau
+    logits = s / tau
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    row_sums = e.sum(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(row_sums[:, 0])
+    loss = float(np.mean(lse - np.diag(logits)))
+    d = e / row_sums
+    d.flat[:: n + 1] -= 1.0  # softmax minus the identity
+    d /= n * tau
+    grad_log_tau = -float(np.sum(d * s)) if temp.learnable else 0.0
+    return loss, d, grad_log_tau
+
+
 def info_nce(q: np.ndarray, k: np.ndarray, temp: TemperatureParam) -> LossOutput:
     """One-directional InfoNCE with in-batch negatives and exact gradients.
 
@@ -90,36 +120,26 @@ def info_nce(q: np.ndarray, k: np.ndarray, temp: TemperatureParam) -> LossOutput
     grad_q/grad_k are gradients w.r.t. the (already normalized) embeddings;
     grad_log_tau is zero whenever the temperature is fixed.
     """
-    q = as_matrix(q)
-    k = as_matrix(k)
-    if q.shape != k.shape:
-        raise NumericsError(f"embedding shape mismatch: {q.shape} vs {k.shape}")
-    n = q.shape[0]
-    if n == 0:
-        raise NumericsError("info_nce requires a non-empty batch")
-    tau = temp.tau
-    s = q @ k.T
-    logits = s / tau
-    # stable log-sum-exp per row
-    m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    loss = float(np.mean(lse - np.diag(logits)))
-    d = (softmax_rows(logits) - np.eye(n)) / (n * tau)
-    grad_q = d @ k
-    grad_k = d.T @ q
-    grad_log_tau = -float(np.sum(d * s)) if temp.learnable else 0.0
-    return LossOutput(loss=loss, grad_q=grad_q, grad_k=grad_k, grad_log_tau=grad_log_tau)
+    q, k = _check_pair(q, k)
+    loss, d, grad_log_tau = _direction(q @ k.T, temp)
+    return LossOutput(loss=loss, grad_q=d @ k, grad_k=d.T @ q, grad_log_tau=grad_log_tau)
 
 
 def symmetric_info_nce(q: np.ndarray, k: np.ndarray, temp: TemperatureParam) -> LossOutput:
-    """Sum of both InfoNCE directions, gradients accumulated per argument."""
-    fwd = info_nce(q, k, temp)
-    rev = info_nce(k, q, temp)
+    """Sum of both InfoNCE directions, gradients accumulated per argument.
+
+    Both directions share one S = q @ k.T; the reverse one runs on a
+    contiguous copy of S.T, which holds the same bits as k @ q.T.
+    """
+    q, k = _check_pair(q, k)
+    s = q @ k.T
+    fwd_loss, d_fwd, fwd_tau = _direction(s, temp)
+    rev_loss, d_rev, rev_tau = _direction(np.ascontiguousarray(s.T), temp)
     return LossOutput(
-        loss=fwd.loss + rev.loss,
-        grad_q=fwd.grad_q + rev.grad_k,
-        grad_k=fwd.grad_k + rev.grad_q,
-        grad_log_tau=fwd.grad_log_tau + rev.grad_log_tau,
+        loss=fwd_loss + rev_loss,
+        grad_q=d_fwd @ k + d_rev.T @ k,
+        grad_k=d_fwd.T @ q + d_rev @ q,
+        grad_log_tau=fwd_tau + rev_tau,
     )
 
 

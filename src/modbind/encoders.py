@@ -8,6 +8,8 @@ Linear(in, in) -> GELU -> Linear(in, d).
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,10 +67,37 @@ class EncoderArch:
             plan.append((prev, self.embed_dim, None))
         return plan
 
+    def param_shapes(self) -> list[tuple[int, ...]]:
+        """Shapes of W0, b0, W1, b1, ...: the order of EncoderParams.arrays()."""
+        return [shape for i, o, _ in self.layer_plan() for shape in ((o, i), (o,))]
+
+
+def pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One contiguous float64 copy of `arrays`, laid end to end, and a view of it per array."""
+    flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+    return flat, _views(flat, [np.shape(a) for a in arrays])
+
+
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views of `flat` with the given shapes, laid end to end."""
+    views, pos = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[pos : pos + size].reshape(shape))
+        pos += size
+    return views
+
 
 @dataclass
 class EncoderParams:
-    """Weights/biases for every affine layer of one encoder, in layer order."""
+    """Weights/biases for every affine layer of one encoder, in layer order.
+
+    All of them live in one contiguous float64 vector `flat`, laid out as
+    W0, b0, W1, b1, ... (the order of `arrays()`); `weights[i]` and
+    `biases[i]` are views into it. Construction packs the given arrays into a
+    fresh vector, so a copy, `dataclasses.replace` or a decoded checkpoint
+    never shares memory with its source. Optimizers update `flat` in place.
+    """
 
     arch: EncoderArch
     # declared here so checkpoints list it before the arrays
@@ -76,39 +105,34 @@ class EncoderParams:
     weights: list[np.ndarray]  # each (out_dim, in_dim)
     biases: list[np.ndarray]  # each (out_dim,)
 
+    def __post_init__(self):
+        arrays = self.arrays()
+        shapes = [np.shape(a) for a in arrays]
+        if len(self.weights) != len(self.biases) or shapes != self.arch.param_shapes():
+            raise ValueError("weight and bias shapes do not match the arch's layer plan")
+        self.flat, views = pack(arrays)
+        self.weights, self.biases = views[0::2], views[1::2]
+
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            arch=self.arch,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            frozen=self.frozen,
-        )
+        return dataclasses.replace(self)
 
     def arrays(self) -> list[np.ndarray]:
         """All parameter arrays in a fixed order (weights and biases interleaved)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [a for wb in zip(self.weights, self.biases) for a in wb]
 
     def num_params(self) -> int:
-        return sum(a.size for a in self.arrays())
+        return self.flat.size
 
 
 @dataclass
 class EncoderGrads:
-    """Parameter gradients, shape-parallel to EncoderParams."""
+    """Parameter gradients in the layout of EncoderParams: one vector, a view per array."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
+    views: list[np.ndarray]  # in EncoderParams.arrays() order
 
     def arrays(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return self.views
 
 
 @dataclass
@@ -164,42 +188,37 @@ def encode_backward(
         )
     if params.frozen:
         return zero_grads(params)
+    flat = np.empty_like(params.flat)
+    views = _views(flat, params.arch.param_shapes())
     g = l2_normalize_rows_backward(cache.pre_norm, grad_embeddings)
     plan = params.arch.layer_plan()
-    d_weights = [None] * len(plan)
-    d_biases = [None] * len(plan)
     for i in range(len(plan) - 1, -1, -1):
         act = plan[i][2]
         if act:
             g = _ACTIVATIONS[act][1](cache.pre_activations[i], g)
-        d_weights[i] = g.T @ cache.inputs[i]
-        d_biases[i] = g.sum(axis=0)
+        np.matmul(g.T, cache.inputs[i], out=views[2 * i])
+        g.sum(axis=0, out=views[2 * i + 1])
         if i > 0:
             g = g @ params.weights[i]
-    return EncoderGrads(weights=d_weights, biases=d_biases)
+    return EncoderGrads(flat=flat, views=views)
 
 
 def zero_grads(params: EncoderParams) -> EncoderGrads:
-    return EncoderGrads(
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
-    )
+    flat = np.zeros_like(params.flat)
+    return EncoderGrads(flat=flat, views=_views(flat, params.arch.param_shapes()))
 
 
 def params_to_vec(params: EncoderParams) -> np.ndarray:
     """Flatten all parameters into one vector (fixed layer order)."""
-    return np.concatenate([a.ravel() for a in params.arrays()])
+    return params.flat.copy()
 
 
 def vec_to_params(arch: EncoderArch, vec: np.ndarray, frozen: bool = False) -> EncoderParams:
     """Inverse of params_to_vec for the given architecture."""
-    weights, biases = [], []
-    pos = 0
-    for in_dim, out_dim, _ in arch.layer_plan():
-        weights.append(vec[pos : pos + out_dim * in_dim].reshape(out_dim, in_dim).copy())
-        pos += out_dim * in_dim
-        biases.append(vec[pos : pos + out_dim].copy())
-        pos += out_dim
-    if pos != vec.size:
-        raise NumericsError(f"parameter vector length {vec.size} does not match arch (need {pos})")
-    return EncoderParams(arch=arch, weights=weights, biases=biases, frozen=frozen)
+    vec = np.asarray(vec, dtype=np.float64)
+    shapes = arch.param_shapes()
+    need = sum(math.prod(shape) for shape in shapes)
+    if vec.size != need:
+        raise NumericsError(f"parameter vector length {vec.size} does not match arch (need {need})")
+    arrays = _views(vec, shapes)
+    return EncoderParams(arch=arch, weights=arrays[0::2], biases=arrays[1::2], frozen=frozen)

@@ -397,6 +397,7 @@ def frozen_hub_eval(
     """Score a supplied hub encoder: train fresh spokes against it, frozen,
     then measure emergent zero-shot accuracy between the requested pairs."""
     cfg = dataclasses.replace(config, hub_frozen=True)
+    archs = {**archs, world.hub.name: hub_params.arch}
     state = init_train_state(world, archs, cfg, hub_params=hub_params)
     state, _ = train_run(world, archs, cfg, state=state)
     metrics: dict[str, float] = {}

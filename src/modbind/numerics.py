@@ -41,19 +41,42 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
+def _gelu_tanh(x: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """tanh(c*(x + a*x^3)) in a fresh array; x^3 is the product x2*x, not a power."""
+    t = x2 * x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
 def gelu_forward(x: np.ndarray) -> np.ndarray:
     """Elementwise GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + a*x^3)))."""
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x**3)))
+    t = _gelu_tanh(x, x * x)
+    t += 1.0
+    y = 0.5 * x
+    y *= t
+    return y
 
 
 def gelu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Upstream gradient times dGELU/dx at x (same tanh approximation)."""
+    """Upstream gradient times dGELU/dx at x (same tanh approximation):
+    0.5*(1 + t) + 0.5*x*(1 - t^2)*c*(1 + 3a*x^2), with t the forward's tanh."""
     x = np.asarray(x, dtype=np.float64)
-    u = _GELU_C * (x + _GELU_A * x**3)
-    t = np.tanh(u)
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-    return np.asarray(upstream) * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
+    x2 = x * x
+    t = _gelu_tanh(x, x2)
+    du = (3.0 * _GELU_A) * x2
+    du += 1.0
+    du *= _GELU_C
+    h = 0.5 * x
+    h *= np.subtract(1.0, t * t, out=x2)  # x2 is not needed again
+    h *= du
+    t += 1.0
+    t *= 0.5
+    t += h
+    t *= upstream
+    return t
 
 
 def tanh_forward(x: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .codec import CONFIG_REQUIRED, RUN_STATE, from_doc, to_doc
 from .contrastive import TemperatureParam, l2_regression_loss, symmetric_info_nce
-from .encoders import EncoderArch, EncoderParams, encode, encode_backward, init_encoder
+from .encoders import EncoderArch, EncoderParams, encode, encode_backward, init_encoder, pack
 from .world import WorldSpec, sample_training_batch, stream_rng
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -98,11 +99,20 @@ class TrainConfig:
 
 @dataclass
 class AdamMoments:
-    """First/second moment buffers for one encoder; t counts applied updates."""
+    """First/second moment buffers for one encoder; t counts applied updates.
+
+    Like EncoderParams, each of `m` and `v` is packed into one contiguous
+    vector (`m_flat`, `v_flat`) in the order given; the list entries are views
+    into it, which AdamW updates in place.
+    """
 
     t: int = field(default=0, kw_only=True)  # declared first: checkpoints list it first
     m: list[np.ndarray]
     v: list[np.ndarray]
+
+    def __post_init__(self):
+        self.m_flat, self.m = pack(self.m)
+        self.v_flat, self.v = pack(self.v)
 
 
 @dataclass
@@ -140,54 +150,75 @@ _SHARED_TAU_KEY = "__shared__"
 
 
 def adamw_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     moments: AdamMoments,
     lr: float,
     betas: tuple[float, float],
     weight_decay: float,
     step: int,
     eps: float = 1e-8,
-) -> tuple[list[np.ndarray], AdamMoments]:
-    """One AdamW update with bias correction and decoupled weight decay.
+) -> None:
+    """One AdamW update (Loshchilov & Hutter, arXiv:1711.05101), in place:
+    bias correction and decoupled weight decay.
 
-    `step` is the 1-based count of updates applied to these buffers, used for
-    bias correction. Inputs are not mutated; non-finite gradients reject the
-    whole step.
+    `params` is a flat parameter vector (EncoderParams.flat) and `grads` a
+    gradient of the same layout; `params`, `moments.m_flat`, `moments.v_flat`
+    and `moments.t` are updated in place. `step` is the 1-based count of
+    updates applied to these buffers, used for bias correction. Every check
+    runs before the first write: a non-finite gradient rejects the whole step
+    and leaves the state untouched. `grads` is never written.
     """
     if lr <= 0:
         raise TrainerError(f"learning rate must be positive, got {lr}")
     if step < 1:
         raise TrainerError(f"step must be >= 1, got {step}")
-    if not (len(params) == len(grads) == len(moments.m) == len(moments.v)):
-        raise TrainerError("params, grads, and moment buffers must have equal length")
+    m, v = moments.m_flat, moments.v_flat
+    if not (params.shape == grads.shape == m.shape == v.shape):
+        raise TrainerError(
+            f"gradient {grads.shape} and moments {m.shape}/{v.shape} do not match "
+            f"parameters {params.shape}"
+        )
+    if not np.isfinite(grads).all():
+        raise TrainerError("non-finite gradient; step rejected")
     b1, b2 = betas
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, moments.m, moments.v):
-        if p.shape != g.shape:
-            raise TrainerError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise TrainerError("non-finite gradient; step rejected")
-        m_next = b1 * m + (1.0 - b1) * g
-        v_next = b2 * v + (1.0 - b2) * g * g
-        m_hat = m_next / (1.0 - b1**step)
-        v_hat = v_next / (1.0 - b2**step)
-        p_next = p * (1.0 - lr * weight_decay) - lr * m_hat / (np.sqrt(v_hat) + eps)
-        new_params.append(p_next)
-        new_m.append(m_next)
-        new_v.append(v_next)
-    return new_params, AdamMoments(m=new_m, v=new_v, t=step)
+    # The same roundings, in the same order, as
+    #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+    #   m_hat = m/(1-b1^t);  v_hat = v/(1-b2^t)
+    #   p = p*(1 - lr*wd) - lr*m_hat / (sqrt(v_hat) + eps)
+    # computed in place, with `tmp` the only scratch array besides `update`.
+    tmp = (1.0 - b1) * grads
+    m *= b1
+    m += tmp
+    np.multiply(1.0 - b2, grads, out=tmp)
+    tmp *= grads
+    v *= b2
+    v += tmp
+    update = m / (1.0 - b1**step)
+    update *= lr
+    np.divide(v, 1.0 - b2**step, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    update /= tmp
+    params *= 1.0 - lr * weight_decay
+    params -= update
+    moments.t = step
 
 
-def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
-    """Scale all gradients by max_norm/g when the global L2 norm g exceeds it."""
+def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
+    """Scale all gradients in place by max_norm/g when the global L2 norm g exceeds it.
+
+    Squares are summed array by array, in the order given. Returns g, the
+    norm before clipping.
+    """
     if max_norm <= 0:
         raise TrainerError(f"max_norm must be positive, got {max_norm}")
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads))
     if total > max_norm:
         scale = max_norm / total
-        return [g * scale for g in grads]
-    return list(grads)
+        for g in grads:
+            g *= scale
+    return total
 
 
 def encoder_init_seed(seed: int, name: str) -> int:
@@ -290,12 +321,6 @@ def _build_pools(world: WorldSpec, config: TrainConfig) -> dict[str, object]:
     return pools
 
 
-def _write_back(enc: EncoderParams, arrays: list[np.ndarray]) -> None:
-    for i in range(len(enc.weights)):
-        enc.weights[i] = arrays[2 * i]
-        enc.biases[i] = arrays[2 * i + 1]
-
-
 def train_run(
     world: WorldSpec,
     archs: dict[str, EncoderArch],
@@ -355,45 +380,38 @@ def train_run(
         hub_grads = encode_backward(hub_enc, q_cache, grad_q)
         spoke_grads = encode_backward(spoke_enc, k_cache, grad_k)
         tau_learnable = temp.learnable and pc.infonce_weight != 0
+        tau_grad = np.array([grad_log_tau])
         clip_list = spoke_grads.arrays()
         if not hub_enc.frozen:
             clip_list = clip_list + hub_grads.arrays()
         if tau_learnable:
-            clip_list = clip_list + [np.array([grad_log_tau])]
-        clipped = clip_global_norm(clip_list, config.grad_clip_norm)
+            clip_list = clip_list + [tau_grad]
+        clip_global_norm(clip_list, config.grad_clip_norm)
 
         scale = min(1.0, (t + 1) / warmup_steps) if warmup_steps > 0 else 1.0
         lr = config.learning_rate * scale
 
-        n_spoke = len(spoke_grads.arrays())
         mom = state.moments[pc.spoke]
-        new_arrays, state.moments[pc.spoke] = adamw_step(
-            spoke_enc.arrays(), clipped[:n_spoke], mom, lr, config.betas,
+        adamw_step(
+            spoke_enc.flat, spoke_grads.flat, mom, lr, config.betas,
             config.weight_decay, mom.t + 1, eps=config.adam_eps,
         )
-        _write_back(spoke_enc, new_arrays)
-        pos = n_spoke
         if not hub_enc.frozen:
-            n_hub = len(hub_grads.arrays())
             mom = state.moments[hub_name]
-            new_arrays, state.moments[hub_name] = adamw_step(
-                hub_enc.arrays(), clipped[pos : pos + n_hub], mom, lr, config.betas,
+            adamw_step(
+                hub_enc.flat, hub_grads.flat, mom, lr, config.betas,
                 config.weight_decay, mom.t + 1, eps=config.adam_eps,
             )
-            _write_back(hub_enc, new_arrays)
-            pos += n_hub
         if tau_learnable:
             key = _SHARED_TAU_KEY if config.shared_temperature else pc.spoke
             sm = state.tau_moments[key]
+            log_tau = np.array([temp.log_tau])
+            mom = AdamMoments(m=[np.array([sm.m])], v=[np.array([sm.v])], t=sm.t)
             # weight decay never applies to the temperature
-            vals, mom1 = adamw_step(
-                [np.array([temp.log_tau])], [clipped[pos]],
-                AdamMoments(m=[np.array([sm.m])], v=[np.array([sm.v])], t=sm.t),
-                lr, config.betas, 0.0, sm.t + 1, eps=config.adam_eps,
-            )
-            temp.apply_update(float(vals[0][0]))
+            adamw_step(log_tau, tau_grad, mom, lr, config.betas, 0.0, sm.t + 1, eps=config.adam_eps)
+            temp.apply_update(float(log_tau[0]))
             state.tau_moments[key] = ScalarMoments(
-                m=float(mom1.m[0][0]), v=float(mom1.v[0][0]), t=mom1.t
+                m=float(mom.m_flat[0]), v=float(mom.v_flat[0]), t=mom.t
             )
 
         state.loss_history.append(
@@ -428,7 +446,11 @@ def train_summary(state: TrainState, config: TrainConfig) -> dict:
 
 
 def save_checkpoint(state: TrainState, path: str | Path, extra: dict | None = None) -> None:
-    """Write the full training state as JSON; floats round-trip bit-exactly."""
+    """Write the full training state as JSON; floats round-trip bit-exactly.
+
+    The document goes to a temp file beside `path`, which is then renamed
+    over it, so a failed write leaves whatever `path` held before.
+    """
     doc = {
         "version": CHECKPOINT_FORMAT_VERSION,
         "kind": "checkpoint",
@@ -441,20 +463,18 @@ def save_checkpoint(state: TrainState, path: str | Path, extra: dict | None = No
     }
     if extra:
         doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=1))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, indent=1))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _STATE_KEYS = ("version", "kind", "step", "encoders", "moments", "temperatures", "tau_moments",
                "loss_history")
-
-
-def _validate_encoder_shapes(name: str, enc: EncoderParams) -> None:
-    plan = enc.arch.layer_plan()
-    if len(enc.weights) != len(plan) or len(enc.biases) != len(plan):
-        raise TrainerError(f"corrupt checkpoint: encoder {name!r} layer count mismatch")
-    for (in_dim, out_dim, _), w, b in zip(plan, enc.weights, enc.biases):
-        if w.shape != (out_dim, in_dim) or b.shape != (out_dim,):
-            raise TrainerError(f"corrupt checkpoint: encoder {name!r} shape mismatch")
 
 
 def load_checkpoint(path: str | Path) -> TrainState:
@@ -480,16 +500,14 @@ def load_checkpoint(path: str | Path) -> TrainState:
     except (KeyError, TypeError, IndexError, AttributeError, ValueError) as e:
         raise TrainerError(f"corrupt checkpoint: {e!r}") from e
     encoders, moments = parts["encoders"], parts["moments"]
-    for name, enc in encoders.items():
-        _validate_encoder_shapes(name, enc)
     for name, mom in moments.items():
         if name not in encoders:
             raise TrainerError(f"corrupt checkpoint: moments for unknown encoder {name!r}")
-        shapes = [a.shape for a in encoders[name].arrays()]
+        shapes = encoders[name].arch.param_shapes()
         if [a.shape for a in mom.m] != shapes or [a.shape for a in mom.v] != shapes:
             raise TrainerError(f"corrupt checkpoint: moment shapes mismatch for {name!r}")
-    arrays = [a for enc in encoders.values() for a in enc.arrays()]
-    arrays += [a for mom in moments.values() for a in mom.m + mom.v]
+    arrays = [enc.flat for enc in encoders.values()]
+    arrays += [a for mom in moments.values() for a in (mom.m_flat, mom.v_flat)]
     arrays += [np.array([sm.m, sm.v]) for sm in parts["tau_moments"].values()]
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise TrainerError("corrupt checkpoint: non-finite weights or optimizer moments")

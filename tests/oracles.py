@@ -99,5 +99,11 @@ def adamw_scalar_loops(p, grads, lr, beta1, beta2, weight_decay, eps=1e-8):
     return p
 
 
+def gelu_power_loops(x):
+    """Tanh-approximation GELU elementwise, with the cube written as v**3."""
+    c = math.sqrt(2.0 / math.pi)
+    return [[0.5 * v * (1.0 + math.tanh(c * (v + 0.044715 * v**3))) for v in row] for row in x]
+
+
 def central_diff_scalar(f, x, eps=1e-6):
     return (f(x + eps) - f(x - eps)) / (2.0 * eps)

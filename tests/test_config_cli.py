@@ -469,6 +469,19 @@ class TestCliEval:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "metrics.json").exists()
 
+    def test_non_finite_log_tau_is_runtime_error(self, cli_space, tmp_path, capsys):
+        # min/max clamping keeps a NaN, which would make every logit NaN
+        _, cfg_path, out = cli_space
+        doc = json.loads((out / "checkpoint.json").read_text())
+        doc["temperatures"]["alpha"]["log_tau"] = float("nan")
+        ckpt = tmp_path / "poisoned.json"
+        ckpt.write_text(json.dumps(doc))
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "log_tau must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_checkpoint_config_mismatch_is_config_error(self, cli_space, tmp_path, capsys):
         _, cfg_path, out = cli_space
         doc = json.loads(cfg_path.read_text())

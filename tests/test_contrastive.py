@@ -35,6 +35,21 @@ class TestTemperatureParam:
         with pytest.raises(ValueError):
             TemperatureParam(value=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_value_and_log_tau(self, bad):
+        with pytest.raises(ValueError):
+            TemperatureParam(mode="learnable", value=bad)
+        with pytest.raises(ValueError):
+            TemperatureParam(mode="learnable", value=0.07, log_tau=bad)
+
+    def test_non_finite_update_rejected_and_state_kept(self):
+        t = TemperatureParam(mode="learnable", value=0.07)
+        before = t.log_tau
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                t.apply_update(bad)
+        assert t.log_tau == before
+
     def test_fixed_value_clamped(self):
         assert TemperatureParam(mode="fixed", value=10.0).tau == 5.0
         assert TemperatureParam(mode="fixed", value=1e-6).tau == 0.01

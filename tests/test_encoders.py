@@ -164,9 +164,65 @@ class TestBackward:
     def test_zero_grads_shapes(self):
         params = init_encoder(ARCHS["hidden_mlp"], seed=5)
         grads = zero_grads(params)
-        for g, w in zip(grads.weights, params.weights):
-            assert g.shape == w.shape
+        for g, a in zip(grads.arrays(), params.arrays(), strict=True):
+            assert g.shape == a.shape
             np.testing.assert_array_equal(g, np.zeros_like(g))
+        np.testing.assert_array_equal(grads.flat, np.zeros(params.num_params()))
+
+    def test_grads_share_the_params_layout(self, rng):
+        params = init_encoder(ARCHS["hidden_mlp"], seed=5)
+        _, cache = encode(params, rng.standard_normal((4, 6)))
+        grads = encode_backward(params, cache, rng.standard_normal((4, 5)))
+        assert_packed(grads.flat, grads.arrays(), params.arch)
+
+
+def assert_packed(flat, arrays, arch):
+    """`arrays` are views into `flat`, end to end, in the arch's W0, b0, W1, b1 order."""
+    assert flat.dtype == np.float64 and flat.flags.c_contiguous
+    assert [a.shape for a in arrays] == arch.param_shapes()
+    assert all(np.shares_memory(a, flat) for a in arrays)
+    np.testing.assert_array_equal(np.concatenate([a.ravel() for a in arrays]), flat)
+
+
+class TestFlatLayout:
+    def made_by(self, params):
+        doc = to_doc(params)
+        return {
+            "init_encoder": params,
+            "copy": params.copy(),
+            "replace": dataclasses.replace(params, frozen=True),
+            "from_doc": from_doc(EncoderParams, doc),
+            "vec_to_params": vec_to_params(params.arch, params_to_vec(params)),
+        }
+
+    @pytest.mark.parametrize("name", sorted(ARCHS))
+    def test_every_array_is_a_view_of_flat(self, name):
+        params = init_encoder(ARCHS[name], seed=5)
+        for p in self.made_by(params).values():
+            assert_packed(p.flat, p.arrays(), p.arch)
+            np.testing.assert_array_equal(
+                params_to_vec(p), np.concatenate([a.ravel() for a in p.arrays()])
+            )
+
+    def test_copies_own_their_memory(self):
+        params = init_encoder(ARCHS["hidden_mlp"], seed=5)
+        for how, p in self.made_by(params).items():
+            if how != "init_encoder":
+                assert not np.shares_memory(p.flat, params.flat), how
+
+    def test_writes_to_flat_show_in_the_arrays(self):
+        params = init_encoder(ARCHS["hidden_linear"], seed=5)
+        params.flat[:] = np.arange(params.flat.size)
+        np.testing.assert_array_equal(params.weights[0].ravel(), np.arange(48))
+        np.testing.assert_array_equal(params.biases[0], np.arange(48, 56))
+
+    def test_shapes_must_match_the_arch(self):
+        arch = ARCHS["hidden_linear"]
+        good = init_encoder(arch, seed=5)
+        with pytest.raises(ValueError):
+            EncoderParams(arch=arch, weights=good.weights[::-1], biases=good.biases)
+        with pytest.raises(ValueError):
+            EncoderParams(arch=arch, weights=good.weights, biases=good.biases[:1])
 
 
 class TestParamVector:

@@ -421,6 +421,15 @@ class TestFrozenHubEval:
         for before, after in zip(snap, state.encoders["hub"].arrays()):
             np.testing.assert_array_equal(before, after)
 
+    def test_hub_of_another_arch_is_scored(self, world, trained):
+        archs, _ = trained
+        wide = EncoderArch(input_dim=world.observer("hub").obs_dim, hidden_widths=(16,), embed_dim=6)
+        report = frozen_hub_eval(
+            init_encoder(wide, seed=3), world, archs, train_config(seed=5, epochs=1),
+            [("alpha", "beta")],
+        )
+        assert 0.0 <= report.metrics["emergent_zero_shot/alpha_vs_beta"] <= 1.0
+
     def test_config_hash_passthrough(self, world, trained):
         archs, state = trained
         report = frozen_hub_eval(

@@ -21,7 +21,12 @@ from modbind.numerics import (
     tanh_forward,
 )
 
-from .oracles import central_diff_scalar, normalize_rows_loops, softmax_row_loops
+from .oracles import (
+    central_diff_scalar,
+    gelu_power_loops,
+    normalize_rows_loops,
+    softmax_row_loops,
+)
 
 
 # elements are zero or comfortably normal so row norms never underflow
@@ -58,6 +63,16 @@ class TestGelu:
 
     def test_negative_tail_small(self):
         assert abs(gelu_forward(np.array([[-10.0]]))[0, 0]) <= 1e-4
+
+    def test_forward_matches_power_formula(self, rng):
+        x = np.concatenate([rng.standard_normal((64, 64)) * 3.0, np.linspace(-8, 8, 64)[None]])
+        got = gelu_forward(x)
+        want = np.array(gelu_power_loops(x.tolist()))
+        pos = x >= 0
+        np.testing.assert_allclose(got[pos], want[pos], rtol=1e-15, atol=0)
+        # for x < 0, 1 + tanh(u) cancels, so one ulp of tanh is a large share of
+        # the result; bound the error by |x|, the size of the terms that cancel
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(x))
 
     def test_backward_matches_central_difference(self, rng):
         x = rng.standard_normal((3, 4))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,84 +57,128 @@ def quick_config(**overrides):
 
 
 def fresh_moments(params):
-    return AdamMoments(
-        m=[np.zeros_like(a) for a in params],
-        v=[np.zeros_like(a) for a in params],
-        t=0,
-    )
+    return AdamMoments(m=[np.zeros_like(params)], v=[np.zeros_like(params)], t=0)
+
+
+def adam_state(rng, n=6):
+    """A flat parameter vector and its moments after one ordinary step."""
+    params = rng.standard_normal(n)
+    moments = fresh_moments(params)
+    adamw_step(params, rng.standard_normal(n), moments, 0.1, (0.9, 0.95), 0.01, 1)
+    return params, moments
+
+
+def snapshot(params, moments):
+    return params.copy(), moments.m_flat.copy(), moments.v_flat.copy(), moments.t
+
+
+def assert_state_equals(params, moments, snap):
+    np.testing.assert_array_equal(params, snap[0])
+    np.testing.assert_array_equal(moments.m_flat, snap[1])
+    np.testing.assert_array_equal(moments.v_flat, snap[2])
+    assert moments.t == snap[3]
 
 
 class TestAdamW:
     def test_zero_grad_no_decay_is_identity(self, rng):
-        params = [rng.standard_normal((3, 2))]
-        grads = [np.zeros((3, 2))]
-        new, _ = adamw_step(params, grads, fresh_moments(params), 0.1, (0.9, 0.95), 0.0, 1)
-        np.testing.assert_array_equal(new[0], params[0])
+        params = rng.standard_normal(6)
+        snap = params.copy()
+        adamw_step(params, np.zeros(6), fresh_moments(params), 0.1, (0.9, 0.95), 0.0, 1)
+        np.testing.assert_array_equal(params, snap)
 
     def test_hand_checked_first_step(self):
-        params = [np.array([[1.0]])]
-        grads = [np.array([[1.0]])]
-        new, moments = adamw_step(params, grads, fresh_moments(params), 0.1, (0.9, 0.95), 0.0, 1)
+        params = np.array([1.0])
+        moments = fresh_moments(params)
+        adamw_step(params, np.array([1.0]), moments, 0.1, (0.9, 0.95), 0.0, 1)
         # bias-corrected m_hat = v_hat = 1, so p drops by lr/(1 + eps) ~ 0.1
-        assert abs(new[0][0, 0] - 0.9) <= 1e-6
+        assert abs(params[0] - 0.9) <= 1e-6
         assert moments.t == 1
 
     def test_pure_decay(self):
-        params = [np.array([[2.0]])]
-        grads = [np.array([[0.0]])]
-        new, _ = adamw_step(params, grads, fresh_moments(params), 0.1, (0.9, 0.95), 0.01, 1)
-        assert abs(new[0][0, 0] - 2.0 * (1.0 - 0.1 * 0.01)) <= 1e-12
+        params = np.array([2.0])
+        adamw_step(params, np.array([0.0]), fresh_moments(params), 0.1, (0.9, 0.95), 0.01, 1)
+        assert abs(params[0] - 2.0 * (1.0 - 0.1 * 0.01)) <= 1e-12
 
     def test_matches_scalar_loop_oracle(self, rng):
-        grads_seq = rng.standard_normal(12).tolist()
-        p = 0.7
-        moments = fresh_moments([np.array([[p]])])
-        params = [np.array([[p]])]
+        # every element follows the scalar recurrence on its own, to the bit
+        grads_seq = rng.standard_normal((12, 3))
+        start = np.array([0.7, -1.3, 0.0])
+        params = start.copy()
+        moments = fresh_moments(params)
         for t, g in enumerate(grads_seq, start=1):
-            params, moments = adamw_step(
-                params, [np.array([[g]])], moments, 0.05, (0.9, 0.95), 0.01, t
-            )
-        want = adamw_scalar_loops(0.7, grads_seq, 0.05, 0.9, 0.95, 0.01, 1e-8)
-        assert abs(params[0][0, 0] - want) <= 1e-12
+            adamw_step(params, g, moments, 0.05, (0.9, 0.95), 0.01, t)
+        want = [
+            adamw_scalar_loops(float(p), grads_seq[:, i].tolist(), 0.05, 0.9, 0.95, 0.01, 1e-8)
+            for i, p in enumerate(start)
+        ]
+        assert params.tolist() == want
+        assert moments.t == 12
+
+    def test_updates_the_views_of_moment_arrays(self, rng):
+        moments = AdamMoments(m=[np.zeros((2, 3)), np.zeros(2)], v=[np.zeros((2, 3)), np.zeros(2)])
+        params = rng.standard_normal(8)
+        grads = rng.standard_normal(8)
+        adamw_step(params, grads, moments, 0.1, (0.9, 0.95), 0.0, 1)
+        np.testing.assert_array_equal(np.concatenate([a.ravel() for a in moments.m]), (1.0 - 0.9) * grads)
+        assert all(np.shares_memory(a, moments.v_flat) for a in moments.v)
 
     def test_non_finite_grad_rejected(self, rng):
-        params = [rng.standard_normal((2, 2))]
-        grads = [np.full((2, 2), np.nan)]
+        params, moments = adam_state(rng)
+        snap = snapshot(params, moments)
+        grads = rng.standard_normal(6)
+        grads[4] = np.nan
         with pytest.raises(TrainerError):
-            adamw_step(params, grads, fresh_moments(params), 0.1, (0.9, 0.95), 0.0, 1)
+            adamw_step(params, grads, moments, 0.1, (0.9, 0.95), 0.01, 2)
+        assert_state_equals(params, moments, snap)
 
     def test_shape_mismatch_rejected(self, rng):
-        params = [rng.standard_normal((2, 2))]
-        grads = [rng.standard_normal((2, 3))]
+        params, moments = adam_state(rng)
+        snap = snapshot(params, moments)
         with pytest.raises(TrainerError):
-            adamw_step(params, grads, fresh_moments(params), 0.1, (0.9, 0.95), 0.0, 1)
+            adamw_step(params, rng.standard_normal(5), moments, 0.1, (0.9, 0.95), 0.0, 2)
+        assert_state_equals(params, moments, snap)
 
-    def test_inputs_not_mutated(self, rng):
-        params = [rng.standard_normal((2, 2))]
-        grads = [rng.standard_normal((2, 2))]
-        snap = params[0].copy()
-        adamw_step(params, grads, fresh_moments(params), 0.1, (0.9, 0.95), 0.01, 1)
-        np.testing.assert_array_equal(params[0], snap)
+    def test_grad_not_mutated_and_rejected_step_leaves_state(self, rng):
+        params, moments = adam_state(rng)
+        grads = rng.standard_normal(6)
+        grads_snap = grads.copy()
+        adamw_step(params, grads, moments, 0.1, (0.9, 0.95), 0.01, 2)
+        np.testing.assert_array_equal(grads, grads_snap)
+        snap = snapshot(params, moments)
+        for bad in ({"lr": 0.0, "step": 3}, {"lr": 0.1, "step": 0}):
+            with pytest.raises(TrainerError):
+                adamw_step(params, grads, moments, bad["lr"], (0.9, 0.95), 0.01, bad["step"])
+            assert_state_equals(params, moments, snap)
 
 
 class TestClip:
     def test_under_threshold_unchanged(self):
         grads = [np.array([[0.3, 0.4]])]
-        out = clip_global_norm(grads, 1.0)
-        np.testing.assert_array_equal(out[0], grads[0])
+        snap = grads[0].copy()
+        assert clip_global_norm(grads, 1.0) == pytest.approx(0.5)
+        np.testing.assert_array_equal(grads[0], snap)
 
     def test_over_threshold_rescaled_to_max(self, rng):
-        grads = [rng.standard_normal((3, 3)), rng.standard_normal(4)]
-        grads = [10.0 * g for g in grads]
-        out = clip_global_norm(grads, 1.0)
-        total = math.sqrt(sum(float(np.sum(g * g)) for g in out))
+        grads = [10.0 * rng.standard_normal((3, 3)), 10.0 * rng.standard_normal(4)]
+        arrays = list(grads)
+        before = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        assert clip_global_norm(grads, 1.0) == before
+        assert all(g is a for g, a in zip(grads, arrays))  # scaled in place
+        total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
         assert abs(total - 1.0) <= 1e-10
 
     def test_direction_preserved(self, rng):
         g = rng.standard_normal(6) * 50.0
-        out = clip_global_norm([g], 1.0)[0]
-        cos = float(np.dot(g, out) / (np.linalg.norm(g) * np.linalg.norm(out)))
+        snap = g.copy()
+        clip_global_norm([g], 1.0)
+        cos = float(np.dot(g, snap) / (np.linalg.norm(g) * np.linalg.norm(snap)))
         assert abs(cos - 1.0) <= 1e-12
+
+    def test_scales_views_of_one_vector(self, rng):
+        flat = 10.0 * rng.standard_normal(10)
+        want = flat * (1.0 / math.sqrt(sum(float(np.sum(g * g)) for g in (flat[:4], flat[4:]))))
+        clip_global_norm([flat[:4], flat[4:]], 1.0)
+        np.testing.assert_array_equal(flat, want)
 
     def test_bad_max_norm_rejected(self):
         with pytest.raises(TrainerError):
@@ -221,6 +266,17 @@ class TestTrainRun:
             init.encoders["alpha"].weights[0], state.encoders["alpha"].weights[0]
         )
 
+    def test_supplied_hub_is_not_updated_in_place(self, tiny_world):
+        # training updates parameter buffers in place; the caller's hub must not share one
+        archs = tiny_archs(tiny_world)
+        cfg = quick_config()
+        hub = init_train_state(tiny_world, archs, cfg).encoders["hub"]
+        snap = hub.flat.copy()
+        state = init_train_state(tiny_world, archs, cfg, hub_params=hub)
+        state, _ = train_run(tiny_world, archs, cfg, state=state)
+        assert not np.array_equal(state.encoders["hub"].flat, snap)
+        np.testing.assert_array_equal(hub.flat, snap)
+
     def test_trainer_never_sees_labels(self, tiny_world, monkeypatch):
         seen = []
         orig = trainer_mod.sample_training_batch
@@ -307,6 +363,50 @@ class TestCheckpointing:
         for name, temp in state.temperatures.items():
             assert to_doc(back.temperatures[name]) == to_doc(temp)
         assert [r.loss for r in back.loss_history] == [r.loss for r in state.loss_history]
+
+    def test_loaded_arrays_are_views_of_flat_buffers(self, tiny_world, tmp_path):
+        state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config(), max_steps=3)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path)
+        back = load_checkpoint(path)
+        for name, enc in back.encoders.items():
+            np.testing.assert_array_equal(enc.flat, state.encoders[name].flat)
+            assert all(np.shares_memory(a, enc.flat) for a in enc.arrays())
+            mom = back.moments[name]
+            assert all(np.shares_memory(a, mom.m_flat) for a in mom.m)
+            assert all(np.shares_memory(a, mom.v_flat) for a in mom.v)
+            np.testing.assert_array_equal(mom.v_flat, state.moments[name].v_flat)
+
+    def test_failed_write_keeps_the_old_checkpoint(self, tiny_world, tmp_path, monkeypatch):
+        archs = tiny_archs(tiny_world)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(train_run(tiny_world, archs, quick_config(), max_steps=2)[0], path)
+        old_bytes = path.read_bytes()
+        newer, _ = train_run(tiny_world, archs, quick_config(), max_steps=4)
+        real_write_text = Path.write_text
+
+        def write_half_then_fail(self, text, *args, **kwargs):
+            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError):
+            save_checkpoint(newer, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == old_bytes
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+        save_checkpoint(newer, path)
+        assert load_checkpoint(path).step == 4
+
+    def test_non_finite_log_tau_rejected(self, tiny_world, tmp_path):
+        state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config(), max_steps=2)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path)
+        doc = json.loads(path.read_text())
+        doc["temperatures"]["alpha"]["log_tau"] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TrainerError, match="log_tau must be finite"):
+            load_checkpoint(path)
 
     def test_resume_matches_uninterrupted_run(self, tiny_world, tmp_path):
         archs = tiny_archs(tiny_world)
