@@ -9,7 +9,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .config import AblationSuiteSpec, apply_axis, parse_experiment_config
 from .evaluation import run_eval_plan
-from .report import canonical_json
+from .report import canonical_json, render_csv, write_atomic
 from .trainer import train_run
 from .world import make_world
 
@@ -101,25 +100,23 @@ def summarize(results: list[CellResult]) -> list[dict]:
 
 
 def write_long_csv(results: list[CellResult], path: str | Path, config_hash: str) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(f"# base_config_hash={config_hash}\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["axis", "value", "seed", "status", "config_hash", "metric", "metric_value"])
-        for cell in results:
-            if cell.status == "ok":
-                for name in sorted(cell.metrics):
-                    w.writerow(
-                        [cell.axis, cell.value, cell.seed, "ok", cell.config_hash,
-                         name, repr(float(cell.metrics[name]))]
-                    )
-            else:
-                w.writerow([cell.axis, cell.value, cell.seed, "error", "", "error", cell.error])
+    rows = [["axis", "value", "seed", "status", "config_hash", "metric", "metric_value"]]
+    for cell in results:
+        if cell.status == "ok":
+            rows += [
+                [cell.axis, cell.value, cell.seed, "ok", cell.config_hash,
+                 name, repr(float(cell.metrics[name]))]
+                for name in sorted(cell.metrics)
+            ]
+        else:
+            rows.append([cell.axis, cell.value, cell.seed, "error", "", "error", cell.error])
+    write_atomic(path, render_csv(rows, f"base_config_hash={config_hash}"))
 
 
 def write_summary_csv(summary_rows: list[dict], path: str | Path, config_hash: str) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(f"# base_config_hash={config_hash}\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["axis", "value", "metric", "seeds", "mean"])
-        for row in summary_rows:
-            w.writerow([row["axis"], row["value"], row["metric"], row["seeds"], repr(row["mean"])])
+    rows = [["axis", "value", "metric", "seeds", "mean"]]
+    rows += [
+        [row["axis"], row["value"], row["metric"], row["seeds"], repr(row["mean"])]
+        for row in summary_rows
+    ]
+    write_atomic(path, render_csv(rows, f"base_config_hash={config_hash}"))

@@ -26,7 +26,7 @@ from .config import (
 from .encoders import encode
 from .evaluation import EvaluationError, aligned_eval_items, embed_arithmetic, run_eval_plan
 from .numerics import NumericsError
-from .report import ReportError
+from .report import ReportError, write_atomic
 from .trainer import (
     TrainerError,
     check_resume,
@@ -79,7 +79,7 @@ def _write_manifest(out: Path, name: str, command: str, cfg_hash: str, seed: int
     }
     doc.update(extra)
     path = out / name
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1))
+    write_atomic(path, json.dumps(doc, sort_keys=True, indent=1))
     return path
 
 
@@ -127,8 +127,8 @@ def cmd_eval(args) -> int:
     state = _load_state_for(cfg, world, args.checkpoint)
     report = run_eval_plan(world, state, cfg.eval_plan, config_hash=cfg.hash, seed=cfg.seed)
     out = _out_dir(args, cfg.output_dir)
-    (out / "metrics.json").write_text(report.to_json())
-    (out / "metrics.csv").write_text(f"# config_hash={cfg.hash}\n" + report.to_csv())
+    write_atomic(out / "metrics.json", report.to_json())
+    write_atomic(out / "metrics.csv", f"# config_hash={cfg.hash}\n" + report.to_csv())
     _write_manifest(
         out, "eval_manifest.json", "eval", cfg.hash, cfg.seed,
         {"checkpoint": args.checkpoint or "", "artifacts": ["metrics.json", "metrics.csv"]},
@@ -222,7 +222,7 @@ def cmd_worldgen(args) -> int:
     out = _out_dir(args, cfg.output_dir)
     doc = json.loads(world.to_json())
     doc["config_hash"] = cfg.hash
-    (out / "world.json").write_text(json.dumps(doc, indent=1))
+    write_atomic(out / "world.json", json.dumps(doc, indent=1))
     print(f"wrote {out / 'world.json'}")
     return 0
 

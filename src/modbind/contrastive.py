@@ -89,7 +89,7 @@ def _check_pair(q, k) -> tuple[np.ndarray, np.ndarray]:
     if q.shape != k.shape:
         raise NumericsError(f"embedding shape mismatch: {q.shape} vs {k.shape}")
     if q.shape[0] == 0:
-        raise NumericsError("info_nce requires a non-empty batch")
+        raise NumericsError("a loss over embedding pairs requires a non-empty batch")
     return q, k
 
 
@@ -145,10 +145,7 @@ def symmetric_info_nce(q: np.ndarray, k: np.ndarray, temp: TemperatureParam) -> 
 
 def l2_regression_loss(q: np.ndarray, k: np.ndarray) -> LossOutput:
     """Mean squared distance between paired embeddings: mean_i ||q_i - k_i||^2."""
-    q = as_matrix(q)
-    k = as_matrix(k)
-    if q.shape != k.shape:
-        raise NumericsError(f"embedding shape mismatch: {q.shape} vs {k.shape}")
+    q, k = _check_pair(q, k)
     n = q.shape[0]
     diff = q - k
     loss = float(np.sum(diff**2) / n)

@@ -1,8 +1,9 @@
-"""Serializable metric reports and canonical JSON hashing.
+"""Serializable metric reports, canonical JSON hashing and artifact writing.
 
 Reports and config hashes share one canonicalization rule: JSON with sorted
 keys and fixed separators, floats in shortest round-trip form. Identical
-inputs therefore hash and serialize byte-identically across runs.
+inputs therefore hash and serialize byte-identically across runs. Every
+artifact file is written whole through `write_atomic`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import hashlib
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 
 class ReportError(ValueError):
@@ -27,6 +30,32 @@ def canonical_json(obj) -> str:
 def canonical_hash(obj) -> str:
     """sha256 hex digest of the canonical JSON form."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+def render_csv(rows, comment: str = "") -> str:
+    """CSV text with "\n" line ends, after a `# comment` line when one is given."""
+    buf = io.StringIO()
+    if comment:
+        buf.write(f"# {comment}\n")
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write `text` to a temp file beside `path`, then rename it over `path`.
+
+    A failed write leaves whatever `path` held before, and no temp file.
+    There is no fsync: the rename protects against a crashed process, not
+    against a crashed machine.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -71,11 +100,10 @@ class MetricsReport:
     def to_csv(self) -> str:
         """Flat (metric, value) rows in sorted metric order; flags as 0/1."""
         self.validate()
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["metric", "value"])
-        for name in sorted(self.metrics):
-            w.writerow([name, repr(float(self.metrics[name]))])
-        for name in sorted(self.flags):
-            w.writerow([name, int(self.flags[name])])
-        return buf.getvalue()
+        return render_csv(
+            [
+                ["metric", "value"],
+                *([name, repr(float(self.metrics[name]))] for name in sorted(self.metrics)),
+                *([name, int(self.flags[name])] for name in sorted(self.flags)),
+            ]
+        )

@@ -14,11 +14,9 @@ uninterrupted one.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +25,7 @@ import numpy as np
 from .codec import CONFIG_REQUIRED, RUN_STATE, from_doc, to_doc
 from .contrastive import TemperatureParam, l2_regression_loss, symmetric_info_nce
 from .encoders import EncoderArch, EncoderParams, encode, encode_backward, init_encoder, pack
+from .report import render_csv, write_atomic
 from .world import WorldSpec, sample_training_batch, stream_rng
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -448,8 +447,7 @@ def train_summary(state: TrainState, config: TrainConfig) -> dict:
 def save_checkpoint(state: TrainState, path: str | Path, extra: dict | None = None) -> None:
     """Write the full training state as JSON; floats round-trip bit-exactly.
 
-    The document goes to a temp file beside `path`, which is then renamed
-    over it, so a failed write leaves whatever `path` held before.
+    The write is atomic: a failed one leaves whatever `path` held before.
     """
     doc = {
         "version": CHECKPOINT_FORMAT_VERSION,
@@ -463,14 +461,7 @@ def save_checkpoint(state: TrainState, path: str | Path, extra: dict | None = No
     }
     if extra:
         doc.update(extra)
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(doc, indent=1))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, json.dumps(doc, indent=1))
 
 
 _STATE_KEYS = ("version", "kind", "step", "encoders", "moments", "temperatures", "tau_moments",
@@ -521,10 +512,6 @@ def load_checkpoint(path: str | Path) -> TrainState:
 
 def write_training_log(state: TrainState, path: str | Path, config_hash: str | None = None) -> None:
     """CSV log of every step: step, pair, loss, tau."""
-    with open(path, "w", newline="") as f:
-        if config_hash:
-            f.write(f"# config_hash={config_hash}\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["step", "pair", "loss", "tau"])
-        for r in state.loss_history:
-            w.writerow([r.step, r.pair, repr(r.loss), repr(r.tau)])
+    rows = [["step", "pair", "loss", "tau"]]
+    rows += [[r.step, r.pair, repr(r.loss), repr(r.tau)] for r in state.loss_history]
+    write_atomic(path, render_csv(rows, f"config_hash={config_hash}" if config_hash else ""))

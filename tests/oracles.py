@@ -77,6 +77,13 @@ def retrieval_ranking_loops(query, index_embeddings, ids):
     return [ids[j] for j in order]
 
 
+def top_k_loops(sims_row, k):
+    """Indices of the k most-similar items, equal sims by ascending index,
+    returned in ascending index order."""
+    order = sorted(range(len(sims_row)), key=lambda j: (-float(sims_row[j]), j))
+    return sorted(order[:k])
+
+
 def recall_at_k_loops(queries, ground_truth, index_embeddings, ids, k):
     hits = 0
     for query, gt in zip(queries, ground_truth):

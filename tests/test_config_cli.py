@@ -423,6 +423,25 @@ class TestCliEval:
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a/metrics.json").read_bytes() == (tmp_path / "b/metrics.json").read_bytes()
 
+    def test_failed_metrics_write_keeps_the_old_file(self, cli_space, tmp_path, monkeypatch):
+        _, cfg_path, out = cli_space
+        (tmp_path / "metrics.json").write_text("previous")
+        real_write_text = Path.write_text
+
+        def fail_on_metrics(self, text, *args, **kwargs):
+            if "metrics.json" not in self.name:
+                return real_write_text(self, text, *args, **kwargs)
+            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", fail_on_metrics)
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(out / "checkpoint.json"),
+                     "--out", str(tmp_path)])
+        monkeypatch.undo()
+        assert code == 4
+        assert (tmp_path / "metrics.json").read_text() == "previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+
     def test_fresh_init_when_no_checkpoint(self, cli_space, tmp_path):
         _, cfg_path, _ = cli_space
         assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0

@@ -12,7 +12,7 @@ from modbind.contrastive import (
     l2_regression_loss,
     symmetric_info_nce,
 )
-from modbind.numerics import finite_difference_check, l2_normalize_rows
+from modbind.numerics import NumericsError, finite_difference_check, l2_normalize_rows
 
 from .oracles import (
     central_diff_scalar,
@@ -260,3 +260,9 @@ class TestL2RegressionLoss:
         )
         assert rq.max_rel_error <= 1e-8
         assert rk.max_rel_error <= 1e-8
+
+    def test_empty_batch_rejected_like_info_nce(self):
+        # np.sum(...) / 0 would return NaN with only a RuntimeWarning
+        for loss in (l2_regression_loss, lambda q, k: info_nce(q, k, TemperatureParam())):
+            with pytest.raises(NumericsError, match="non-empty batch"):
+                loss(np.zeros((0, 4)), np.zeros((0, 4)))

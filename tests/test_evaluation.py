@@ -30,11 +30,12 @@ from modbind.evaluation import (
     trained_pair_registry,
     zero_shot_classify,
 )
+from modbind.evaluation import _block_rows, _top_k
 from modbind.trainer import PairConfig, TrainConfig, init_train_state, train_run
 from modbind.world import ModalityConfig, WorldConfig, make_world
 
 from .conftest import unit_rows
-from .oracles import nearest_prototype_loops, recall_at_k_loops
+from .oracles import nearest_prototype_loops, recall_at_k_loops, top_k_loops
 
 
 def world_config(beta_noise=0.05, within_class_scale=0.2):
@@ -250,6 +251,23 @@ class TestRecallAtK:
             )
             assert abs(recalls[k] - want) <= 1e-12
 
+    def test_matches_loop_oracle_with_ties_across_blocks(self, rng):
+        # 5 distinct rows over 2048 items force ties; 40 queries span two row blocks
+        n, q = 2048, 40
+        assert _block_rows(n) < q
+        emb = unit_rows(5, 6, rng)[rng.integers(0, 5, n)]
+        ids = rng.permutation(3 * n)[:n]
+        index = RetrievalIndex(embeddings=emb, item_ids=ids, modality="hub")
+        queries = unit_rows(q, 6, rng)
+        gt = ids[rng.integers(0, n, q)]
+        k_list = [1, 300, 900, 1700, n]
+        recalls = cross_modal_recall_at_k(index, queries, gt, k_list)
+        for k in k_list:
+            want = recall_at_k_loops(
+                queries.tolist(), gt.tolist(), emb.tolist(), ids.tolist(), k
+            )
+            assert recalls[k] == want
+
     def test_ties_rank_by_ascending_id(self, rng):
         row = unit_rows(1, 4, rng)[0]
         other = unit_rows(1, 4, rng)[0]
@@ -277,6 +295,14 @@ class TestRecallAtK:
         with pytest.raises(EvaluationError):
             cross_modal_recall_at_k(index, unit_rows(1, 6, rng), [99], [1])
 
+    def test_no_queries_rejected(self, rng):
+        # the mean over zero ranks would be NaN
+        index = RetrievalIndex(
+            embeddings=unit_rows(5, 6, rng), item_ids=np.arange(5), modality="hub"
+        )
+        with pytest.raises(EvaluationError, match="at least one query"):
+            cross_modal_recall_at_k(index, np.zeros((0, 6)), [], [1])
+
     def test_ground_truth_count_mismatch_rejected(self, rng):
         index = RetrievalIndex(
             embeddings=unit_rows(5, 6, rng), item_ids=np.arange(5), modality="hub"
@@ -299,6 +325,28 @@ class TestRecallAtK:
             RetrievalIndex(
                 embeddings=unit_rows(3, 6, rng), item_ids=np.array([0, 1, 1]), modality="hub"
             )
+
+
+class TestTopK:
+    @pytest.mark.parametrize("k", [1, 2, 37, 4096])
+    def test_matches_loop_oracle_with_ties_across_blocks(self, rng, k):
+        # values from a small set, signed zeros included, over 70 rows: three row blocks
+        n, q = 4096, 70
+        assert 2 * _block_rows(n) < q
+        values = np.array([-1.0, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0])
+        sims = values[rng.integers(0, len(values), (q, n))]
+        sims[5] = 0.0
+        sims[6, : n // 2] = -0.0
+        top = _top_k(sims, k)
+        assert top.shape == (q, k)
+        for i in range(q):
+            assert top[i].tolist() == top_k_loops(sims[i].tolist(), k)
+
+    def test_matches_loop_oracle_without_ties(self, rng):
+        sims = rng.standard_normal((9, 50))
+        top = _top_k(sims, 6)
+        for i in range(9):
+            assert top[i].tolist() == top_k_loops(sims[i].tolist(), 6)
 
 
 class TestFewShotProbe:
@@ -393,6 +441,25 @@ class TestComposedRetrievalStats:
         assert 0.0 <= permuted <= 1.0
         assert 0.0 <= both <= 1.0
         assert both > permuted
+
+    @pytest.mark.parametrize("k", [0, 61])
+    def test_k_outside_index_rejected(self, world, trained, k):
+        _, state = trained
+        with pytest.raises(EvaluationError, match=f"K={k}"):
+            composed_retrieval_stats(world, state, "alpha", "beta", 50, 0.5, k, 60, "arith")
+
+    def test_no_queries_rejected(self, world, trained):
+        _, state = trained
+        with pytest.raises(EvaluationError, match="n_queries"):
+            composed_retrieval_stats(world, state, "alpha", "beta", 0, 0.5, 5, 60, "arith")
+
+    def test_non_finite_hub_embeddings_rejected(self, world, trained):
+        _, state = trained
+        hub = state.encoders["hub"].copy()
+        hub.flat[:] = np.nan
+        broken = dataclasses.replace(state, encoders={**state.encoders, "hub": hub})
+        with pytest.raises(EvaluationError, match="finite"):
+            composed_retrieval_stats(world, broken, "alpha", "beta", 50, 0.5, 5, 60, "arith")
 
 
 class TestFrozenHubEval:
