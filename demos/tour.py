@@ -31,7 +31,7 @@ def main():
     section("world")
     names = world.modality_names()
     print(f"{cfg.world.num_classes} latent classes observed through {len(names)} modalities: {', '.join(names)}")
-    print(f"hub modality: {world.hub.name} (the only one anything is trained against)")
+    print(f"hub modality: {world.hub} (the only one anything is trained against)")
 
     section("training")
     pairs = [p.spoke for p in cfg.train.pairs]

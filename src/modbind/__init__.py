@@ -48,6 +48,5 @@ from .world import (  # noqa: F401
     WorldSpec,
     make_eval_set,
     make_world,
-    sample_pair_batch,
     stream_rng,
 )

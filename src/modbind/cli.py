@@ -181,6 +181,8 @@ def cmd_retrieve(args) -> int:
         raise ConfigError("--query-id", f"must lie in [0, {n_items})")
     if not (1 <= args.k <= n_items):
         raise ConfigError("--k", f"must lie in [1, {n_items}]")
+    if not (0.0 <= args.compose_weight <= 1.0):
+        raise ConfigError("--compose-weight", "must lie in [0, 1]")
 
     compose = None
     if args.compose:

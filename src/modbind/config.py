@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .codec import ConfigError, check_keys, decode, from_doc, to_doc
 from .encoders import EncoderArch
@@ -138,15 +137,6 @@ def parse_experiment_config(doc, path: str = "config") -> ExperimentConfig:
     )
 
 
-def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(str(path), f"invalid JSON: {e}") from e
-    return parse_experiment_config(doc)
-
-
 # -- ablation suites ---------------------------------------------------------
 
 
@@ -205,15 +195,6 @@ def parse_ablation_suite(doc, path: str = "suite") -> AblationSuiteSpec:
             grid = [_grid_value(base, axis, v, f"{apath}.grid[{j}]") for j, v in enumerate(grid)]
             axes.append(AxisSpec(axis=axis, grid=grid))
     return AblationSuiteSpec(base=base, axes=axes, seeds=seeds)
-
-
-def load_ablation_suite(path: str | Path) -> AblationSuiteSpec:
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(str(path), f"invalid JSON: {e}") from e
-    return parse_ablation_suite(doc)
 
 
 def apply_axis(base_normalized: dict, axis: str, value) -> dict:

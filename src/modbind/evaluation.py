@@ -22,9 +22,12 @@ from .encoders import EncoderParams, encode
 from .numerics import softmax_rows
 from .report import MetricsReport
 from .trainer import TrainConfig, TrainState, init_train_state, train_run
-from .world import ModalityId, WorldSpec, class_prototypes, make_eval_set
+from .world import WorldSpec, _class_latents, class_prototypes, make_eval_set
 
 DEFAULT_ARITHMETIC_WEIGHT = 0.5
+# the few-shot probe: full-batch gradient descent steps and their step size
+PROBE_ITERATIONS = 500
+PROBE_LEARNING_RATE = 0.1
 _DEGENERATE_NORM = 1e-9
 
 
@@ -36,7 +39,6 @@ class EvaluationError(ValueError):
 class PrototypeBank:
     """One unit-norm row per class: the renormalized mean of prompt embeddings."""
 
-    modality: ModalityId
     prototypes: np.ndarray  # (C, d)
     class_ids: np.ndarray  # (C,)
 
@@ -54,7 +56,7 @@ class RetrievalIndex:
 
     embeddings: np.ndarray  # (N, d)
     item_ids: np.ndarray  # (N,)
-    modality: ModalityId
+    modality: str
 
     def __post_init__(self):
         self.item_ids = np.asarray(self.item_ids)
@@ -74,12 +76,6 @@ class EmergentResult:
     accuracy: float
     emergent: bool
     n: int
-
-
-@dataclass
-class ProbeConfig:
-    iterations: int = 500
-    learning_rate: float = 0.1
 
 
 @dataclass
@@ -123,8 +119,7 @@ class EvalPlan:
 
 def trained_pair_registry(world: WorldSpec, state: TrainState) -> set[frozenset]:
     """Modality pairs that were directly trained together in this state."""
-    hub = world.hub.name
-    return {frozenset((hub, spoke)) for spoke in state.temperatures}
+    return {frozenset((world.hub, spoke)) for spoke in state.temperatures}
 
 
 def _encoder(state: TrainState, modality: str) -> EncoderParams:
@@ -152,11 +147,7 @@ def build_prototypes(
         if norm < _DEGENERATE_NORM:
             raise EvaluationError(f"degenerate (zero-norm) prototype for class {cls_id}")
         prototypes[cls_id] = mean / norm
-    return PrototypeBank(
-        modality=world.observer(modality).modality,
-        prototypes=prototypes,
-        class_ids=np.arange(c),
-    )
+    return PrototypeBank(prototypes=prototypes, class_ids=np.arange(c))
 
 
 def zero_shot_classify(query_embeddings: np.ndarray, bank: PrototypeBank) -> np.ndarray:
@@ -295,14 +286,12 @@ def few_shot_probe(
     train_labels: np.ndarray,
     eval_embeddings: np.ndarray,
     eval_labels: np.ndarray,
-    config: ProbeConfig | None = None,
 ) -> float:
     """Multinomial logistic probe on frozen embeddings, full-batch GD from zero.
 
     Shots must be class-balanced and cover every class present in the eval
     labels; returns eval accuracy.
     """
-    config = config or ProbeConfig()
     train_embeddings = np.asarray(train_embeddings, dtype=np.float64)
     eval_embeddings = np.asarray(eval_embeddings, dtype=np.float64)
     train_labels = np.asarray(train_labels, dtype=np.int64)
@@ -319,11 +308,11 @@ def few_shot_probe(
     bias = np.zeros(num_classes)
     onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), train_labels] = 1.0
-    for _ in range(config.iterations):
+    for _ in range(PROBE_ITERATIONS):
         probs = softmax_rows(train_embeddings @ weights.T + bias)
         g = (probs - onehot) / n
-        weights -= config.learning_rate * (g.T @ train_embeddings)
-        bias -= config.learning_rate * g.sum(axis=0)
+        weights -= PROBE_LEARNING_RATE * (g.T @ train_embeddings)
+        bias -= PROBE_LEARNING_RATE * g.sum(axis=0)
     pred = np.argmax(eval_embeddings @ weights.T + bias, axis=1)
     return float(np.mean(pred == eval_labels))
 
@@ -366,9 +355,7 @@ def aligned_eval_items(
     which is what gives retrieval a ground-truth id mapping.
     """
     labels = np.arange(n_items) % world.num_classes
-    latents = world.class_means[labels] + world.within_class_scale * rng.standard_normal(
-        (n_items, world.latent_dim)
-    )
+    latents = _class_latents(world, labels, world.within_class_scale, rng)
     obs = {name: world.observer(name).observe(latents, rng) for name in modalities}
     return obs, labels
 
@@ -406,7 +393,7 @@ def composed_retrieval_stats(
         raise EvaluationError(f"K={k} outside [1, {index_size}]")
     if n_queries < 1:
         raise EvaluationError(f"n_queries must be >= 1, got {n_queries}")
-    hub = world.hub.name
+    hub = world.hub
     rng = world.stream(f"{stream}/index")
     idx_obs, idx_labels = aligned_eval_items(world, [hub], index_size, rng)
     hub_emb, _ = encode(_encoder(state, hub), idx_obs[hub])
@@ -449,7 +436,7 @@ def frozen_hub_eval(
     """Score a supplied hub encoder: train fresh spokes against it, frozen,
     then measure emergent zero-shot accuracy between the requested pairs."""
     cfg = dataclasses.replace(config, hub_frozen=True)
-    archs = {**archs, world.hub.name: hub_params.arch}
+    archs = {**archs, world.hub: hub_params.arch}
     state = init_train_state(world, archs, cfg, hub_params=hub_params)
     state, _ = train_run(world, archs, cfg, state=state)
     metrics: dict[str, float] = {}
@@ -474,7 +461,7 @@ def run_eval_plan(
     seed: int = 0,
 ) -> MetricsReport:
     """Execute every configured measurement and collect one flat report."""
-    hub = world.hub.name
+    hub = world.hub
     metrics: dict[str, float] = {}
     flags: dict[str, bool] = {}
 
@@ -493,9 +480,7 @@ def run_eval_plan(
         index_emb, _ = encode(_encoder(state, index_mod), obs[index_mod])
         query_emb, _ = encode(_encoder(state, query_mod), obs[query_mod])
         ids = np.arange(plan.retrieval_index_size)
-        index = RetrievalIndex(
-            embeddings=index_emb, item_ids=ids, modality=world.observer(index_mod).modality
-        )
+        index = RetrievalIndex(embeddings=index_emb, item_ids=ids, modality=index_mod)
         recalls = cross_modal_recall_at_k(index, query_emb, ids, plan.k_list)
         for k, value in recalls.items():
             metrics[f"recall_at_{k}/{query_mod}_to_{index_mod}"] = value

@@ -22,13 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import CONFIG_REQUIRED, RUN_STATE, from_doc, to_doc
+from .codec import CONFIG_REQUIRED, RUN_STATE, decode, from_doc, to_doc
 from .contrastive import TemperatureParam, l2_regression_loss, symmetric_info_nce
 from .encoders import EncoderArch, EncoderParams, encode, encode_backward, init_encoder, pack
 from .report import render_csv, write_atomic
 from .world import WorldSpec, sample_training_batch, stream_rng
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class TrainerError(RuntimeError):
@@ -115,15 +115,6 @@ class AdamMoments:
 
 
 @dataclass
-class ScalarMoments:
-    """AdamW state for a single scalar parameter (the log-temperature)."""
-
-    m: float = 0.0
-    v: float = 0.0
-    t: int = 0
-
-
-@dataclass
 class LossRecord:
     step: int
     pair: str
@@ -138,7 +129,7 @@ class TrainState:
     encoders: dict[str, EncoderParams]
     moments: dict[str, AdamMoments]
     temperatures: dict[str, TemperatureParam]
-    tau_moments: dict[str, ScalarMoments]
+    tau_moments: dict[str, AdamMoments]  # one-element m and v for each log-temperature
     step: int = 0
     loss_history: list[LossRecord] = field(default_factory=list)
     # keys a loaded checkpoint carried beside the state, such as config_hash and seed
@@ -262,10 +253,10 @@ def init_train_state(
     `hub_params` substitutes an externally supplied hub encoder (used to
     measure a pretrained hub's representation quality against frozen weights).
     """
-    hub_name = world.hub.name
+    hub_name = world.hub
     if hub_params is not None:
         archs = {**archs, hub_name: hub_params.arch}
-    obs_dims = {m.modality.name: m.obs_dim for m in world.modalities}
+    obs_dims = {m.name: m.obs_dim for m in world.modalities}
     check_layout(obs_dims, hub_name, archs, config)
 
     encoders = {
@@ -283,16 +274,16 @@ def init_train_state(
     }
 
     temperatures: dict[str, TemperatureParam] = {}
-    tau_moments: dict[str, ScalarMoments] = {}
     if config.shared_temperature:
         shared = dataclasses.replace(config.pairs[0].temperature)
         for pc in config.pairs:
             temperatures[pc.spoke] = shared
-        tau_moments[_SHARED_TAU_KEY] = ScalarMoments()
+        tau_keys = [_SHARED_TAU_KEY]
     else:
         for pc in config.pairs:
             temperatures[pc.spoke] = dataclasses.replace(pc.temperature)
-            tau_moments[pc.spoke] = ScalarMoments()
+        tau_keys = [pc.spoke for pc in config.pairs]
+    tau_moments = {key: AdamMoments(m=[np.zeros(1)], v=[np.zeros(1)]) for key in tau_keys}
     return TrainState(
         encoders=encoders, moments=moments, temperatures=temperatures, tau_moments=tau_moments
     )
@@ -336,12 +327,19 @@ def train_run(
         state = init_train_state(world, archs, config)
     else:
         check_resume(state, archs)
+        if config.shared_temperature:
+            # a loaded state holds one object per pair; the run trains one
+            shared, *rest = [state.temperatures.get(pc.spoke) for pc in config.pairs]
+            if shared is None or any(t != shared for t in rest):
+                raise TrainerError("shared_temperature needs equal temperatures for every pair")
+            for pc in config.pairs:
+                state.temperatures[pc.spoke] = shared
     num_pairs = len(config.pairs)
     total_steps = config.epochs * config.steps_per_epoch
     target = total_steps if max_steps is None else min(total_steps, state.step + max_steps)
     pools = _build_pools(world, config)
     warmup_steps = int(round(config.warmup_epochs * config.steps_per_epoch))
-    hub_name = world.hub.name
+    hub_name = world.hub
 
     while state.step < target:
         t = state.step
@@ -402,16 +400,11 @@ def train_run(
                 config.weight_decay, mom.t + 1, eps=config.adam_eps,
             )
         if tau_learnable:
-            key = _SHARED_TAU_KEY if config.shared_temperature else pc.spoke
-            sm = state.tau_moments[key]
+            mom = state.tau_moments[_SHARED_TAU_KEY if config.shared_temperature else pc.spoke]
             log_tau = np.array([temp.log_tau])
-            mom = AdamMoments(m=[np.array([sm.m])], v=[np.array([sm.v])], t=sm.t)
             # weight decay never applies to the temperature
-            adamw_step(log_tau, tau_grad, mom, lr, config.betas, 0.0, sm.t + 1, eps=config.adam_eps)
+            adamw_step(log_tau, tau_grad, mom, lr, config.betas, 0.0, mom.t + 1, eps=config.adam_eps)
             temp.apply_update(float(log_tau[0]))
-            state.tau_moments[key] = ScalarMoments(
-                m=float(mom.m_flat[0]), v=float(mom.v_flat[0]), t=mom.t
-            )
 
         state.loss_history.append(
             LossRecord(step=t, pair=pc.spoke, loss=float(loss), tau=temp.tau)
@@ -470,7 +463,11 @@ _STATE_KEYS = ("version", "kind", "step", "encoders", "moments", "temperatures",
 
 def load_checkpoint(path: str | Path) -> TrainState:
     """Read a checkpoint back; rejects unknown versions, malformed content and
-    non-finite weights or moments. Keys beside the state land in `extra`."""
+    non-finite weights, moments or losses. Keys beside the state land in `extra`.
+
+    Format 1 stored each temperature's moments as scalars, {"m": x, "v": y,
+    "t": n}; they are read as one-element AdamMoments.
+    """
     text = Path(path).read_text()
     try:
         doc = json.loads(text)
@@ -478,30 +475,46 @@ def load_checkpoint(path: str | Path) -> TrainState:
         raise TrainerError(f"corrupt checkpoint: {e}") from e
     if not isinstance(doc, dict) or doc.get("kind") != "checkpoint":
         raise TrainerError("corrupt checkpoint: not a checkpoint document")
-    if doc.get("version") != CHECKPOINT_FORMAT_VERSION:
+    if doc.get("version") not in (1, CHECKPOINT_FORMAT_VERSION):
         raise TrainerError(f"unsupported checkpoint version {doc.get('version')!r}")
     try:
+        if doc["version"] == 1:
+            doc["tau_moments"] = {
+                key: {**d, "m": [[d["m"]]], "v": [[d["v"]]]}
+                for key, d in doc["tau_moments"].items()
+            }
         parts = {
             key: {name: from_doc(cls, d, f"{key}.{name}") for name, d in doc[key].items()}
             for key, cls in (("encoders", EncoderParams), ("moments", AdamMoments),
-                             ("temperatures", TemperatureParam), ("tau_moments", ScalarMoments))
+                             ("temperatures", TemperatureParam), ("tau_moments", AdamMoments))
         }
-        history = [LossRecord(*r) for r in doc["loss_history"]]
-        step = doc["step"]
+        history = []
+        for i, r in enumerate(decode(list, doc["loss_history"], "loss_history")):
+            # a row of exactly these JSON types is what decode would return; walking
+            # all 1,800 desk rows through decode would double the time of a load
+            if type(r) is not list or list(map(type, r)) != [int, str, float, float]:
+                r = decode(tuple[int, str, float, float], r, f"loss_history[{i}]")
+            history.append(LossRecord(*r))
+        step = decode(int, doc["step"], "step")
     except (KeyError, TypeError, IndexError, AttributeError, ValueError) as e:
         raise TrainerError(f"corrupt checkpoint: {e!r}") from e
-    encoders, moments = parts["encoders"], parts["moments"]
-    for name, mom in moments.items():
+    if step < 0:
+        raise TrainerError(f"corrupt checkpoint: step must be >= 0, got {step}")
+    encoders, moments, tau_moments = parts["encoders"], parts["moments"], parts["tau_moments"]
+    for name in moments:
         if name not in encoders:
             raise TrainerError(f"corrupt checkpoint: moments for unknown encoder {name!r}")
-        shapes = encoders[name].arch.param_shapes()
+    expected = [(f"moments.{n}", mom, encoders[n].arch.param_shapes()) for n, mom in moments.items()]
+    expected += [(f"tau_moments.{n}", mom, [(1,)]) for n, mom in tau_moments.items()]
+    for where, mom, shapes in expected:
         if [a.shape for a in mom.m] != shapes or [a.shape for a in mom.v] != shapes:
-            raise TrainerError(f"corrupt checkpoint: moment shapes mismatch for {name!r}")
+            raise TrainerError(f"corrupt checkpoint: moment shapes mismatch in {where}")
     arrays = [enc.flat for enc in encoders.values()]
-    arrays += [a for mom in moments.values() for a in (mom.m_flat, mom.v_flat)]
-    arrays += [np.array([sm.m, sm.v]) for sm in parts["tau_moments"].values()]
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise TrainerError("corrupt checkpoint: non-finite weights or optimizer moments")
+    for mom in [*moments.values(), *tau_moments.values()]:
+        arrays += [mom.m_flat, mom.v_flat]
+    finite = all(math.isfinite(r.loss) and math.isfinite(r.tau) for r in history)
+    if not (finite and all(np.all(np.isfinite(a)) for a in arrays)):
+        raise TrainerError("corrupt checkpoint: non-finite weights, optimizer moments or losses")
     return TrainState(
         **parts,
         step=step,

@@ -43,12 +43,6 @@ def stream_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF] + [int(w) for w in words]))
 
 
-@dataclass(frozen=True)
-class ModalityId:
-    id: int
-    name: str
-
-
 @dataclass
 class ModalityObserver:
     """Fixed nonlinear view of the latent space for one modality.
@@ -57,7 +51,7 @@ class ModalityObserver:
     with weight drawn once at world creation and immutable thereafter.
     """
 
-    modality: ModalityId
+    name: str
     weight: np.ndarray  # (obs_dim, latent_dim)
     bias: np.ndarray  # (obs_dim,)
     nonlinearity: str = "tanh"  # one of NONLINEARITIES
@@ -129,35 +123,18 @@ class WorldConfig:
 
 
 @dataclass
-class PairBatch:
+class TrainingPair:
     """Aligned (hub, spoke) observations; row i of both derives from latent row i.
 
-    class_labels and latents are held for evaluation and debugging only; the
-    trainer consumes TrainingPair, which never carries them.
+    It carries no class labels or latents: the trainer never sees them.
     """
 
     hub_obs: np.ndarray
     spoke_obs: np.ndarray
-    spoke: ModalityId
-    class_labels: np.ndarray
-    latents: np.ndarray
-
-    def training_view(self) -> "TrainingPair":
-        return TrainingPair(hub_obs=self.hub_obs, spoke_obs=self.spoke_obs, spoke=self.spoke)
-
-
-@dataclass
-class TrainingPair:
-    """Label-stripped view of a PairBatch; the only pair type the trainer sees."""
-
-    hub_obs: np.ndarray
-    spoke_obs: np.ndarray
-    spoke: ModalityId
 
 
 @dataclass
 class LabeledEvalSet:
-    modality: ModalityId
     obs: np.ndarray
     labels: np.ndarray
 
@@ -171,22 +148,22 @@ class WorldSpec:
     class_means: np.ndarray  # (C, latent_dim)
     within_class_scale: float
     modalities: list[ModalityObserver]
-    hub: ModalityId
+    hub: str  # the hub modality's name
     seed: int
     _by_name: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self._by_name = {obs.modality.name: obs for obs in self.modalities}
+        self._by_name = {obs.name: obs for obs in self.modalities}
+        self.observer(self.hub)  # the hub must name one of the modalities
 
-    def observer(self, modality: str | ModalityId) -> ModalityObserver:
-        name = modality.name if isinstance(modality, ModalityId) else modality
+    def observer(self, name: str) -> ModalityObserver:
         try:
             return self._by_name[name]
         except KeyError:
             raise WorldError(f"unknown modality {name!r}") from None
 
     def modality_names(self) -> list[str]:
-        return [obs.modality.name for obs in self.modalities]
+        return [obs.name for obs in self.modalities]
 
     def stream(self, name: str) -> np.random.Generator:
         """Named sampling stream tied to this world's seed."""
@@ -202,19 +179,19 @@ class WorldSpec:
             "latent_dim": self.latent_dim,
             "num_classes": self.num_classes,
             "within_class_scale": self.within_class_scale,
-            "hub": self.hub.name,
+            "hub": self.hub,
             "class_means": self.class_means.tolist(),
             "modalities": [
                 {
-                    "id": obs.modality.id,
-                    "name": obs.modality.name,
+                    "id": i,
+                    "name": obs.name,
                     "obs_dim": obs.obs_dim,
                     "nonlinearity": obs.nonlinearity,
                     "obs_noise_scale": obs.obs_noise_scale,
                     "weight": obs.weight.tolist(),
                     "bias": obs.bias.tolist(),
                 }
-                for obs in self.modalities
+                for i, obs in enumerate(self.modalities)
             ],
         }
         return json.dumps(doc, indent=1)
@@ -226,7 +203,7 @@ class WorldSpec:
             raise WorldError("unrecognized world document version")
         modalities = [
             ModalityObserver(
-                modality=ModalityId(id=m["id"], name=m["name"]),
+                name=m["name"],
                 weight=np.asarray(m["weight"], dtype=np.float64),
                 bias=np.asarray(m["bias"], dtype=np.float64),
                 nonlinearity=m["nonlinearity"],
@@ -234,14 +211,13 @@ class WorldSpec:
             )
             for m in doc["modalities"]
         ]
-        hub = next(m.modality for m in modalities if m.modality.name == doc["hub"])
         return cls(
             latent_dim=doc["latent_dim"],
             num_classes=doc["num_classes"],
             class_means=np.asarray(doc["class_means"], dtype=np.float64),
             within_class_scale=doc["within_class_scale"],
             modalities=modalities,
-            hub=hub,
+            hub=doc["hub"],
             seed=doc["seed"],
         )
 
@@ -270,23 +246,19 @@ def make_world(config: WorldConfig, seed: int) -> WorldSpec:
         raise WorldError("could not sample pairwise-distinct class means")
 
     observers = []
-    hub_id = None
-    for idx, mc in enumerate(config.modalities):
+    for mc in config.modalities:
         w_rng = stream_rng(seed, f"world/observer/{mc.name}")
         weight = w_rng.standard_normal((mc.obs_dim, config.latent_dim)) / np.sqrt(config.latent_dim)
         bias = 0.1 * w_rng.standard_normal(mc.obs_dim)
-        mid = ModalityId(id=idx, name=mc.name)
         observers.append(
             ModalityObserver(
-                modality=mid,
+                name=mc.name,
                 weight=weight,
                 bias=bias,
                 nonlinearity=mc.nonlinearity,
                 obs_noise_scale=mc.obs_noise_scale,
             )
         )
-        if mc.hub:
-            hub_id = mid
 
     return WorldSpec(
         latent_dim=config.latent_dim,
@@ -294,71 +266,44 @@ def make_world(config: WorldConfig, seed: int) -> WorldSpec:
         class_means=means,
         within_class_scale=config.within_class_scale,
         modalities=observers,
-        hub=hub_id,
+        hub=next(mc.name for mc in config.modalities if mc.hub),
         seed=seed,
     )
 
 
-def _sample_class_latents(world: WorldSpec, n: int, rng: np.random.Generator):
-    """Round-robin class assignment plus within-class Gaussian noise."""
-    labels = np.arange(n) % world.num_classes
-    latents = world.class_means[labels] + world.within_class_scale * rng.standard_normal(
-        (n, world.latent_dim)
-    )
-    return latents, labels
-
-
-def sample_pair_batch(
-    world: WorldSpec,
-    spoke: str | ModalityId,
-    n: int,
-    rng: np.random.Generator,
-    aligned: bool = True,
-) -> PairBatch:
-    """Draw n aligned (hub, spoke) observation pairs with balanced classes.
-
-    With aligned=False the spoke observes an independent latent of the same
-    class instead of the shared one (the spatial/temporal-alignment ablation
-    knob); hub_obs and class labels are unchanged.
-    """
-    if n < 1:
-        raise WorldError("batch size must be >= 1")
-    spoke_obs_model = world.observer(spoke)
-    if spoke_obs_model.modality.name == world.hub.name:
-        raise WorldError("spoke must differ from the hub modality")
-    hub_obs_model = world.observer(world.hub)
-
-    latents, labels = _sample_class_latents(world, n, rng)
-    hub_obs = hub_obs_model.observe(latents, rng)
-    if aligned:
-        spoke_latents = latents
-    else:
-        spoke_latents = world.class_means[labels] + world.within_class_scale * rng.standard_normal(
-            (n, world.latent_dim)
-        )
-    spoke_obs = spoke_obs_model.observe(spoke_latents, rng)
-    return PairBatch(
-        hub_obs=hub_obs,
-        spoke_obs=spoke_obs,
-        spoke=spoke_obs_model.modality,
-        class_labels=labels,
-        latents=latents,
-    )
+def _class_latents(world: WorldSpec, labels: np.ndarray, scale: float, rng: np.random.Generator):
+    """One latent per label: its class mean plus Gaussian noise of the given scale."""
+    return world.class_means[labels] + scale * rng.standard_normal((len(labels), world.latent_dim))
 
 
 def sample_training_batch(
     world: WorldSpec,
-    spoke: str | ModalityId,
+    spoke: str,
     n: int,
     rng: np.random.Generator,
     aligned: bool = True,
 ) -> TrainingPair:
-    """Label-stripped pair batch; the only sampling entry point the trainer uses."""
-    return sample_pair_batch(world, spoke, n, rng, aligned=aligned).training_view()
+    """Draw n aligned (hub, spoke) observation pairs with round-robin classes.
+
+    Row i is of class i % num_classes. With aligned=False the spoke observes
+    an independent latent of the same class instead of the shared one (the
+    spatial/temporal-alignment ablation knob); hub_obs is unchanged.
+    """
+    if n < 1:
+        raise WorldError("batch size must be >= 1")
+    spoke_obs_model = world.observer(spoke)
+    if spoke == world.hub:
+        raise WorldError("spoke must differ from the hub modality")
+    labels = np.arange(n) % world.num_classes
+    latents = _class_latents(world, labels, world.within_class_scale, rng)
+    hub_obs = world.observer(world.hub).observe(latents, rng)
+    if not aligned:
+        latents = _class_latents(world, labels, world.within_class_scale, rng)
+    return TrainingPair(hub_obs=hub_obs, spoke_obs=spoke_obs_model.observe(latents, rng))
 
 
 def class_prototypes(
-    world: WorldSpec, modality: str | ModalityId, prompts_per_class: int, rng: np.random.Generator
+    world: WorldSpec, modality: str, prompts_per_class: int, rng: np.random.Generator
 ):
     """Prompt-like observations: P per class, drawn tighter than data samples.
 
@@ -369,24 +314,18 @@ def class_prototypes(
     if prompts_per_class < 1:
         raise WorldError("prompts_per_class must be >= 1")
     obs_model = world.observer(modality)
-    c = world.num_classes
-    labels = np.repeat(np.arange(c), prompts_per_class)
-    noise_scale = world.within_class_scale / PROTOTYPE_NOISE_DIVISOR
-    latents = world.class_means[labels] + noise_scale * rng.standard_normal(
-        (c * prompts_per_class, world.latent_dim)
-    )
+    labels = np.repeat(np.arange(world.num_classes), prompts_per_class)
+    latents = _class_latents(world, labels, world.within_class_scale / PROTOTYPE_NOISE_DIVISOR, rng)
     return obs_model.observe(latents, rng), labels
 
 
 def make_eval_set(
-    world: WorldSpec, modality: str | ModalityId, n_per_class: int, rng: np.random.Generator
+    world: WorldSpec, modality: str, n_per_class: int, rng: np.random.Generator
 ) -> LabeledEvalSet:
     """Balanced labeled observation set for evaluation (round-robin classes)."""
     if n_per_class < 1:
         raise WorldError("n_per_class must be >= 1")
     obs_model = world.observer(modality)
-    n = n_per_class * world.num_classes
-    latents, labels = _sample_class_latents(world, n, rng)
-    return LabeledEvalSet(
-        modality=obs_model.modality, obs=obs_model.observe(latents, rng), labels=labels
-    )
+    labels = np.arange(n_per_class * world.num_classes) % world.num_classes
+    latents = _class_latents(world, labels, world.within_class_scale, rng)
+    return LabeledEvalSet(obs=obs_model.observe(latents, rng), labels=labels)

@@ -567,6 +567,16 @@ class TestCliRetrieve:
         assert code == 2
         assert "--query-modality" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["2", "-0.5", "nan"])
+    def test_compose_weight_outside_unit_interval_rejected(self, cli_space, capsys, weight):
+        _, cfg_path, out = cli_space
+        code = main(
+            ["retrieve", "--config", str(cfg_path), "--checkpoint", str(out / "checkpoint.json"),
+             "--index-modality", "hub", "--compose", "alpha+beta", "--compose-weight", weight]
+        )
+        assert code == 2
+        assert "--compose-weight" in capsys.readouterr().err
+
     def test_query_id_out_of_range_rejected(self, cli_space, capsys):
         _, cfg_path, out = cli_space
         code = main(

@@ -88,12 +88,12 @@ class TestPrototypeBank:
     def test_non_unit_rows_rejected(self, rng):
         rows = unit_rows(3, 4, rng) * 2.0
         with pytest.raises(EvaluationError):
-            PrototypeBank(modality="alpha", prototypes=rows, class_ids=np.arange(3))
+            PrototypeBank(prototypes=rows, class_ids=np.arange(3))
 
     def test_id_count_mismatch_rejected(self, rng):
         rows = unit_rows(3, 4, rng)
         with pytest.raises(EvaluationError):
-            PrototypeBank(modality="alpha", prototypes=rows, class_ids=np.arange(2))
+            PrototypeBank(prototypes=rows, class_ids=np.arange(2))
 
 
 class TestBuildPrototypes:
@@ -123,15 +123,11 @@ class TestBuildPrototypes:
 
 class TestZeroShotClassify:
     def test_prototypes_classify_as_themselves(self, rng):
-        bank = PrototypeBank(
-            modality="alpha", prototypes=unit_rows(4, 6, rng), class_ids=np.arange(4)
-        )
+        bank = PrototypeBank(prototypes=unit_rows(4, 6, rng), class_ids=np.arange(4))
         np.testing.assert_array_equal(zero_shot_classify(bank.prototypes, bank), np.arange(4))
 
     def test_positive_rescale_invariance(self, rng):
-        bank = PrototypeBank(
-            modality="alpha", prototypes=unit_rows(4, 6, rng), class_ids=np.arange(4)
-        )
+        bank = PrototypeBank(prototypes=unit_rows(4, 6, rng), class_ids=np.arange(4))
         q = rng.standard_normal((10, 6))
         np.testing.assert_array_equal(
             zero_shot_classify(q, bank), zero_shot_classify(2.5 * q, bank)
@@ -139,7 +135,7 @@ class TestZeroShotClassify:
 
     def test_matches_loop_oracle(self, rng):
         protos = unit_rows(5, 4, rng)
-        bank = PrototypeBank(modality="alpha", prototypes=protos, class_ids=np.arange(5))
+        bank = PrototypeBank(prototypes=protos, class_ids=np.arange(5))
         q = unit_rows(20, 4, rng)
         pred = zero_shot_classify(q, bank)
         want = [nearest_prototype_loops(row.tolist(), protos.tolist()) for row in q]
@@ -148,13 +144,11 @@ class TestZeroShotClassify:
     def test_tie_goes_to_lowest_class(self, rng):
         row = unit_rows(1, 4, rng)[0]
         protos = np.stack([row, row, -row])
-        bank = PrototypeBank(modality="alpha", prototypes=protos, class_ids=np.arange(3))
+        bank = PrototypeBank(prototypes=protos, class_ids=np.arange(3))
         assert zero_shot_classify(row[None, :], bank)[0] == 0
 
     def test_dim_mismatch_rejected(self, rng):
-        bank = PrototypeBank(
-            modality="alpha", prototypes=unit_rows(3, 4, rng), class_ids=np.arange(3)
-        )
+        bank = PrototypeBank(prototypes=unit_rows(3, 4, rng), class_ids=np.arange(3))
         with pytest.raises(EvaluationError):
             zero_shot_classify(unit_rows(2, 5, rng), bank)
 

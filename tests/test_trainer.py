@@ -350,6 +350,48 @@ class TestTrainRun:
             init_train_state(tiny_world, archs, quick_config())
 
 
+def assert_resume_matches(world, tmp_path, cfg, rewrite=None):
+    """Train cfg in one go, and again with a checkpoint after 5 steps; both must agree.
+
+    `rewrite`, when given, edits the checkpoint document before it is loaded.
+    Returns the resumed run's final state.
+    """
+    archs = tiny_archs(world)
+    full, _ = train_run(world, archs, cfg)
+    half, _ = train_run(world, archs, cfg, max_steps=5)
+    path = tmp_path / "half.json"
+    save_checkpoint(half, path)
+    if rewrite is not None:
+        doc = json.loads(path.read_text())
+        rewrite(doc)
+        path.write_text(json.dumps(doc))
+    final, _ = train_run(world, archs, cfg, state=load_checkpoint(path))
+
+    assert final.step == full.step
+    for name in archs:
+        np.testing.assert_array_equal(full.encoders[name].flat, final.encoders[name].flat)
+        np.testing.assert_array_equal(full.moments[name].v_flat, final.moments[name].v_flat)
+    for key, mom in full.tau_moments.items():
+        np.testing.assert_array_equal(mom.m_flat, final.tau_moments[key].m_flat)
+        assert mom.t == final.tau_moments[key].t
+    assert full.loss_history == final.loss_history
+    return final
+
+
+def checkpoint_with(world, tmp_path, keys, bad):
+    """A checkpoint after 2 steps whose document holds `bad` at the key path `keys`."""
+    state, _ = train_run(world, tiny_archs(world), quick_config(), max_steps=2)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(state, path)
+    doc = json.loads(path.read_text())
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = bad
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestCheckpointing:
     def test_round_trip_bit_exact(self, tiny_world, tmp_path):
         state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config())
@@ -409,21 +451,49 @@ class TestCheckpointing:
             load_checkpoint(path)
 
     def test_resume_matches_uninterrupted_run(self, tiny_world, tmp_path):
+        assert_resume_matches(tiny_world, tmp_path, quick_config(epochs=2, steps_per_epoch=5))
+
+    def test_resume_with_shared_temperature_matches_uninterrupted_run(self, tiny_world, tmp_path):
+        cfg = quick_config(epochs=2, steps_per_epoch=6, shared_temperature=True)
+        final = assert_resume_matches(tiny_world, tmp_path, cfg)
+        assert final.temperatures["alpha"] is final.temperatures["beta"]
+
+    def test_resume_of_format_1_matches_uninterrupted_run(self, tiny_world, tmp_path):
+        def to_format_1(doc):
+            doc["version"] = 1
+            doc["tau_moments"] = {
+                key: {"m": d["m"][0][0], "v": d["v"][0][0], "t": d["t"]}
+                for key, d in doc["tau_moments"].items()
+            }
+
+        cfg = quick_config(epochs=2, steps_per_epoch=5)
+        assert_resume_matches(tiny_world, tmp_path, cfg, rewrite=to_format_1)
+
+    def test_format_1_non_finite_tau_moment_rejected(self, tiny_world, tmp_path):
+        state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config(), max_steps=2)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path)
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        doc["tau_moments"] = {
+            "alpha": {"m": float("nan"), "v": 0.5, "t": 1},
+            "beta": {"m": 0.25, "v": 0.5, "t": 1},
+        }
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TrainerError, match="non-finite"):
+            load_checkpoint(path)
+
+    def test_shared_temperature_resume_rejects_unequal_temperatures(self, tiny_world, tmp_path):
         archs = tiny_archs(tiny_world)
-        full_cfg = quick_config(epochs=2, steps_per_epoch=5)
-        full, _ = train_run(tiny_world, archs, full_cfg)
-
-        half, _ = train_run(tiny_world, archs, full_cfg, max_steps=5)
-        path = tmp_path / "half.json"
-        save_checkpoint(half, path)
-        resumed = load_checkpoint(path)
-        final, _ = train_run(tiny_world, archs, full_cfg, state=resumed)
-
-        assert final.step == full.step
-        for name in archs:
-            for a, b in zip(full.encoders[name].arrays(), final.encoders[name].arrays()):
-                np.testing.assert_array_equal(a, b)
-        assert [r.loss for r in full.loss_history] == [r.loss for r in final.loss_history]
+        cfg = quick_config(shared_temperature=True)
+        state, _ = train_run(tiny_world, archs, cfg, max_steps=4)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path)
+        doc = json.loads(path.read_text())
+        doc["temperatures"]["beta"]["log_tau"] += 0.125
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TrainerError, match="shared_temperature"):
+            train_run(tiny_world, archs, cfg, state=load_checkpoint(path))
 
     def test_resume_arch_mismatch_rejected(self, tiny_world):
         archs = tiny_archs(tiny_world)
@@ -447,21 +517,38 @@ class TestCheckpointing:
             (("encoders", "alpha", "weights", 0, 0, 0), float("nan")),
             (("encoders", "hub", "biases", 0, 0), float("inf")),
             (("moments", "beta", "v", 0, 0, 0), float("nan")),
-            (("tau_moments", "alpha", "m"), float("-inf")),
+            (("tau_moments", "alpha", "m", 0, 0), float("-inf")),
+            (("loss_history", 0, 2), float("nan")),
+            (("loss_history", 1, 3), float("inf")),
         ],
     )
     def test_non_finite_numbers_rejected(self, tiny_world, tmp_path, keys, bad):
-        state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config(), max_steps=2)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(state, path)
-        doc = json.loads(path.read_text())
-        target = doc
-        for key in keys[:-1]:
-            target = target[key]
-        target[keys[-1]] = bad
-        path.write_text(json.dumps(doc))
+        path = checkpoint_with(tiny_world, tmp_path, keys, bad)
         with pytest.raises(TrainerError, match="non-finite"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "keys, bad",
+        [
+            (("step",), True),
+            (("step",), -5),
+            (("step",), "9"),
+            (("step",), 2.0),
+            (("loss_history", 0, 2), "x"),
+            (("loss_history", 0, 0), False),
+            (("loss_history", 0, 1), 7),
+            (("loss_history", 0), [0, "alpha", 1.0]),
+            (("tau_moments", "alpha", "m"), [[0.0, 0.0]]),
+        ],
+    )
+    def test_malformed_step_history_and_tau_moments_rejected(self, tiny_world, tmp_path, keys, bad):
+        path = checkpoint_with(tiny_world, tmp_path, keys, bad)
+        with pytest.raises(TrainerError, match="corrupt checkpoint"):
+            load_checkpoint(path)
+
+    def test_integer_loss_in_history_loads_as_float(self, tiny_world, tmp_path):
+        back = load_checkpoint(checkpoint_with(tiny_world, tmp_path, ("loss_history", 1, 2), 3))
+        assert back.loss_history[1].loss == 3.0 and type(back.loss_history[1].loss) is float
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"

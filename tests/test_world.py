@@ -10,10 +10,10 @@ from modbind.world import (
     WorldConfig,
     WorldError,
     WorldSpec,
+    _class_latents,
     class_prototypes,
     make_eval_set,
     make_world,
-    sample_pair_batch,
     sample_training_batch,
     stream_rng,
 )
@@ -140,46 +140,51 @@ class TestObserver:
         assert not np.array_equal(a, obs_model.observe(z))
 
 
+def round_robin_labels(world, n):
+    """The labels the pair sampler assigns to n rows."""
+    return np.arange(n) % world.num_classes
+
+
+def replayed_latents(world, n, stream):
+    """The shared latents of a pair batch, redrawn from the start of the same stream."""
+    labels = round_robin_labels(world, n)
+    return _class_latents(world, labels, world.within_class_scale, world.stream(stream))
+
+
 class TestPairSampling:
     def test_round_robin_labels_balanced(self, tiny_world):
-        batch = sample_pair_batch(tiny_world, "alpha", 1000, tiny_world.stream("t"))
-        counts = np.bincount(batch.class_labels, minlength=tiny_world.num_classes)
+        counts = np.bincount(round_robin_labels(tiny_world, 1000), minlength=tiny_world.num_classes)
         assert counts.max() - counts.min() <= 1
 
     def test_aligned_rows_share_latents(self):
         world = make_world(noiseless_config(within_class_scale=0.3), seed=5)
-        batch = sample_pair_batch(world, "alpha", 16, world.stream("t"))
-        np.testing.assert_array_equal(
-            batch.hub_obs, world.observer("hub").observe(batch.latents)
-        )
-        np.testing.assert_array_equal(
-            batch.spoke_obs, world.observer("alpha").observe(batch.latents)
-        )
+        batch = sample_training_batch(world, "alpha", 16, world.stream("t"))
+        latents = replayed_latents(world, 16, "t")
+        np.testing.assert_array_equal(batch.hub_obs, world.observer("hub").observe(latents))
+        np.testing.assert_array_equal(batch.spoke_obs, world.observer("alpha").observe(latents))
 
     def test_unaligned_rows_share_class_only(self):
         world = make_world(noiseless_config(within_class_scale=0.3), seed=5)
-        batch = sample_pair_batch(world, "alpha", 16, world.stream("t"), aligned=False)
-        np.testing.assert_array_equal(
-            batch.hub_obs, world.observer("hub").observe(batch.latents)
-        )
-        aligned_spoke = world.observer("alpha").observe(batch.latents)
+        batch = sample_training_batch(world, "alpha", 16, world.stream("t"), aligned=False)
+        latents = replayed_latents(world, 16, "t")
+        np.testing.assert_array_equal(batch.hub_obs, world.observer("hub").observe(latents))
+        aligned_spoke = world.observer("alpha").observe(latents)
         assert not np.array_equal(batch.spoke_obs, aligned_spoke)
 
     def test_single_row_alignment(self):
         world = make_world(noiseless_config(within_class_scale=0.3), seed=5)
-        batch = sample_pair_batch(world, "alpha", 1, world.stream("t"))
-        assert batch.latents.shape == (1, world.latent_dim)
-        np.testing.assert_array_equal(
-            batch.spoke_obs, world.observer("alpha").observe(batch.latents)
-        )
+        batch = sample_training_batch(world, "alpha", 1, world.stream("t"))
+        latents = replayed_latents(world, 1, "t")
+        assert latents.shape == (1, world.latent_dim)
+        np.testing.assert_array_equal(batch.spoke_obs, world.observer("alpha").observe(latents))
 
     def test_hub_as_spoke_rejected(self, tiny_world):
         with pytest.raises(WorldError):
-            sample_pair_batch(tiny_world, "hub", 4, tiny_world.stream("t"))
+            sample_training_batch(tiny_world, "hub", 4, tiny_world.stream("t"))
 
     def test_empty_batch_rejected(self, tiny_world):
         with pytest.raises(WorldError):
-            sample_pair_batch(tiny_world, "alpha", 0, tiny_world.stream("t"))
+            sample_training_batch(tiny_world, "alpha", 0, tiny_world.stream("t"))
 
     def test_training_view_strips_labels(self, tiny_world):
         pair = sample_training_batch(tiny_world, "alpha", 8, tiny_world.stream("t"))
@@ -189,13 +194,14 @@ class TestPairSampling:
 
     def test_noiseless_nearest_mean_is_perfect(self):
         world = make_world(noiseless_config(within_class_scale=0.0), seed=2)
-        batch = sample_pair_batch(world, "alpha", 30, world.stream("t"))
+        latents = replayed_latents(world, 30, "t")
+        labels = round_robin_labels(world, 30)
         for i in range(30):
             dists = [
-                float(np.linalg.norm(batch.latents[i] - world.class_means[c]))
+                float(np.linalg.norm(latents[i] - world.class_means[c]))
                 for c in range(world.num_classes)
             ]
-            assert int(np.argmin(dists)) == batch.class_labels[i]
+            assert int(np.argmin(dists)) == labels[i]
 
 
 class TestPrototypes:
@@ -235,7 +241,6 @@ class TestEvalSet:
         assert es.obs.shape == (4 * tiny_world.num_classes, 4)
         counts = np.bincount(es.labels, minlength=tiny_world.num_classes)
         assert set(counts.tolist()) == {4}
-        assert es.modality.name == "beta"
 
     def test_stream_name_separates_draws(self, tiny_world):
         a = make_eval_set(tiny_world, "beta", 4, tiny_world.stream("train/x"))
@@ -253,11 +258,17 @@ class TestSerialization:
         back = WorldSpec.from_json(tiny_world.to_json())
         assert back.to_json() == tiny_world.to_json()
         np.testing.assert_array_equal(back.class_means, tiny_world.class_means)
-        assert back.hub.name == tiny_world.hub.name
+        assert back.hub == tiny_world.hub == "hub"
         for name in tiny_world.modality_names():
             np.testing.assert_array_equal(
                 back.observer(name).weight, tiny_world.observer(name).weight
             )
+
+    def test_unknown_hub_rejected(self, tiny_world):
+        doc = json.loads(tiny_world.to_json())
+        doc["hub"] = "gamma"
+        with pytest.raises(WorldError, match="gamma"):
+            WorldSpec.from_json(json.dumps(doc))
 
     def test_version_mismatch_rejected(self, tiny_world):
         doc = json.loads(tiny_world.to_json())
