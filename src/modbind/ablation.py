@@ -5,10 +5,15 @@ from the base config. Cell failures are recorded and the suite keeps going.
 Outputs are a long-format CSV (one row per cell metric) and a seed-averaged
 summary; row order is fixed by the suite definition, so reruns are
 byte-identical.
+
+Cells can run in a pool of forked worker processes. Results still come back
+in definition order, so the outputs do not depend on the number of workers,
+and no worker outlives the call that started it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,27 +55,77 @@ def run_cell(base_normalized: dict, axis: str, value, seed: int) -> tuple[str, d
     return cfg.hash, dict(report.metrics)
 
 
-def run_ablation_suite(suite: AblationSuiteSpec, progress=None) -> list[CellResult]:
-    """All cells in definition order; failures become error-status rows."""
+def _cell_result(base_normalized: dict, axis: str, value, seed: int) -> CellResult:
+    """One cell as a result row; a cell that raises becomes an error row."""
+    value_str = format_axis_value(value)
+    try:
+        # `run_cell` is looked up at call time, so a forked worker runs the
+        # same function as the parent, wrapped or replaced ones included.
+        cfg_hash, metrics = run_cell(base_normalized, axis, value, seed)
+    except Exception as e:  # a failed cell must not end the suite
+        return CellResult(axis=axis, value=value_str, seed=seed, status="error", error=str(e))
+    return CellResult(
+        axis=axis, value=value_str, seed=seed, status="ok", config_hash=cfg_hash, metrics=metrics
+    )
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (its CPU affinity, where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_ablation_suite(suite: AblationSuiteSpec, progress=None, jobs: int = 1) -> list[CellResult]:
+    """All cells in definition order; failures become error-status rows.
+
+    Cells run on min(jobs, usable cores, cells) workers. One worker runs them
+    in this process; more fork a pool, which is shut down before this returns,
+    also when `progress` raises. `progress` sees each cell in definition order.
+    A cell lost with a dead worker becomes an error row naming the broken pool.
+    Workers are forked, so with jobs > 1 the caller should hold no other threads.
+    """
+    cells = [
+        (suite.base.normalized, axis_spec.axis, value, seed)
+        for axis_spec in suite.axes
+        for value in axis_spec.grid
+        for seed in suite.seeds
+    ]
+    workers = min(jobs, usable_cores(), len(cells))
     results = []
-    for axis_spec in suite.axes:
-        for value in axis_spec.grid:
-            value_str = format_axis_value(value)
-            for seed in suite.seeds:
-                try:
-                    cfg_hash, metrics = run_cell(suite.base.normalized, axis_spec.axis, value, seed)
-                    cell = CellResult(
-                        axis=axis_spec.axis, value=value_str, seed=seed,
-                        status="ok", config_hash=cfg_hash, metrics=metrics,
-                    )
-                except Exception as e:  # a failed cell must not end the suite
-                    cell = CellResult(
-                        axis=axis_spec.axis, value=value_str, seed=seed,
-                        status="error", error=str(e),
-                    )
-                results.append(cell)
-                if progress is not None:
-                    progress(cell)
+    if workers <= 1:
+        for args in cells:
+            results.append(_cell_result(*args))
+            if progress is not None:
+                progress(results[-1])
+        return results
+
+    # imported here, so that every other command starts without them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # Always fork, by name: spawn and forkserver start helper processes
+    # (the resource tracker, the fork server) that outlive the pool. On the
+    # fork context the executor forks every worker before it starts its own
+    # thread, so a worker copies no thread of the pool.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_cell_result, *args) for args in cells]
+        for (_, axis, value, seed), future in zip(cells, futures):
+            try:
+                cell = future.result()
+            except BrokenProcessPool as e:
+                cell = CellResult(
+                    axis=axis, value=format_axis_value(value), seed=seed,
+                    status="error", error=f"{type(e).__name__}: {e}",
+                )
+            results.append(cell)
+            if progress is not None:
+                progress(cell)
+    finally:
+        # cancel the queued cells and join the running ones, whatever happened
+        pool.shutdown(wait=True, cancel_futures=True)
     return results
 
 

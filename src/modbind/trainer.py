@@ -139,6 +139,11 @@ class TrainState:
 _SHARED_TAU_KEY = "__shared__"
 
 
+def _tau_keys(config: TrainConfig) -> list[str]:
+    """Keys of the temperature moments: one per spoke, or the one shared key."""
+    return [_SHARED_TAU_KEY] if config.shared_temperature else [pc.spoke for pc in config.pairs]
+
+
 def adamw_step(
     params: np.ndarray,
     grads: np.ndarray,
@@ -278,12 +283,10 @@ def init_train_state(
         shared = dataclasses.replace(config.pairs[0].temperature)
         for pc in config.pairs:
             temperatures[pc.spoke] = shared
-        tau_keys = [_SHARED_TAU_KEY]
     else:
         for pc in config.pairs:
             temperatures[pc.spoke] = dataclasses.replace(pc.temperature)
-        tau_keys = [pc.spoke for pc in config.pairs]
-    tau_moments = {key: AdamMoments(m=[np.zeros(1)], v=[np.zeros(1)]) for key in tau_keys}
+    tau_moments = {key: AdamMoments(m=[np.zeros(1)], v=[np.zeros(1)]) for key in _tau_keys(config)}
     return TrainState(
         encoders=encoders, moments=moments, temperatures=temperatures, tau_moments=tau_moments
     )
@@ -327,10 +330,17 @@ def train_run(
         state = init_train_state(world, archs, config)
     else:
         check_resume(state, archs)
+        for what, have, want in (
+            ("temperature", state.temperatures, [pc.spoke for pc in config.pairs]),
+            ("temperature moments", state.tau_moments, _tau_keys(config)),
+        ):
+            missing = [key for key in want if key not in have]
+            if missing:
+                raise TrainerError(f"checkpoint has no {what} for {missing}")
         if config.shared_temperature:
             # a loaded state holds one object per pair; the run trains one
-            shared, *rest = [state.temperatures.get(pc.spoke) for pc in config.pairs]
-            if shared is None or any(t != shared for t in rest):
+            shared, *rest = [state.temperatures[pc.spoke] for pc in config.pairs]
+            if any(t != shared for t in rest):
                 raise TrainerError("shared_temperature needs equal temperatures for every pair")
             for pc in config.pairs:
                 state.temperatures[pc.spoke] = shared

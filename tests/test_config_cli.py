@@ -5,17 +5,24 @@ training run they need is shared through a module-scoped fixture.
 """
 
 import json
+import multiprocessing
+import multiprocessing.resource_tracker
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import modbind
 import modbind.ablation as ablation_mod
 from modbind.ablation import (
     format_axis_value,
     run_ablation_suite,
     summarize,
+    usable_cores,
     write_long_csv,
     write_summary_csv,
 )
@@ -31,6 +38,29 @@ from modbind.config import (
 from modbind.report import MetricsReport
 
 from .conftest import small_config_document
+
+# pool tests ask for two workers, or one where the process may use one core only
+JOBS = min(2, usable_cores())
+
+
+@pytest.fixture
+def flaky_run_cell(monkeypatch):
+    """A `run_cell` that raises for the value 1 and trains every other cell."""
+    real_run_cell = ablation_mod.run_cell
+
+    def flaky(base_normalized, axis, value, seed):
+        if value == 1:
+            raise ValueError("boom")
+        return real_run_cell(base_normalized, axis, value, seed)
+
+    monkeypatch.setattr(ablation_mod, "run_cell", flaky)
+
+
+def epochs_suite(grid, seeds=(0,)):
+    return parse_ablation_suite(
+        {"base": small_config_document(), "axes": [{"axis": "epochs", "grid": grid}],
+         "seeds": list(seeds)}
+    )
 
 
 class TestConfigValidation:
@@ -293,19 +323,8 @@ class TestAblationSuite:
         assert format_axis_value(0.05) == "0.05"
         assert format_axis_value([1.0, 0.0]) == "[1.0,0.0]"
 
-    def test_failed_cell_does_not_end_suite(self, small_config_doc, monkeypatch, tmp_path):
-        suite = parse_ablation_suite(
-            {"base": small_config_doc, "axes": [{"axis": "epochs", "grid": [1, 2]}], "seeds": [0]}
-        )
-        real_run_cell = ablation_mod.run_cell
-
-        def flaky(base_normalized, axis, value, seed):
-            if value == 1:
-                raise ValueError("boom")
-            return real_run_cell(base_normalized, axis, value, seed)
-
-        monkeypatch.setattr(ablation_mod, "run_cell", flaky)
-        results = run_ablation_suite(suite)
+    def test_failed_cell_does_not_end_suite(self, flaky_run_cell, tmp_path):
+        results = run_ablation_suite(epochs_suite([1, 2]))
         assert [r.status for r in results] == ["error", "ok"]
         assert "boom" in results[0].error
         assert results[1].metrics
@@ -349,6 +368,123 @@ class TestAblationSuite:
         }
         assert means[2] >= means[1] - 0.01
         assert means[5] >= means[2] - 0.01
+
+
+def session_members(sid: int) -> list[str]:
+    """`pid (comm)` of every process in session `sid`, read from /proc/*/stat."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            text = stat.read_text()
+        except OSError:  # the process ended while we looked
+            continue
+        # after "pid (comm)": state, ppid, pgrp, session, ...
+        if int(text.rpartition(")")[2].split()[3]) == sid:
+            members.append(text.partition(")")[0] + ")")
+    return members
+
+
+class TestAblationPool:
+    def test_cli_outputs_identical_at_one_and_two_jobs(self, tmp_path, capsys):
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps({
+            "base": small_config_document(),
+            "axes": [{"axis": "epochs", "grid": [1, 2]}, {"axis": "batch_size", "grid": [4, 16]}],
+            "seeds": [0, 1],
+        }))
+        stdout = {}
+        for jobs in (1, JOBS):
+            out = tmp_path / f"jobs{jobs}"
+            argv = ["ablate", "--config", str(suite_path), "--out", str(out), "--jobs", str(jobs)]
+            assert main(argv) == 0
+            stdout[jobs] = capsys.readouterr().out.replace(str(out), "OUT")
+        assert stdout[1] == stdout[JOBS]
+        assert stdout[1].count("ok    ") == 8
+        for name in ("ablation_long.csv", "ablation_summary.csv", "ablate_manifest.json"):
+            assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / f"jobs{JOBS}" / name).read_bytes()
+
+    def test_failed_cell_gives_the_same_rows_in_workers(self, flaky_run_cell):
+        suite = epochs_suite([1, 2, 1], seeds=[0, 1])
+        serial = run_ablation_suite(suite, jobs=1)
+        assert [r.status for r in serial] == ["error", "error", "ok", "ok", "error", "error"]
+        assert run_ablation_suite(suite, jobs=JOBS) == serial
+
+    def test_progress_sees_definition_order(self):
+        seen = []
+        results = run_ablation_suite(epochs_suite([2, 1], seeds=[0, 1]), progress=seen.append, jobs=JOBS)
+        assert seen == results
+        assert [(r.value, r.seed) for r in seen] == [("2", 0), ("2", 1), ("1", 0), ("1", 1)]
+
+    def test_raising_progress_propagates_and_leaves_no_worker(self, monkeypatch, tmp_path):
+        started = tmp_path / "started"
+        real_run_cell = ablation_mod.run_cell
+
+        def logged(*args):
+            with open(started, "a") as f:
+                f.write(".")
+            time.sleep(0.1)  # so the queue cannot drain before progress raises
+            return real_run_cell(*args)
+
+        def progress(cell):
+            raise KeyError("stop here")
+
+        monkeypatch.setattr(ablation_mod, "run_cell", logged)
+        suite = epochs_suite([1, 2, 3, 4, 5, 6, 7, 8], seeds=[0, 1])
+        with pytest.raises(KeyError, match="stop here"):
+            run_ablation_suite(suite, progress=progress, jobs=JOBS)
+        assert multiprocessing.active_children() == []
+        # the cells still queued when progress raised never started
+        assert len(started.read_text()) < 16
+
+    def test_dead_worker_becomes_error_rows(self, monkeypatch):
+        parent = os.getpid()
+        real_run_cell = ablation_mod.run_cell
+
+        def dying(base_normalized, axis, value, seed):
+            if value == 1 and os.getpid() != parent:
+                os._exit(1)
+            return real_run_cell(base_normalized, axis, value, seed)
+
+        monkeypatch.setattr(ablation_mod, "run_cell", dying)
+        results = run_ablation_suite(epochs_suite([1, 2]), jobs=2)
+        assert len(results) == 2
+        assert [(r.value, r.seed) for r in results] == [("1", 0), ("2", 0)]
+        if usable_cores() >= 2:
+            assert results[0].status == "error"
+        for cell in results:
+            assert cell.status == "ok" or cell.error.startswith("BrokenProcessPool: ")
+        assert multiprocessing.active_children() == []
+
+    def test_no_resource_tracker_is_started(self):
+        run_ablation_suite(epochs_suite([1, 2]), jobs=JOBS)
+        assert multiprocessing.resource_tracker._resource_tracker._pid is None
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        argv = ["ablate", "--config", "ablate_quick.json", "--out", str(tmp_path), "--jobs", jobs]
+        assert main(argv) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_cli_leaves_no_process_in_its_session(self, tmp_path):
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps(
+            {"base": small_config_document(), "axes": [{"axis": "epochs", "grid": [1, 2, 3]}]}
+        ))
+        src = str(Path(modbind.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "modbind", "ablate", "--config", str(suite_path),
+             "--out", str(tmp_path / "out"), "--jobs", str(JOBS)],
+            env=env, start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, stderr
+        assert "cells: 3, failures: 0" in stdout
+        # the child led its own session, so its pid is the session id
+        assert session_members(proc.pid) == []
 
 
 @pytest.fixture(scope="module")

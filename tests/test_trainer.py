@@ -9,6 +9,7 @@ import pytest
 
 import modbind.trainer as trainer_mod
 from modbind.codec import from_doc, to_doc
+from modbind.config import parse_experiment_config
 from modbind.contrastive import LossOutput, TemperatureParam
 from modbind.encoders import EncoderArch
 from modbind.trainer import (
@@ -27,6 +28,7 @@ from modbind.trainer import (
 )
 from modbind.world import make_world
 
+from .conftest import small_config_document
 from .oracles import adamw_scalar_loops
 
 
@@ -494,6 +496,28 @@ class TestCheckpointing:
         path.write_text(json.dumps(doc))
         with pytest.raises(TrainerError, match="shared_temperature"):
             train_run(tiny_world, archs, cfg, state=load_checkpoint(path))
+
+    @pytest.mark.parametrize(
+        "shared, part, key",
+        [
+            (False, "tau_moments", "beta"),
+            (False, "temperatures", "beta"),
+            (True, "tau_moments", "__shared__"),
+        ],
+    )
+    def test_resume_without_temperature_state_of_a_pair_rejected(self, tmp_path, shared, part, key):
+        doc = small_config_document()
+        doc["train"]["shared_temperature"] = shared
+        cfg = parse_experiment_config(doc)
+        world = make_world(cfg.world, cfg.seed)
+        state, _ = train_run(world, cfg.archs, cfg.train, max_steps=2)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path)
+        ckpt = json.loads(path.read_text())
+        del ckpt[part][key]
+        path.write_text(json.dumps(ckpt))
+        with pytest.raises(TrainerError, match=f"checkpoint has no temperature.*'{key}'"):
+            train_run(world, cfg.archs, cfg.train, state=load_checkpoint(path))
 
     def test_resume_arch_mismatch_rejected(self, tiny_world):
         archs = tiny_archs(tiny_world)
