@@ -76,14 +76,50 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def run_ablation_suite(suite: AblationSuiteSpec, progress=None, jobs: int = 1) -> list[CellResult]:
+def _openblas_call(verb: str, *args) -> list[int]:
+    """Calls `openblas_<verb>` in each OpenBLAS mapped into this process.
+
+    Returns one result per library that exports the function, under the plain
+    name or the `scipy_openblas_` and `64_` names of NumPy's wheels. Finds
+    none where the process has no `/proc/self/maps` or uses another BLAS.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return []
+    paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in Path(f[5].strip()).name}
+    results = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)  # already loaded, so this only returns its handle
+        for name in (f"{prefix}_{verb}{suffix}" for prefix in ("openblas", "scipy_openblas")
+                     for suffix in ("", "64_")):
+            if hasattr(lib, name):
+                results.append(getattr(lib, name)(*args))
+                break
+    return results
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: the workers fill the cores, so each runs BLAS on one thread.
+
+    OpenBLAS reads OPENBLAS_NUM_THREADS only when it loads, so a forked worker
+    would otherwise keep the parent's thread count, and compete with itself.
+    """
+    _openblas_call("set_num_threads", 1)
+
+
+def run_ablation_suite(suite: AblationSuiteSpec, progress=None) -> list[CellResult]:
     """All cells in definition order; failures become error-status rows.
 
-    Cells run on min(jobs, usable cores, cells) workers. One worker runs them
-    in this process; more fork a pool, which is shut down before this returns,
+    Cells run on min(usable cores, cells) workers. One worker runs them in
+    this process; more fork a pool, which is shut down before this returns,
     also when `progress` raises. `progress` sees each cell in definition order.
     A cell lost with a dead worker becomes an error row naming the broken pool.
-    Workers are forked, so with jobs > 1 the caller should hold no other threads.
+    Workers are forked, so the caller should hold no other threads, and each
+    runs OpenBLAS on one thread; the caller's BLAS setting does not change.
     """
     cells = [
         (suite.base.normalized, axis_spec.axis, value, seed)
@@ -91,7 +127,7 @@ def run_ablation_suite(suite: AblationSuiteSpec, progress=None, jobs: int = 1) -
         for value in axis_spec.grid
         for seed in suite.seeds
     ]
-    workers = min(jobs, usable_cores(), len(cells))
+    workers = min(usable_cores(), len(cells))
     results = []
     if workers <= 1:
         for args in cells:
@@ -109,7 +145,9 @@ def run_ablation_suite(suite: AblationSuiteSpec, progress=None, jobs: int = 1) -
     # (the resource tracker, the fork server) that outlive the pool. On the
     # fork context the executor forks every worker before it starts its own
     # thread, so a worker copies no thread of the pool.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread
+    )
     try:
         futures = [pool.submit(_cell_result, *args) for args in cells]
         for (_, axis, value, seed), future in zip(cells, futures):

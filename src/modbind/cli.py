@@ -16,13 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ablation import (
-    run_ablation_suite,
-    summarize,
-    usable_cores,
-    write_long_csv,
-    write_summary_csv,
-)
+from .ablation import run_ablation_suite, summarize, write_long_csv, write_summary_csv
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -145,9 +139,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    jobs = usable_cores() if args.jobs is None else args.jobs
-    if jobs < 1:
-        raise ConfigError("--jobs", f"must be at least 1, got {jobs}")
     suite = parse_ablation_suite(_load_json_doc(args.config))
     if args.seed is not None:
         suite.seeds = [args.seed]
@@ -160,7 +151,7 @@ def cmd_ablate(args) -> int:
         else:
             print(f"ERROR {tag}: {cell.error}")
 
-    results = run_ablation_suite(suite, progress=progress, jobs=jobs)
+    results = run_ablation_suite(suite, progress=progress)
     base_hash = suite.base.hash
     write_long_csv(results, out / "ablation_long.csv", base_hash)
     write_summary_csv(summarize(results), out / "ablation_summary.csv", base_hash)
@@ -257,10 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: config output_dir)")
     for p in (train, eval_, ablate, worldgen):
         p.add_argument("--seed", type=int, help="override the config seed")
-    ablate.add_argument(
-        "--jobs", type=int,
-        help="cells run at once, in forked workers; 1 runs them in-process (default: usable cores)",
-    )
     eval_.add_argument("--checkpoint", help="checkpoint JSON (omit to evaluate a fresh init)")
     retrieve.add_argument("--checkpoint", required=True, help="checkpoint JSON")
     retrieve.add_argument("--index-modality", required=True)

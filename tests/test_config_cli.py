@@ -6,7 +6,6 @@ training run they need is shared through a module-scoped fixture.
 
 import json
 import multiprocessing
-import multiprocessing.resource_tracker
 import os
 import subprocess
 import sys
@@ -39,8 +38,18 @@ from modbind.report import MetricsReport
 
 from .conftest import small_config_document
 
-# pool tests ask for two workers, or one where the process may use one core only
-JOBS = min(2, usable_cores())
+# pool tests run two workers, or one where the process may use one core only
+POOL = min(2, usable_cores())
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets the usable cores `run_ablation_suite` sees; 1 runs cells in-process."""
+
+    def set_cores(n):
+        monkeypatch.setattr(ablation_mod, "usable_cores", lambda: n)
+
+    return set_cores
 
 
 @pytest.fixture
@@ -385,7 +394,7 @@ def session_members(sid: int) -> list[str]:
 
 
 class TestAblationPool:
-    def test_cli_outputs_identical_at_one_and_two_jobs(self, tmp_path, capsys):
+    def test_cli_outputs_identical_in_process_and_in_workers(self, cores, tmp_path, capsys):
         suite_path = tmp_path / "suite.json"
         suite_path.write_text(json.dumps({
             "base": small_config_document(),
@@ -393,29 +402,33 @@ class TestAblationPool:
             "seeds": [0, 1],
         }))
         stdout = {}
-        for jobs in (1, JOBS):
-            out = tmp_path / f"jobs{jobs}"
-            argv = ["ablate", "--config", str(suite_path), "--out", str(out), "--jobs", str(jobs)]
-            assert main(argv) == 0
-            stdout[jobs] = capsys.readouterr().out.replace(str(out), "OUT")
-        assert stdout[1] == stdout[JOBS]
+        for n in (1, POOL):
+            cores(n)
+            out = tmp_path / f"cores{n}"
+            assert main(["ablate", "--config", str(suite_path), "--out", str(out)]) == 0
+            stdout[n] = capsys.readouterr().out.replace(str(out), "OUT")
+        assert stdout[1] == stdout[POOL]
         assert stdout[1].count("ok    ") == 8
         for name in ("ablation_long.csv", "ablation_summary.csv", "ablate_manifest.json"):
-            assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / f"jobs{JOBS}" / name).read_bytes()
+            assert (tmp_path / "cores1" / name).read_bytes() == (tmp_path / f"cores{POOL}" / name).read_bytes()
 
-    def test_failed_cell_gives_the_same_rows_in_workers(self, flaky_run_cell):
+    def test_failed_cell_gives_the_same_rows_in_workers(self, flaky_run_cell, cores):
         suite = epochs_suite([1, 2, 1], seeds=[0, 1])
-        serial = run_ablation_suite(suite, jobs=1)
+        cores(1)
+        serial = run_ablation_suite(suite)
         assert [r.status for r in serial] == ["error", "error", "ok", "ok", "error", "error"]
-        assert run_ablation_suite(suite, jobs=JOBS) == serial
+        cores(POOL)
+        assert run_ablation_suite(suite) == serial
 
-    def test_progress_sees_definition_order(self):
+    def test_progress_sees_definition_order(self, cores):
+        cores(POOL)
         seen = []
-        results = run_ablation_suite(epochs_suite([2, 1], seeds=[0, 1]), progress=seen.append, jobs=JOBS)
+        results = run_ablation_suite(epochs_suite([2, 1], seeds=[0, 1]), progress=seen.append)
         assert seen == results
         assert [(r.value, r.seed) for r in seen] == [("2", 0), ("2", 1), ("1", 0), ("1", 1)]
 
-    def test_raising_progress_propagates_and_leaves_no_worker(self, monkeypatch, tmp_path):
+    def test_raising_progress_propagates_and_leaves_no_worker(self, cores, monkeypatch, tmp_path):
+        cores(POOL)
         started = tmp_path / "started"
         real_run_cell = ablation_mod.run_cell
 
@@ -431,12 +444,13 @@ class TestAblationPool:
         monkeypatch.setattr(ablation_mod, "run_cell", logged)
         suite = epochs_suite([1, 2, 3, 4, 5, 6, 7, 8], seeds=[0, 1])
         with pytest.raises(KeyError, match="stop here"):
-            run_ablation_suite(suite, progress=progress, jobs=JOBS)
+            run_ablation_suite(suite, progress=progress)
         assert multiprocessing.active_children() == []
         # the cells still queued when progress raised never started
         assert len(started.read_text()) < 16
 
-    def test_dead_worker_becomes_error_rows(self, monkeypatch):
+    def test_dead_worker_becomes_error_rows(self, cores, monkeypatch):
+        cores(POOL)
         parent = os.getpid()
         real_run_cell = ablation_mod.run_cell
 
@@ -446,43 +460,48 @@ class TestAblationPool:
             return real_run_cell(base_normalized, axis, value, seed)
 
         monkeypatch.setattr(ablation_mod, "run_cell", dying)
-        results = run_ablation_suite(epochs_suite([1, 2]), jobs=2)
-        assert len(results) == 2
+        results = run_ablation_suite(epochs_suite([1, 2]))
         assert [(r.value, r.seed) for r in results] == [("1", 0), ("2", 0)]
-        if usable_cores() >= 2:
+        if POOL == 2:
             assert results[0].status == "error"
         for cell in results:
             assert cell.status == "ok" or cell.error.startswith("BrokenProcessPool: ")
         assert multiprocessing.active_children() == []
 
-    def test_no_resource_tracker_is_started(self):
-        run_ablation_suite(epochs_suite([1, 2]), jobs=JOBS)
-        assert multiprocessing.resource_tracker._resource_tracker._pid is None
-        assert multiprocessing.active_children() == []
+    def test_workers_run_blas_on_one_thread(self, cores, monkeypatch):
+        before = ablation_mod._openblas_call("get_num_threads")
+        if not before or POOL < 2:
+            pytest.skip("needs OpenBLAS and two usable cores")
+        cores(POOL)
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
-        argv = ["ablate", "--config", "ablate_quick.json", "--out", str(tmp_path), "--jobs", jobs]
-        assert main(argv) == 2
-        assert "--jobs" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        def blas_threads(base_normalized, axis, value, seed):
+            return "", {"blas_threads": float(ablation_mod._openblas_call("get_num_threads")[0])}
+
+        monkeypatch.setattr(ablation_mod, "run_cell", blas_threads)
+        ablation_mod._openblas_call("set_num_threads", 2)  # as if OPENBLAS_NUM_THREADS were unset
+        try:
+            results = run_ablation_suite(epochs_suite([1, 2]))
+            assert [r.metrics for r in results] == [{"blas_threads": 1.0}] * 2
+            assert ablation_mod._openblas_call("get_num_threads") == [2] * len(before)
+        finally:
+            ablation_mod._openblas_call("set_num_threads", before[0])
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
     def test_cli_leaves_no_process_in_its_session(self, tmp_path):
         suite_path = tmp_path / "suite.json"
         suite_path.write_text(json.dumps(
-            {"base": small_config_document(), "axes": [{"axis": "epochs", "grid": [1, 2, 3]}]}
+            {"base": small_config_document(), "axes": [{"axis": "epochs", "grid": [1, 2]}]}
         ))
         src = str(Path(modbind.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.Popen(
             [sys.executable, "-m", "modbind", "ablate", "--config", str(suite_path),
-             "--out", str(tmp_path / "out"), "--jobs", str(JOBS)],
+             "--out", str(tmp_path / "out")],
             env=env, start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         stdout, stderr = proc.communicate(timeout=120)
         assert proc.returncode == 0, stderr
-        assert "cells: 3, failures: 0" in stdout
+        assert "cells: 2, failures: 0" in stdout
         # the child led its own session, so its pid is the session id
         assert session_members(proc.pid) == []
 
