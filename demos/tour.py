@@ -29,7 +29,7 @@ def main():
     world = make_world(cfg.world, cfg.seed)
 
     section("world")
-    names = world.modality_names()
+    names = [m.name for m in world.modalities]
     print(f"{cfg.world.num_classes} latent classes observed through {len(names)} modalities: {', '.join(names)}")
     print(f"hub modality: {world.hub} (the only one anything is trained against)")
 

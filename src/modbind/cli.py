@@ -139,9 +139,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    suite = parse_ablation_suite(_load_json_doc(args.config))
-    if args.seed is not None:
-        suite.seeds = [args.seed]
+    doc = _load_json_doc(args.config)
+    if args.seed is not None and isinstance(doc, dict):
+        doc["seeds"] = [args.seed]  # checked with the suite's own seeds, before any cell runs
+    suite = parse_ablation_suite(doc)
     out = _out_dir(args, suite.base.output_dir)
 
     def progress(cell):

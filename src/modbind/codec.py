@@ -20,12 +20,16 @@ import dataclasses
 import functools
 import types
 import typing
+from itertools import chain
+from operator import countOf
 
 import numpy as np
 
 RUN_STATE = {"config": "never"}  # set by the run, not by a config document
 OMIT_DEFAULT = {"config": "unless_default"}
 CONFIG_REQUIRED = {"config": "required"}
+
+_NUMBER_TYPES = {int, float}  # exact types: a bool is an int subclass, but not a number here
 
 
 class ConfigError(ValueError):
@@ -120,6 +124,7 @@ def decode(tp, value, path: str, config: bool = False):
         out = [decode(t, v, f"{path}[{i}]", config) for i, (t, v) in enumerate(zip(items, value))]
         return out if origin is list else tuple(out)
     if tp is np.ndarray:
+        _check_numbers(value, path)
         try:
             return np.asarray(value, dtype=np.float64)
         except (TypeError, ValueError) as e:
@@ -135,3 +140,21 @@ def decode(tp, value, path: str, config: bool = False):
     if tp is bool and not isinstance(value, bool):
         raise ConfigError(path, f"expected a boolean, got {value!r}")
     return value
+
+
+def _check_numbers(value, path: str) -> None:
+    """Nested lists of ints and floats only: np.asarray reads true as 1.0 and "0.5" as 0.5."""
+    if type(value) is not list:
+        raise ConfigError(path, f"expected a list, got {value!r}")
+    if value and type(value[0]) is list:
+        # rows of floats, what every checkpoint holds, pass in one pass over the
+        # elements; anything else is walked row by row to name the bad element
+        if countOf(map(type, value), list) == len(value) and countOf(
+            map(type, chain.from_iterable(value)), float
+        ) == sum(map(len, value)):
+            return
+        for i, row in enumerate(value):
+            _check_numbers(row, f"{path}[{i}]")
+    elif not set(map(type, value)) <= _NUMBER_TYPES:
+        i = next(i for i, v in enumerate(value) if type(v) not in _NUMBER_TYPES)
+        raise ConfigError(f"{path}[{i}]", f"expected a number, got {value[i]!r}")

@@ -8,7 +8,6 @@ Linear(in, in) -> GELU -> Linear(in, d).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -95,12 +94,13 @@ class EncoderParams:
     All of them live in one contiguous float64 vector `flat`, laid out as
     W0, b0, W1, b1, ... (the order of `arrays()`); `weights[i]` and
     `biases[i]` are views into it. Construction packs the given arrays into a
-    fresh vector, so a copy, `dataclasses.replace` or a decoded checkpoint
-    never shares memory with its source. Optimizers update `flat` in place.
+    fresh vector, so `dataclasses.replace` or a decoded checkpoint never
+    shares memory with its source. Optimizers update `flat` in place.
     """
 
     arch: EncoderArch
-    # declared here so checkpoints list it before the arrays
+    # the trainer runs no backward pass or update for a frozen hub; declared
+    # here so checkpoints list it before the arrays
     frozen: bool = field(default=False, kw_only=True)
     weights: list[np.ndarray]  # each (out_dim, in_dim)
     biases: list[np.ndarray]  # each (out_dim,)
@@ -113,15 +113,9 @@ class EncoderParams:
         self.flat, views = pack(arrays)
         self.weights, self.biases = views[0::2], views[1::2]
 
-    def copy(self) -> "EncoderParams":
-        return dataclasses.replace(self)
-
     def arrays(self) -> list[np.ndarray]:
         """All parameter arrays in a fixed order (weights and biases interleaved)."""
         return [a for wb in zip(self.weights, self.biases) for a in wb]
-
-    def num_params(self) -> int:
-        return self.flat.size
 
 
 @dataclass
@@ -178,16 +172,11 @@ def encode(params: EncoderParams, obs: np.ndarray) -> tuple[np.ndarray, ForwardC
 def encode_backward(
     params: EncoderParams, cache: ForwardCache, grad_embeddings: np.ndarray
 ) -> EncoderGrads:
-    """Exact gradients of the (normalized) embeddings w.r.t. all parameters.
-
-    Frozen encoders yield an all-zero gradient block of the right shape.
-    """
+    """Exact gradients of the (normalized) embeddings w.r.t. all parameters."""
     if grad_embeddings.shape != cache.pre_norm.shape:
         raise NumericsError(
             f"grad shape {grad_embeddings.shape} does not match embeddings {cache.pre_norm.shape}"
         )
-    if params.frozen:
-        return zero_grads(params)
     flat = np.empty_like(params.flat)
     views = _views(flat, params.arch.param_shapes())
     g = l2_normalize_rows_backward(cache.pre_norm, grad_embeddings)
@@ -202,23 +191,3 @@ def encode_backward(
             g = g @ params.weights[i]
     return EncoderGrads(flat=flat, views=views)
 
-
-def zero_grads(params: EncoderParams) -> EncoderGrads:
-    flat = np.zeros_like(params.flat)
-    return EncoderGrads(flat=flat, views=_views(flat, params.arch.param_shapes()))
-
-
-def params_to_vec(params: EncoderParams) -> np.ndarray:
-    """Flatten all parameters into one vector (fixed layer order)."""
-    return params.flat.copy()
-
-
-def vec_to_params(arch: EncoderArch, vec: np.ndarray, frozen: bool = False) -> EncoderParams:
-    """Inverse of params_to_vec for the given architecture."""
-    vec = np.asarray(vec, dtype=np.float64)
-    shapes = arch.param_shapes()
-    need = sum(math.prod(shape) for shape in shapes)
-    if vec.size != need:
-        raise NumericsError(f"parameter vector length {vec.size} does not match arch (need {need})")
-    arrays = _views(vec, shapes)
-    return EncoderParams(arch=arch, weights=arrays[0::2], biases=arrays[1::2], frozen=frozen)

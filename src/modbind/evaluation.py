@@ -56,7 +56,6 @@ class RetrievalIndex:
 
     embeddings: np.ndarray  # (N, d)
     item_ids: np.ndarray  # (N,)
-    modality: str
 
     def __post_init__(self):
         self.item_ids = np.asarray(self.item_ids)
@@ -71,8 +70,6 @@ class RetrievalIndex:
 
 @dataclass
 class EmergentResult:
-    data_modality: str
-    prompt_modality: str
     accuracy: float
     emergent: bool
     n: int
@@ -194,13 +191,7 @@ def emergent_zero_shot_accuracy(
     emergent = data_modality != prompt_modality and frozenset(
         (data_modality, prompt_modality)
     ) not in registry
-    return EmergentResult(
-        data_modality=data_modality,
-        prompt_modality=prompt_modality,
-        accuracy=accuracy,
-        emergent=emergent,
-        n=len(eval_set.labels),
-    )
+    return EmergentResult(accuracy=accuracy, emergent=emergent, n=len(eval_set.labels))
 
 
 def _block_rows(n: int) -> int:
@@ -435,10 +426,11 @@ def frozen_hub_eval(
 ) -> MetricsReport:
     """Score a supplied hub encoder: train fresh spokes against it, frozen,
     then measure emergent zero-shot accuracy between the requested pairs."""
-    cfg = dataclasses.replace(config, hub_frozen=True)
     archs = {**archs, world.hub: hub_params.arch}
-    state = init_train_state(world, archs, cfg, hub_params=hub_params)
-    state, _ = train_run(world, archs, cfg, state=state)
+    state = init_train_state(world, archs, config)
+    # replace packs a fresh buffer, so training never writes to the caller's hub
+    state.encoders[world.hub] = dataclasses.replace(hub_params, frozen=True)
+    state, _ = train_run(world, archs, config, state=state)
     metrics: dict[str, float] = {}
     flags: dict[str, bool] = {}
     for data_mod, prompt_mod in emergent_pairs:
@@ -448,7 +440,7 @@ def frozen_hub_eval(
         )
         metrics[f"emergent_zero_shot/{data_mod}_vs_{prompt_mod}"] = res.accuracy
         flags[f"emergent/{data_mod}_vs_{prompt_mod}"] = res.emergent
-    report = MetricsReport(metrics=metrics, flags=flags, config_hash=config_hash, seed=cfg.seed)
+    report = MetricsReport(metrics=metrics, flags=flags, config_hash=config_hash, seed=config.seed)
     report.validate()
     return report
 
@@ -480,7 +472,7 @@ def run_eval_plan(
         index_emb, _ = encode(_encoder(state, index_mod), obs[index_mod])
         query_emb, _ = encode(_encoder(state, query_mod), obs[query_mod])
         ids = np.arange(plan.retrieval_index_size)
-        index = RetrievalIndex(embeddings=index_emb, item_ids=ids, modality=index_mod)
+        index = RetrievalIndex(embeddings=index_emb, item_ids=ids)
         recalls = cross_modal_recall_at_k(index, query_emb, ids, plan.k_list)
         for k, value in recalls.items():
             metrics[f"recall_at_{k}/{query_mod}_to_{index_mod}"] = value
@@ -523,7 +515,7 @@ def run_eval_plan(
         emb_a, _ = encode(_encoder(state, mod_a), obs[mod_a])
         emb_b, _ = encode(_encoder(state, mod_b), obs[mod_b])
         ids = np.arange(plan.retrieval_index_size)
-        index = RetrievalIndex(embeddings=hub_emb, item_ids=ids, modality=hub)
+        index = RetrievalIndex(embeddings=hub_emb, item_ids=ids)
         for w in plan.ensemble_weights:
             combined = embed_arithmetic(emb_a, emb_b, w)
             recall = cross_modal_recall_at_k(index, combined, ids, [plan.retrieval_k])

@@ -1,4 +1,4 @@
-"""Dense linear algebra, activations, row normalization, and a gradient checker.
+"""Activations, row normalization and the row softmax.
 
 All functions are pure, operate on float64 ndarrays, and every backward pass
 is hand-derived (no autodiff graph). Matrices are plain 2-d numpy arrays in
@@ -6,8 +6,6 @@ row-major order; a batch is rows, features are columns.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +18,6 @@ DEFAULT_NORM_EPS = 1e-12
 
 class NumericsError(ValueError):
     """Raised on dimension mismatches or non-finite values in numeric kernels."""
-
-
-@dataclass
-class GradCheckReport:
-    """Outcome of a central finite-difference check against an analytic gradient."""
-
-    max_rel_error: float
-    worst_param_index: int
-    eps: float
 
 
 def as_matrix(x) -> np.ndarray:
@@ -125,42 +114,3 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
-
-def finite_difference_check(
-    loss_fn, params: np.ndarray, analytic_grad: np.ndarray, eps: float = 1e-6
-) -> GradCheckReport:
-    """Central finite differences of `loss_fn` around `params`, per coordinate.
-
-    `loss_fn` maps a parameter array (same shape as `params`) to a scalar.
-    Relative error per coordinate is |g_fd - g_an| / max(|g_fd|, |g_an|, 1e-8);
-    the report carries the worst coordinate (flat index).
-    """
-    if not (0.0 < eps <= 1e-2):
-        raise NumericsError(f"finite-difference eps must lie in (0, 1e-2], got {eps}")
-    params = np.asarray(params, dtype=np.float64)
-    analytic = np.asarray(analytic_grad, dtype=np.float64)
-    if params.shape != analytic.shape:
-        raise NumericsError(
-            f"analytic gradient shape {analytic.shape} does not match params {params.shape}"
-        )
-    flat = params.ravel().copy()
-    an = analytic.ravel()
-    max_rel = 0.0
-    worst = 0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        f_plus = float(loss_fn(flat.reshape(params.shape)))
-        flat[i] = orig - eps
-        f_minus = float(loss_fn(flat.reshape(params.shape)))
-        flat[i] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericsError(
-                f"non-finite loss during finite-difference check at flat index {i}"
-            )
-        g_fd = (f_plus - f_minus) / (2.0 * eps)
-        rel = abs(g_fd - an[i]) / max(abs(g_fd), abs(an[i]), 1e-8)
-        if rel > max_rel:
-            max_rel = rel
-            worst = i
-    return GradCheckReport(max_rel_error=float(max_rel), worst_param_index=worst, eps=eps)

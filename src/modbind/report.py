@@ -19,7 +19,7 @@ from pathlib import Path
 
 
 class ReportError(ValueError):
-    """Raised for non-finite metrics or malformed report documents."""
+    """Raised for non-finite metrics."""
 
 
 def canonical_json(obj) -> str:
@@ -82,20 +82,6 @@ class MetricsReport:
             "flags": dict(self.flags),
         }
         return json.dumps(doc, sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        doc = json.loads(text)
-        if not isinstance(doc, dict) or doc.get("kind") != "metrics_report":
-            raise ReportError("not a metrics report document")
-        report = cls(
-            metrics=dict(doc["metrics"]),
-            flags=dict(doc.get("flags", {})),
-            config_hash=doc.get("config_hash", ""),
-            seed=doc.get("seed", 0),
-        )
-        report.validate()
-        return report
 
     def to_csv(self) -> str:
         """Flat (metric, value) rows in sorted metric order; flags as 0/1."""

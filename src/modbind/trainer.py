@@ -248,28 +248,16 @@ def check_layout(
 
 
 def init_train_state(
-    world: WorldSpec,
-    archs: dict[str, EncoderArch],
-    config: TrainConfig,
-    hub_params: EncoderParams | None = None,
+    world: WorldSpec, archs: dict[str, EncoderArch], config: TrainConfig
 ) -> TrainState:
-    """Fresh encoders, zero optimizer buffers, per-pair (or shared) temperatures.
-
-    `hub_params` substitutes an externally supplied hub encoder (used to
-    measure a pretrained hub's representation quality against frozen weights).
-    """
-    hub_name = world.hub
-    if hub_params is not None:
-        archs = {**archs, hub_name: hub_params.arch}
+    """Fresh encoders, zero optimizer buffers, per-pair (or shared) temperatures."""
     obs_dims = {m.name: m.obs_dim for m in world.modalities}
-    check_layout(obs_dims, hub_name, archs, config)
+    check_layout(obs_dims, world.hub, archs, config)
 
     encoders = {
         name: init_encoder(arch, encoder_init_seed(config.seed, name)) for name, arch in archs.items()
     }
-    if hub_params is not None:
-        encoders[hub_name] = hub_params.copy()
-    encoders[hub_name].frozen = config.hub_frozen
+    encoders[world.hub].frozen = config.hub_frozen
     moments = {
         name: AdamMoments(
             m=[np.zeros_like(a) for a in enc.arrays()],
@@ -337,6 +325,10 @@ def train_run(
             missing = [key for key in want if key not in have]
             if missing:
                 raise TrainerError(f"checkpoint has no {what} for {missing}")
+        # the step skips the backward pass and update of a frozen hub only
+        frozen = [pc.spoke for pc in config.pairs if state.encoders[pc.spoke].frozen]
+        if frozen:
+            raise TrainerError(f"only the hub can be frozen, got frozen spokes {frozen}")
         if config.shared_temperature:
             # a loaded state holds one object per pair; the run trains one
             shared, *rest = [state.temperatures[pc.spoke] for pc in config.pairs]
@@ -384,12 +376,13 @@ def train_run(
                 f"training diverged: non-finite loss at step {t} (pair {pc.spoke})"
             )
 
-        hub_grads = encode_backward(hub_enc, q_cache, grad_q)
         spoke_grads = encode_backward(spoke_enc, k_cache, grad_k)
         tau_learnable = temp.learnable and pc.infonce_weight != 0
         tau_grad = np.array([grad_log_tau])
         clip_list = spoke_grads.arrays()
+        # a frozen hub gets no backward pass, no share of the clip norm and no update
         if not hub_enc.frozen:
+            hub_grads = encode_backward(hub_enc, q_cache, grad_q)
             clip_list = clip_list + hub_grads.arrays()
         if tau_learnable:
             clip_list = clip_list + [tau_grad]
@@ -511,9 +504,10 @@ def load_checkpoint(path: str | Path) -> TrainState:
     if step < 0:
         raise TrainerError(f"corrupt checkpoint: step must be >= 0, got {step}")
     encoders, moments, tau_moments = parts["encoders"], parts["moments"], parts["tau_moments"]
-    for name in moments:
-        if name not in encoders:
-            raise TrainerError(f"corrupt checkpoint: moments for unknown encoder {name!r}")
+    if moments.keys() != encoders.keys():
+        raise TrainerError(
+            f"corrupt checkpoint: moments for {sorted(moments)} do not match encoders {sorted(encoders)}"
+        )
     expected = [(f"moments.{n}", mom, encoders[n].arch.param_shapes()) for n, mom in moments.items()]
     expected += [(f"tau_moments.{n}", mom, [(1,)]) for n, mom in tau_moments.items()]
     for where, mom, shapes in expected:

@@ -162,9 +162,6 @@ class WorldSpec:
         except KeyError:
             raise WorldError(f"unknown modality {name!r}") from None
 
-    def modality_names(self) -> list[str]:
-        return [obs.name for obs in self.modalities]
-
     def stream(self, name: str) -> np.random.Generator:
         """Named sampling stream tied to this world's seed."""
         return stream_rng(self.seed, name)
@@ -195,31 +192,6 @@ class WorldSpec:
             ],
         }
         return json.dumps(doc, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WorldSpec":
-        doc = json.loads(text)
-        if doc.get("version") != WORLD_FORMAT_VERSION or doc.get("kind") != "world":
-            raise WorldError("unrecognized world document version")
-        modalities = [
-            ModalityObserver(
-                name=m["name"],
-                weight=np.asarray(m["weight"], dtype=np.float64),
-                bias=np.asarray(m["bias"], dtype=np.float64),
-                nonlinearity=m["nonlinearity"],
-                obs_noise_scale=m["obs_noise_scale"],
-            )
-            for m in doc["modalities"]
-        ]
-        return cls(
-            latent_dim=doc["latent_dim"],
-            num_classes=doc["num_classes"],
-            class_means=np.asarray(doc["class_means"], dtype=np.float64),
-            within_class_scale=doc["within_class_scale"],
-            modalities=modalities,
-            hub=doc["hub"],
-            seed=doc["seed"],
-        )
 
 
 def make_world(config: WorldConfig, seed: int) -> WorldSpec:

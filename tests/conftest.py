@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from modbind.encoders import EncoderParams
 from modbind.world import ModalityConfig, WorldConfig, make_world
 
 
@@ -41,6 +44,17 @@ def unit_rows(n, d, rng):
     """Random L2-normalized rows."""
     x = rng.standard_normal((n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def encoder_from_vec(arch, vec):
+    """EncoderParams of `arch` whose flat vector is a copy of `vec` (W0, b0, W1, b1, ...)."""
+    arrays, pos = [], 0
+    for shape in arch.param_shapes():
+        size = math.prod(shape)
+        arrays.append(vec[pos : pos + size].reshape(shape))
+        pos += size
+    assert pos == len(vec), f"vector of {len(vec)} values for {pos} parameters"
+    return EncoderParams(arch=arch, weights=arrays[0::2], biases=arrays[1::2])
 
 
 def small_config_document():

@@ -3,10 +3,14 @@
 Everything here is written with explicit Python loops over lists and
 math.exp/math.log, sharing no code with the package. Slow and simple on
 purpose: these are the ground truth the vectorized implementations must
-match.
+match. `finite_difference_check` checks hand-derived gradients against
+central finite differences of the loss.
 """
 
 import math
+from dataclasses import dataclass
+
+import numpy as np
 
 
 def dot(u, v):
@@ -114,3 +118,52 @@ def gelu_power_loops(x):
 
 def central_diff_scalar(f, x, eps=1e-6):
     return (f(x + eps) - f(x - eps)) / (2.0 * eps)
+
+
+@dataclass
+class GradCheckReport:
+    """Outcome of a central finite-difference check against an analytic gradient."""
+
+    max_rel_error: float
+    worst_param_index: int
+    eps: float
+
+
+def finite_difference_check(
+    loss_fn, params: np.ndarray, analytic_grad: np.ndarray, eps: float = 1e-6
+) -> GradCheckReport:
+    """Central finite differences of `loss_fn` around `params`, per coordinate.
+
+    `loss_fn` maps a parameter array (same shape as `params`) to a scalar.
+    Relative error per coordinate is |g_fd - g_an| / max(|g_fd|, |g_an|, 1e-8);
+    the report carries the worst coordinate (flat index).
+    """
+    if not (0.0 < eps <= 1e-2):
+        raise ValueError(f"finite-difference eps must lie in (0, 1e-2], got {eps}")
+    params = np.asarray(params, dtype=np.float64)
+    analytic = np.asarray(analytic_grad, dtype=np.float64)
+    if params.shape != analytic.shape:
+        raise ValueError(
+            f"analytic gradient shape {analytic.shape} does not match params {params.shape}"
+        )
+    flat = params.ravel().copy()
+    an = analytic.ravel()
+    max_rel = 0.0
+    worst = 0
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        f_plus = float(loss_fn(flat.reshape(params.shape)))
+        flat[i] = orig - eps
+        f_minus = float(loss_fn(flat.reshape(params.shape)))
+        flat[i] = orig
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise ValueError(
+                f"non-finite loss during finite-difference check at flat index {i}"
+            )
+        g_fd = (f_plus - f_minus) / (2.0 * eps)
+        rel = abs(g_fd - an[i]) / max(abs(g_fd), abs(an[i]), 1e-8)
+        if rel > max_rel:
+            max_rel = rel
+            worst = i
+    return GradCheckReport(max_rel_error=float(max_rel), worst_param_index=worst, eps=eps)

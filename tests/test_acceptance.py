@@ -23,14 +23,7 @@ import pytest
 from modbind.cli import main
 from modbind.config import apply_axis, parse_experiment_config
 from modbind.contrastive import TemperatureParam, info_nce, symmetric_info_nce
-from modbind.encoders import (
-    EncoderArch,
-    encode,
-    encode_backward,
-    init_encoder,
-    params_to_vec,
-    vec_to_params,
-)
+from modbind.encoders import EncoderArch, encode, encode_backward, init_encoder
 from modbind.evaluation import (
     EvalPlan,
     RetrievalIndex,
@@ -42,11 +35,11 @@ from modbind.evaluation import (
     frozen_hub_eval,
     run_eval_plan,
 )
-from modbind.numerics import finite_difference_check
 from modbind.trainer import init_train_state, train_run
 from modbind.world import make_eval_set, make_world
 
-from .oracles import info_nce_loss_loops
+from .conftest import encoder_from_vec
+from .oracles import finite_difference_check, info_nce_loss_loops
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -160,26 +153,26 @@ def test_criterion_02_end_to_end_gradients_pass_finite_differences(verdicts):
     start = time.perf_counter()
     worst = 0.0
     for arch in archs.values():
-        p = init_encoder(arch, seed=2).num_params()
+        p = init_encoder(arch, seed=2).flat.size
         vec0 = np.concatenate(
             [
-                params_to_vec(init_encoder(arch, seed=2)),
-                params_to_vec(init_encoder(arch, seed=3)),
+                init_encoder(arch, seed=2).flat,
+                init_encoder(arch, seed=3).flat,
                 [log_tau0],
             ]
         )
 
         def loss_fn(vec, arch=arch, p=p):
-            params_q = vec_to_params(arch, vec[:p])
-            params_k = vec_to_params(arch, vec[p : 2 * p])
+            params_q = encoder_from_vec(arch, vec[:p])
+            params_k = encoder_from_vec(arch, vec[p : 2 * p])
             lt = float(vec[2 * p])
             temp = TemperatureParam(mode="learnable", value=math.exp(lt), log_tau=lt)
             emb_q, _ = encode(params_q, obs_q)
             emb_k, _ = encode(params_k, obs_k)
             return symmetric_info_nce(emb_q, emb_k, temp).loss
 
-        params_q = vec_to_params(arch, vec0[:p])
-        params_k = vec_to_params(arch, vec0[p : 2 * p])
+        params_q = encoder_from_vec(arch, vec0[:p])
+        params_k = encoder_from_vec(arch, vec0[p : 2 * p])
         temp = TemperatureParam(mode="learnable", value=0.07, log_tau=log_tau0)
         emb_q, cache_q = encode(params_q, obs_q)
         emb_k, cache_k = encode(params_k, obs_k)
@@ -258,7 +251,7 @@ def test_criterion_05_never_paired_retrieval(verdicts, m1m2_runs):
         index_emb, _ = encode(run.state.encoders["spoke2"], obs["spoke2"])
         query_emb, _ = encode(run.state.encoders["spoke1"], obs["spoke1"])
         ids = np.arange(n_items)
-        index = RetrievalIndex(embeddings=index_emb, item_ids=ids, modality="spoke2")
+        index = RetrievalIndex(embeddings=index_emb, item_ids=ids)
         recalls.append(cross_modal_recall_at_k(index, query_emb, ids, [10])[10])
         control_ids = np.random.default_rng(1000 + i).permutation(ids)
         shuffled.append(cross_modal_recall_at_k(index, query_emb, control_ids, [10])[10])

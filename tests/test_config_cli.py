@@ -34,7 +34,6 @@ from modbind.config import (
     parse_ablation_suite,
     parse_experiment_config,
 )
-from modbind.report import MetricsReport
 
 from .conftest import small_config_document
 
@@ -565,10 +564,10 @@ class TestCliEval:
              "--out", str(tmp_path)]
         )
         assert code == 0
-        report = MetricsReport.from_json((tmp_path / "metrics.json").read_text())
+        report = json.loads((tmp_path / "metrics.json").read_text())
         cfg = parse_experiment_config(json.loads(cfg_path.read_text()))
-        assert report.config_hash == cfg.hash
-        assert report.flags["emergent/alpha_vs_beta"] is True
+        assert report["config_hash"] == cfg.hash
+        assert report["flags"]["emergent/alpha_vs_beta"] is True
         assert (tmp_path / "metrics.csv").read_text().startswith(f"# config_hash={cfg.hash}")
 
     def test_rerun_is_byte_identical(self, cli_space, tmp_path):
@@ -600,8 +599,8 @@ class TestCliEval:
     def test_fresh_init_when_no_checkpoint(self, cli_space, tmp_path):
         _, cfg_path, _ = cli_space
         assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-        report = MetricsReport.from_json((tmp_path / "metrics.json").read_text())
-        assert "emergent_zero_shot/alpha_vs_beta" in report.metrics
+        report = json.loads((tmp_path / "metrics.json").read_text())
+        assert "emergent_zero_shot/alpha_vs_beta" in report["metrics"]
 
     def test_seed_mismatch_is_config_error(self, cli_space, tmp_path, capsys):
         _, cfg_path, out = cli_space
@@ -641,6 +640,19 @@ class TestCliEval:
                      "--out", str(tmp_path)])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_non_number_weight_is_runtime_error(self, cli_space, tmp_path, capsys):
+        # JSON true would otherwise load as the weight 1.0
+        _, cfg_path, out = cli_space
+        doc = json.loads((out / "checkpoint.json").read_text())
+        doc["encoders"]["alpha"]["weights"][0][0][0] = True
+        ckpt = tmp_path / "poisoned.json"
+        ckpt.write_text(json.dumps(doc))
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "encoders.alpha.weights[0][0][0]: expected a number" in capsys.readouterr().err
         assert not (tmp_path / "metrics.json").exists()
 
     def test_non_finite_log_tau_is_runtime_error(self, cli_space, tmp_path, capsys):
@@ -805,6 +817,19 @@ class TestCliWorldgenAndErrors:
         manifest = json.loads((tmp_path / "ablate_manifest.json").read_text())
         assert manifest["cells"] == 2
         assert manifest["failures"] == 0
+
+
+    def test_ablate_negative_seed_exits_2_before_any_cell(self, tmp_path, capsys):
+        suite_doc = {"base": small_config_document(), "axes": [{"axis": "epochs", "grid": [1, 2]}]}
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps(suite_doc))
+        out = tmp_path / "out"
+        code = main(["ablate", "--config", str(suite_path), "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "suite.seeds" in captured.err
+        assert not out.exists()
 
 
 class TestCliDeskBudget:

@@ -12,10 +12,11 @@ from modbind.contrastive import (
     l2_regression_loss,
     symmetric_info_nce,
 )
-from modbind.numerics import NumericsError, finite_difference_check, l2_normalize_rows
+from modbind.numerics import NumericsError, l2_normalize_rows
 
 from .oracles import (
     central_diff_scalar,
+    finite_difference_check,
     info_nce_loss_loops,
     l2_regression_loss_loops,
     symmetric_info_nce_loss_loops,

@@ -12,11 +12,11 @@ from modbind.encoders import (
     encode,
     encode_backward,
     init_encoder,
-    params_to_vec,
-    vec_to_params,
-    zero_grads,
 )
-from modbind.numerics import NumericsError, finite_difference_check, l2_normalize_rows
+from modbind.numerics import NumericsError, l2_normalize_rows
+
+from .conftest import encoder_from_vec
+from .oracles import finite_difference_check
 
 ARCHS = {
     "no_trunk_linear": EncoderArch(input_dim=6, hidden_widths=(), embed_dim=5, head="linear"),
@@ -127,24 +127,14 @@ class TestBackward:
 
         emb, cache = encode(params, x)
         grads = encode_backward(params, cache, target)
-        vec = params_to_vec(params)
         grad_vec = np.concatenate([g.ravel() for g in grads.arrays()])
 
         def loss(v):
-            p = vec_to_params(arch, v)
-            e, _ = encode(p, x)
+            e, _ = encode(encoder_from_vec(arch, v), x)
             return float(np.sum(e * target))
 
-        report = finite_difference_check(loss, vec, grad_vec, eps=1e-5)
+        report = finite_difference_check(loss, params.flat, grad_vec, eps=1e-5)
         assert report.max_rel_error <= 1e-4
-
-    def test_frozen_yields_zero_grads(self, rng):
-        params = dataclasses.replace(init_encoder(ARCHS["hidden_mlp"], seed=5), frozen=True)
-        x = rng.standard_normal((4, 6))
-        _, cache = encode(params, x)
-        grads = encode_backward(params, cache, rng.standard_normal((4, 5)))
-        for g in grads.arrays():
-            np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_zero_upstream_yields_zero_grads(self, rng):
         params = init_encoder(ARCHS["hidden_mlp"], seed=5)
@@ -160,14 +150,6 @@ class TestBackward:
         _, cache = encode(params, x)
         with pytest.raises(NumericsError):
             encode_backward(params, cache, rng.standard_normal((4, 7)))
-
-    def test_zero_grads_shapes(self):
-        params = init_encoder(ARCHS["hidden_mlp"], seed=5)
-        grads = zero_grads(params)
-        for g, a in zip(grads.arrays(), params.arrays(), strict=True):
-            assert g.shape == a.shape
-            np.testing.assert_array_equal(g, np.zeros_like(g))
-        np.testing.assert_array_equal(grads.flat, np.zeros(params.num_params()))
 
     def test_grads_share_the_params_layout(self, rng):
         params = init_encoder(ARCHS["hidden_mlp"], seed=5)
@@ -189,10 +171,8 @@ class TestFlatLayout:
         doc = to_doc(params)
         return {
             "init_encoder": params,
-            "copy": params.copy(),
             "replace": dataclasses.replace(params, frozen=True),
             "from_doc": from_doc(EncoderParams, doc),
-            "vec_to_params": vec_to_params(params.arch, params_to_vec(params)),
         }
 
     @pytest.mark.parametrize("name", sorted(ARCHS))
@@ -200,9 +180,6 @@ class TestFlatLayout:
         params = init_encoder(ARCHS[name], seed=5)
         for p in self.made_by(params).values():
             assert_packed(p.flat, p.arrays(), p.arch)
-            np.testing.assert_array_equal(
-                params_to_vec(p), np.concatenate([a.ravel() for a in p.arrays()])
-            )
 
     def test_copies_own_their_memory(self):
         params = init_encoder(ARCHS["hidden_mlp"], seed=5)
@@ -226,21 +203,6 @@ class TestFlatLayout:
 
 
 class TestParamVector:
-    def test_round_trip(self):
-        params = init_encoder(ARCHS["hidden_mlp"], seed=5)
-        back = vec_to_params(params.arch, params_to_vec(params))
-        for a, b in zip(params.arrays(), back.arrays()):
-            np.testing.assert_array_equal(a, b)
-
-    def test_num_params_matches_vector(self):
-        params = init_encoder(ARCHS["hidden_mlp"], seed=5)
-        assert params_to_vec(params).size == params.num_params()
-
-    def test_wrong_length_rejected(self):
-        params = init_encoder(ARCHS["hidden_mlp"], seed=5)
-        with pytest.raises(NumericsError):
-            vec_to_params(params.arch, params_to_vec(params)[:-1])
-
     def test_dict_round_trip_is_exact(self):
         params = init_encoder(ARCHS["hidden_mlp"], seed=5)
         back = from_doc(EncoderParams, to_doc(params))

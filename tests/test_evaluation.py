@@ -53,12 +53,8 @@ def world_config(beta_noise=0.05, within_class_scale=0.2):
 
 def make_archs(world, embed_dim=6):
     return {
-        name: EncoderArch(
-            input_dim=world.observer(name).obs_dim,
-            hidden_widths=(8,),
-            embed_dim=embed_dim,
-        )
-        for name in world.modality_names()
+        m.name: EncoderArch(input_dim=m.obs_dim, hidden_widths=(8,), embed_dim=embed_dim)
+        for m in world.modalities
     }
 
 
@@ -213,29 +209,25 @@ class TestEmergentZeroShot:
 class TestRecallAtK:
     def test_self_retrieval_is_perfect(self, rng):
         emb = unit_rows(20, 6, rng)
-        index = RetrievalIndex(embeddings=emb, item_ids=np.arange(20), modality="hub")
+        index = RetrievalIndex(embeddings=emb, item_ids=np.arange(20))
         recalls = cross_modal_recall_at_k(index, emb, np.arange(20), [1])
         assert recalls[1] == 1.0
 
     def test_k_equals_n_is_one(self, rng):
-        index = RetrievalIndex(
-            embeddings=unit_rows(15, 6, rng), item_ids=np.arange(15), modality="hub"
-        )
+        index = RetrievalIndex(embeddings=unit_rows(15, 6, rng), item_ids=np.arange(15))
         recalls = cross_modal_recall_at_k(index, unit_rows(7, 6, rng), np.arange(7), [15])
         assert recalls[15] == 1.0
 
     @pytest.mark.parametrize("k", [0, 16])
     def test_k_out_of_range_rejected(self, rng, k):
-        index = RetrievalIndex(
-            embeddings=unit_rows(15, 6, rng), item_ids=np.arange(15), modality="hub"
-        )
+        index = RetrievalIndex(embeddings=unit_rows(15, 6, rng), item_ids=np.arange(15))
         with pytest.raises(EvaluationError):
             cross_modal_recall_at_k(index, unit_rows(3, 6, rng), np.arange(3), [k])
 
     def test_matches_loop_oracle(self, rng):
         emb = unit_rows(12, 5, rng)
         ids = np.arange(12)
-        index = RetrievalIndex(embeddings=emb, item_ids=ids, modality="hub")
+        index = RetrievalIndex(embeddings=emb, item_ids=ids)
         queries = unit_rows(8, 5, rng)
         gt = rng.integers(0, 12, 8)
         recalls = cross_modal_recall_at_k(index, queries, gt, [1, 3, 5])
@@ -251,7 +243,7 @@ class TestRecallAtK:
         assert _block_rows(n) < q
         emb = unit_rows(5, 6, rng)[rng.integers(0, 5, n)]
         ids = rng.permutation(3 * n)[:n]
-        index = RetrievalIndex(embeddings=emb, item_ids=ids, modality="hub")
+        index = RetrievalIndex(embeddings=emb, item_ids=ids)
         queries = unit_rows(q, 6, rng)
         gt = ids[rng.integers(0, n, q)]
         k_list = [1, 300, 900, 1700, n]
@@ -266,16 +258,14 @@ class TestRecallAtK:
         row = unit_rows(1, 4, rng)[0]
         other = unit_rows(1, 4, rng)[0]
         emb = np.stack([row, other, row])
-        index = RetrievalIndex(embeddings=emb, item_ids=np.array([5, 7, 9]), modality="hub")
+        index = RetrievalIndex(embeddings=emb, item_ids=np.array([5, 7, 9]))
         q = row[None, :]
         assert cross_modal_recall_at_k(index, q, [5], [1])[1] == 1.0
         assert cross_modal_recall_at_k(index, q, [9], [1])[1] == 0.0
         assert cross_modal_recall_at_k(index, q, [9], [2])[2] == 1.0
 
     def test_monotone_in_k(self, rng):
-        index = RetrievalIndex(
-            embeddings=unit_rows(30, 6, rng), item_ids=np.arange(30), modality="hub"
-        )
+        index = RetrievalIndex(embeddings=unit_rows(30, 6, rng), item_ids=np.arange(30))
         queries = unit_rows(25, 6, rng)
         gt = rng.integers(0, 30, 25)
         recalls = cross_modal_recall_at_k(index, queries, gt, [1, 5, 10, 30])
@@ -283,32 +273,24 @@ class TestRecallAtK:
         assert values == sorted(values)
 
     def test_unknown_ground_truth_rejected(self, rng):
-        index = RetrievalIndex(
-            embeddings=unit_rows(5, 6, rng), item_ids=np.arange(5), modality="hub"
-        )
+        index = RetrievalIndex(embeddings=unit_rows(5, 6, rng), item_ids=np.arange(5))
         with pytest.raises(EvaluationError):
             cross_modal_recall_at_k(index, unit_rows(1, 6, rng), [99], [1])
 
     def test_no_queries_rejected(self, rng):
         # the mean over zero ranks would be NaN
-        index = RetrievalIndex(
-            embeddings=unit_rows(5, 6, rng), item_ids=np.arange(5), modality="hub"
-        )
+        index = RetrievalIndex(embeddings=unit_rows(5, 6, rng), item_ids=np.arange(5))
         with pytest.raises(EvaluationError, match="at least one query"):
             cross_modal_recall_at_k(index, np.zeros((0, 6)), [], [1])
 
     def test_ground_truth_count_mismatch_rejected(self, rng):
-        index = RetrievalIndex(
-            embeddings=unit_rows(5, 6, rng), item_ids=np.arange(5), modality="hub"
-        )
+        index = RetrievalIndex(embeddings=unit_rows(5, 6, rng), item_ids=np.arange(5))
         with pytest.raises(EvaluationError):
             cross_modal_recall_at_k(index, unit_rows(2, 6, rng), [0], [1])
 
     def test_non_finite_queries_rejected(self, rng):
         # a NaN query compares false with every item, so its true item would rank first
-        index = RetrievalIndex(
-            embeddings=unit_rows(5, 6, rng), item_ids=np.arange(5), modality="hub"
-        )
+        index = RetrievalIndex(embeddings=unit_rows(5, 6, rng), item_ids=np.arange(5))
         queries = unit_rows(2, 6, rng)
         queries[1, 0] = np.nan
         with pytest.raises(EvaluationError):
@@ -316,9 +298,7 @@ class TestRecallAtK:
 
     def test_duplicate_index_ids_rejected(self, rng):
         with pytest.raises(EvaluationError):
-            RetrievalIndex(
-                embeddings=unit_rows(3, 6, rng), item_ids=np.array([0, 1, 1]), modality="hub"
-            )
+            RetrievalIndex(embeddings=unit_rows(3, 6, rng), item_ids=np.array([0, 1, 1]))
 
 
 class TestTopK:
@@ -449,7 +429,7 @@ class TestComposedRetrievalStats:
 
     def test_non_finite_hub_embeddings_rejected(self, world, trained):
         _, state = trained
-        hub = state.encoders["hub"].copy()
+        hub = dataclasses.replace(state.encoders["hub"])
         hub.flat[:] = np.nan
         broken = dataclasses.replace(state, encoders={**state.encoders, "hub": hub})
         with pytest.raises(EvaluationError, match="finite"):

@@ -1,5 +1,6 @@
 """Tests for the optimizer, training loop, and checkpointing."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -34,12 +35,8 @@ from .oracles import adamw_scalar_loops
 
 def tiny_archs(world, embed_dim=6, hidden=(8,)):
     return {
-        name: EncoderArch(
-            input_dim=world.observer(name).obs_dim,
-            hidden_widths=hidden,
-            embed_dim=embed_dim,
-        )
-        for name in world.modality_names()
+        m.name: EncoderArch(input_dim=m.obs_dim, hidden_widths=hidden, embed_dim=embed_dim)
+        for m in world.modalities
     }
 
 
@@ -274,10 +271,19 @@ class TestTrainRun:
         cfg = quick_config()
         hub = init_train_state(tiny_world, archs, cfg).encoders["hub"]
         snap = hub.flat.copy()
-        state = init_train_state(tiny_world, archs, cfg, hub_params=hub)
+        state = init_train_state(tiny_world, archs, cfg)
+        state.encoders["hub"] = dataclasses.replace(hub)
         state, _ = train_run(tiny_world, archs, cfg, state=state)
         assert not np.array_equal(state.encoders["hub"].flat, snap)
         np.testing.assert_array_equal(hub.flat, snap)
+
+    def test_frozen_spoke_rejected(self, tiny_world):
+        # only the hub is ever frozen; a spoke marked frozen would otherwise train as usual
+        archs = tiny_archs(tiny_world)
+        state = init_train_state(tiny_world, archs, quick_config())
+        state.encoders["beta"] = dataclasses.replace(state.encoders["beta"], frozen=True)
+        with pytest.raises(TrainerError, match=r"frozen spokes \['beta'\]"):
+            train_run(tiny_world, archs, quick_config(), state=state)
 
     def test_trainer_never_sees_labels(self, tiny_world, monkeypatch):
         seen = []
@@ -518,6 +524,23 @@ class TestCheckpointing:
         path.write_text(json.dumps(ckpt))
         with pytest.raises(TrainerError, match=f"checkpoint has no temperature.*'{key}'"):
             train_run(world, cfg.archs, cfg.train, state=load_checkpoint(path))
+
+    @pytest.mark.parametrize("edit", ["drop beta", "drop hub", "add gamma"])
+    def test_moments_must_cover_exactly_the_encoders(self, tiny_world, tmp_path, edit):
+        archs = tiny_archs(tiny_world)
+        state, _ = train_run(tiny_world, archs, quick_config(), max_steps=2)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path)
+        doc = json.loads(path.read_text())
+        action, name = edit.split()
+        if action == "drop":
+            del doc["moments"][name]
+        else:
+            doc["moments"][name] = doc["moments"]["alpha"]
+        path.write_text(json.dumps(doc))
+        # a resume would otherwise die on a bare KeyError at the first step of that encoder
+        with pytest.raises(TrainerError, match="corrupt checkpoint: moments for"):
+            train_run(tiny_world, archs, quick_config(), state=load_checkpoint(path))
 
     def test_resume_arch_mismatch_rejected(self, tiny_world):
         archs = tiny_archs(tiny_world)

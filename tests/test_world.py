@@ -1,6 +1,6 @@
 """Tests for the seeded synthetic multimodal world."""
 
-import json
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from modbind.world import (
     ModalityConfig,
     WorldConfig,
     WorldError,
-    WorldSpec,
     _class_latents,
     class_prototypes,
     make_eval_set,
@@ -254,24 +253,6 @@ class TestEvalSet:
 
 
 class TestSerialization:
-    def test_json_round_trip(self, tiny_world):
-        back = WorldSpec.from_json(tiny_world.to_json())
-        assert back.to_json() == tiny_world.to_json()
-        np.testing.assert_array_equal(back.class_means, tiny_world.class_means)
-        assert back.hub == tiny_world.hub == "hub"
-        for name in tiny_world.modality_names():
-            np.testing.assert_array_equal(
-                back.observer(name).weight, tiny_world.observer(name).weight
-            )
-
     def test_unknown_hub_rejected(self, tiny_world):
-        doc = json.loads(tiny_world.to_json())
-        doc["hub"] = "gamma"
         with pytest.raises(WorldError, match="gamma"):
-            WorldSpec.from_json(json.dumps(doc))
-
-    def test_version_mismatch_rejected(self, tiny_world):
-        doc = json.loads(tiny_world.to_json())
-        doc["version"] = 999
-        with pytest.raises(WorldError):
-            WorldSpec.from_json(json.dumps(doc))
+            dataclasses.replace(tiny_world, hub="gamma")
