@@ -52,7 +52,7 @@ def _load_json_doc(path_str: str):
             raise FileNotFoundError(f"config file not found: {path_str}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise ConfigError(path_str, f"invalid JSON: {e}") from e
 
 

@@ -20,8 +20,6 @@ import dataclasses
 import functools
 import types
 import typing
-from itertools import chain
-from operator import countOf
 
 import numpy as np
 
@@ -143,18 +141,13 @@ def decode(tp, value, path: str, config: bool = False):
 
 
 def _check_numbers(value, path: str) -> None:
-    """Nested lists of ints and floats only: np.asarray reads true as 1.0 and "0.5" as 0.5."""
-    if type(value) is not list:
-        raise ConfigError(path, f"expected a list, got {value!r}")
-    if value and type(value[0]) is list:
-        # rows of floats, what every checkpoint holds, pass in one pass over the
-        # elements; anything else is walked row by row to name the bad element
-        if countOf(map(type, value), list) == len(value) and countOf(
-            map(type, chain.from_iterable(value)), float
-        ) == sum(map(len, value)):
-            return
-        for i, row in enumerate(value):
-            _check_numbers(row, f"{path}[{i}]")
-    elif not set(map(type, value)) <= _NUMBER_TYPES:
-        i = next(i for i, v in enumerate(value) if type(v) not in _NUMBER_TYPES)
-        raise ConfigError(f"{path}[{i}]", f"expected a number, got {value[i]!r}")
+    """A list of numbers or of rows of numbers: np.asarray reads true as 1.0 and "0.5" as 0.5."""
+    rows = value if type(value) is list and value and type(value[0]) is list else [value]
+    for i, row in enumerate(rows):
+        if type(row) is list and set(map(type, row)) <= _NUMBER_TYPES:
+            continue
+        at = f"{path}[{i}]" if rows is value else path
+        if type(row) is not list:
+            raise ConfigError(at, f"expected a list, got {type(row).__name__}")
+        j = next(j for j, v in enumerate(row) if type(v) not in _NUMBER_TYPES)
+        raise ConfigError(f"{at}[{j}]", f"expected a number, got {type(row[j]).__name__}")

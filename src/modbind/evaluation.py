@@ -72,7 +72,6 @@ class RetrievalIndex:
 class EmergentResult:
     accuracy: float
     emergent: bool
-    n: int
 
 
 @dataclass
@@ -191,7 +190,7 @@ def emergent_zero_shot_accuracy(
     emergent = data_modality != prompt_modality and frozenset(
         (data_modality, prompt_modality)
     ) not in registry
-    return EmergentResult(accuracy=accuracy, emergent=emergent, n=len(eval_set.labels))
+    return EmergentResult(accuracy=accuracy, emergent=emergent)
 
 
 def _block_rows(n: int) -> int:

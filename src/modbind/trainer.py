@@ -474,7 +474,7 @@ def load_checkpoint(path: str | Path) -> TrainState:
     text = Path(path).read_text()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise TrainerError(f"corrupt checkpoint: {e}") from e
     if not isinstance(doc, dict) or doc.get("kind") != "checkpoint":
         raise TrainerError("corrupt checkpoint: not a checkpoint document")

@@ -98,14 +98,15 @@ def test_int_becomes_float_and_arrays_decode():
 @pytest.mark.parametrize(
     "value, path, message",
     [
-        ([[1.0, True], [2.0, 3.0]], "w[0][1]", "expected a number, got True"),
-        ([[1.0, 2.0], [3.0, "0.5"]], "w[1][1]", "expected a number, got '0.5'"),
-        ([0.5, False], "w[1]", "expected a number, got False"),
+        ([[1.0, True], [2.0, 3.0]], "w[0][1]", "expected a number, got bool"),
+        ([[1.0, 2.0], [3.0, "0.5"]], "w[1][1]", "expected a number, got str"),
+        ([0.5, False], "w[1]", "expected a number, got bool"),
         ([[1.0], None], "w[1]", "expected a list"),
         ([1.0, [2.0]], "w[1]", "expected a number"),
+        ([[[1.0]], [[2.0]]], "w[0][0]", "expected a number, got list"),
         ("0.5", "w", "expected a list"),
     ],
-    ids=["bool", "string", "bool_in_row", "row_not_a_list", "list_in_row", "not_a_list"],
+    ids=["bool", "string", "bool_in_row", "row_not_a_list", "list_in_row", "three_levels", "not_a_list"],
 )
 def test_arrays_take_only_numbers(value, path, message):
     # np.asarray would read true as 1.0 and "0.5" as 0.5

@@ -775,6 +775,12 @@ class TestCliWorldgenAndErrors:
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert "config.train.epochs" in capsys.readouterr().err
 
+    def test_config_nested_too_deep_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "deep.json"
+        cfg_path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["worldgen", "train"])
     def test_inverted_temperature_clamps_exit_2(self, tmp_path, capsys, command):
         doc = json.loads(resources.files("modbind").joinpath("configs", "desk.json").read_text())

@@ -154,7 +154,6 @@ class TestEmergentZeroShot:
         _, state = trained
         res = emergent_zero_shot_accuracy(world, state, "alpha", "beta", 10)
         assert res.emergent
-        assert res.n == 30
 
     def test_same_modality_not_emergent(self, world, trained):
         # same-modality run doubles as the upper-bound reference score

@@ -603,6 +603,13 @@ class TestCheckpointing:
         with pytest.raises(TrainerError):
             load_checkpoint(path)
 
+    def test_nesting_too_deep_for_json_rejected(self, tmp_path):
+        # json.loads raises RecursionError, not JSONDecodeError, past its depth limit
+        path = tmp_path / "ckpt.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(TrainerError, match="corrupt checkpoint: maximum recursion depth"):
+            load_checkpoint(path)
+
     def test_version_mismatch_rejected(self, tiny_world, tmp_path):
         state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config(), max_steps=2)
         path = tmp_path / "ckpt.json"
