@@ -23,17 +23,6 @@ from .report import canonical_hash
 from .trainer import TrainConfig, TrainerError, check_layout
 from .world import WorldConfig
 
-ABLATION_AXES = (
-    "temperature",
-    "projection_head",
-    "epochs",
-    "batch_size",
-    "hub_capacity",
-    "noise_strength",
-    "alignment",
-    "loss_mix",
-)
-
 DEFAULT_GRIDS = {
     "temperature": ["learnable", 0.05, 0.07, 0.2, 1.0],
     "projection_head": ["linear", "mlp"],
@@ -44,6 +33,8 @@ DEFAULT_GRIDS = {
     "alignment": ["aligned", "class_only"],
     "loss_mix": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
 }
+# the axes, in the order a suite without "axes" runs them
+ABLATION_AXES = tuple(DEFAULT_GRIDS)
 
 # JSON type of each axis's grid values; "learnable" is also a temperature
 _GRID_TYPES = {
@@ -105,8 +96,8 @@ def parse_experiment_config(doc, path: str = "config") -> ExperimentConfig:
     """Validate a raw JSON document into an ExperimentConfig."""
     check_keys(doc, path, ("world", "archs", "train"), ("eval", "output_dir", "seed"))
     seed = decode(int, doc.get("seed", 0), f"{path}.seed")
-    if seed < 0:
-        raise ConfigError(f"{path}.seed", f"must be >= 0, got {seed}")
+    if not 0 <= seed < 2**32:
+        raise ConfigError(f"{path}.seed", f"must lie in [0, 2**32), got {seed}")
     world = from_doc(WorldConfig, doc["world"], f"{path}.world", config=True)
     obs_dims = {m.name: m.obs_dim for m in world.modalities}
     names = list(obs_dims)
@@ -174,8 +165,8 @@ def parse_ablation_suite(doc, path: str = "suite") -> AblationSuiteSpec:
     check_keys(doc, path, ("base",), ("axes", "seeds"))
     base = parse_experiment_config(doc["base"], f"{path}.base")
     seeds = decode(list[int], doc.get("seeds", [base.seed]), f"{path}.seeds")
-    if not seeds or min(seeds) < 0:
-        raise ConfigError(f"{path}.seeds", "expected at least one seed, each >= 0")
+    if not seeds or min(seeds) < 0 or max(seeds) >= 2**32:
+        raise ConfigError(f"{path}.seeds", "expected at least one seed, each in [0, 2**32)")
     axes_doc = doc.get("axes")
     if axes_doc is None:
         axes = [AxisSpec(axis=a, grid=list(DEFAULT_GRIDS[a])) for a in ABLATION_AXES]

@@ -20,14 +20,11 @@ from .numerics import (
     gelu_forward,
     l2_normalize_rows,
     l2_normalize_rows_backward,
-    tanh_backward,
-    tanh_forward,
 )
 from .world import stream_rng
 
 _ACTIVATIONS = {
     "gelu": (gelu_forward, gelu_backward),
-    "tanh": (tanh_forward, tanh_backward),
 }
 
 
@@ -39,7 +36,7 @@ class EncoderArch:
     hidden_widths: tuple[int, ...]
     embed_dim: int
     head: str = "linear"  # "linear" | "mlp"
-    activation: str = "gelu"  # trunk activation: "gelu" | "tanh"
+    activation: str = "gelu"  # trunk activation; "gelu" is the only one
 
     def __post_init__(self):
         if self.head not in ("linear", "mlp"):

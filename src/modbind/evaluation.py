@@ -430,18 +430,9 @@ def frozen_hub_eval(
     # replace packs a fresh buffer, so training never writes to the caller's hub
     state.encoders[world.hub] = dataclasses.replace(hub_params, frozen=True)
     state, _ = train_run(world, archs, config, state=state)
-    metrics: dict[str, float] = {}
-    flags: dict[str, bool] = {}
-    for data_mod, prompt_mod in emergent_pairs:
-        res = emergent_zero_shot_accuracy(
-            world, state, data_mod, prompt_mod, n_per_class,
-            stream=f"{stream}/{data_mod}_vs_{prompt_mod}", prompts_per_class=prompts_per_class,
-        )
-        metrics[f"emergent_zero_shot/{data_mod}_vs_{prompt_mod}"] = res.accuracy
-        flags[f"emergent/{data_mod}_vs_{prompt_mod}"] = res.emergent
-    report = MetricsReport(metrics=metrics, flags=flags, config_hash=config_hash, seed=config.seed)
-    report.validate()
-    return report
+    plan = EvalPlan(emergent_pairs=emergent_pairs, n_per_class=n_per_class,
+                    prompts_per_class=prompts_per_class, stream=stream)
+    return run_eval_plan(world, state, plan, config_hash=config_hash, seed=config.seed)
 
 
 def run_eval_plan(

@@ -68,15 +68,6 @@ def gelu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return t
 
 
-def tanh_forward(x: np.ndarray) -> np.ndarray:
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def tanh_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    t = np.tanh(np.asarray(x, dtype=np.float64))
-    return np.asarray(upstream) * (1.0 - t**2)
-
-
 def l2_normalize_rows(x: np.ndarray, eps: float = DEFAULT_NORM_EPS) -> np.ndarray:
     """Divide each row by max(||row||_2, eps)."""
     if eps <= 0:

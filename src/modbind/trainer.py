@@ -3,7 +3,7 @@
 One optimizer step trains one pair: encode both sides, take symmetric InfoNCE
 (optionally mixed with an L2 regression term), backprop by hand, clip the
 global gradient norm, and apply AdamW to the spoke encoder, the hub encoder
-(unless frozen), and the log-temperature (when learnable).
+(unless frozen), and the log-temperature (when learnable and InfoNCE is on).
 
 Small pairs are balanced by sample replication: each pair draws its batches
 from a fixed pre-generated pool sized so the pool cycles replication_factor
@@ -24,7 +24,9 @@ import numpy as np
 
 from .codec import CONFIG_REQUIRED, RUN_STATE, decode, from_doc, to_doc
 from .contrastive import TemperatureParam, l2_regression_loss, symmetric_info_nce
-from .encoders import EncoderArch, EncoderParams, encode, encode_backward, init_encoder, pack
+from .encoders import (
+    EncoderArch, EncoderGrads, EncoderParams, encode, encode_backward, init_encoder, pack,
+)
 from .report import render_csv, write_atomic
 from .world import WorldSpec, sample_training_batch, stream_rng
 
@@ -376,37 +378,28 @@ def train_run(
                 f"training diverged: non-finite loss at step {t} (pair {pc.spoke})"
             )
 
-        spoke_grads = encode_backward(spoke_enc, k_cache, grad_k)
-        tau_learnable = temp.learnable and pc.infonce_weight != 0
-        tau_grad = np.array([grad_log_tau])
-        clip_list = spoke_grads.arrays()
-        # a frozen hub gets no backward pass, no share of the clip norm and no update
+        # what the step trains, in update order: (params, grads, moments, weight decay).
+        # A frozen hub gets no backward pass, no share of the clip norm and no update;
+        # weight decay never applies to the temperature.
+        trained = [(spoke_enc.flat, encode_backward(spoke_enc, k_cache, grad_k),
+                    state.moments[pc.spoke], config.weight_decay)]
         if not hub_enc.frozen:
-            hub_grads = encode_backward(hub_enc, q_cache, grad_q)
-            clip_list = clip_list + hub_grads.arrays()
-        if tau_learnable:
-            clip_list = clip_list + [tau_grad]
-        clip_global_norm(clip_list, config.grad_clip_norm)
+            trained.append((hub_enc.flat, encode_backward(hub_enc, q_cache, grad_q),
+                            state.moments[hub_name], config.weight_decay))
+        log_tau = np.array([temp.log_tau])
+        if temp.learnable and pc.infonce_weight != 0:
+            tau_grad = np.array([grad_log_tau])
+            tau_key = _SHARED_TAU_KEY if config.shared_temperature else pc.spoke
+            trained.append((log_tau, EncoderGrads(flat=tau_grad, views=[tau_grad]),
+                            state.tau_moments[tau_key], 0.0))
+        clip_global_norm([g for _, grads, _, _ in trained for g in grads.views], config.grad_clip_norm)
 
         scale = min(1.0, (t + 1) / warmup_steps) if warmup_steps > 0 else 1.0
         lr = config.learning_rate * scale
-
-        mom = state.moments[pc.spoke]
-        adamw_step(
-            spoke_enc.flat, spoke_grads.flat, mom, lr, config.betas,
-            config.weight_decay, mom.t + 1, eps=config.adam_eps,
-        )
-        if not hub_enc.frozen:
-            mom = state.moments[hub_name]
-            adamw_step(
-                hub_enc.flat, hub_grads.flat, mom, lr, config.betas,
-                config.weight_decay, mom.t + 1, eps=config.adam_eps,
-            )
-        if tau_learnable:
-            mom = state.tau_moments[_SHARED_TAU_KEY if config.shared_temperature else pc.spoke]
-            log_tau = np.array([temp.log_tau])
-            # weight decay never applies to the temperature
-            adamw_step(log_tau, tau_grad, mom, lr, config.betas, 0.0, mom.t + 1, eps=config.adam_eps)
+        for params, grads, mom, decay in trained:
+            adamw_step(params, grads.flat, mom, lr, config.betas, decay, mom.t + 1,
+                       eps=config.adam_eps)
+        if temp.learnable:  # a log_tau the step did not train comes back unchanged
             temp.apply_update(float(log_tau[0]))
 
         state.loss_history.append(

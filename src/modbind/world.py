@@ -26,7 +26,8 @@ WORLD_FORMAT_VERSION = 1
 # prompt-like observations are drawn this much tighter than data samples
 PROTOTYPE_NOISE_DIVISOR = 4.0
 
-NONLINEARITIES = ("tanh", "gelu", "identity")
+# a modality's observation map, by the name its config gives
+_NONLINEARITIES = {"tanh": np.tanh, "gelu": gelu_forward, "identity": lambda pre: pre}
 
 _SEPARABILITY_FACTOR = 4.0  # min pairwise class-mean distance, in within-class scales
 _MAX_MEAN_ATTEMPTS = 8
@@ -37,10 +38,15 @@ class WorldError(ValueError):
 
 
 def stream_rng(seed: int, name: str) -> np.random.Generator:
-    """Independent generator for (seed, stream name); deterministic and replayable."""
+    """Independent generator for (seed, stream name); deterministic and replayable.
+
+    The seed must lie in [0, 2**32): it is one 32-bit word of the seed sequence.
+    """
+    if not 0 <= seed < 2**32:
+        raise WorldError(f"seed must lie in [0, 2**32), got {seed}")
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = list(np.frombuffer(digest[:16], dtype=np.uint32))
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF] + [int(w) for w in words]))
+    return np.random.default_rng(np.random.SeedSequence([int(seed)] + [int(w) for w in words]))
 
 
 @dataclass
@@ -54,7 +60,7 @@ class ModalityObserver:
     name: str
     weight: np.ndarray  # (obs_dim, latent_dim)
     bias: np.ndarray  # (obs_dim,)
-    nonlinearity: str = "tanh"  # one of NONLINEARITIES
+    nonlinearity: str = "tanh"  # a key of _NONLINEARITIES
     obs_noise_scale: float = 0.0
 
     @property
@@ -64,14 +70,7 @@ class ModalityObserver:
     def observe(self, latents: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
         """Observe latent rows; rng=None gives the noiseless observation."""
         pre = latents @ self.weight.T + self.bias
-        if self.nonlinearity == "tanh":
-            obs = np.tanh(pre)
-        elif self.nonlinearity == "gelu":
-            obs = gelu_forward(pre)
-        elif self.nonlinearity == "identity":
-            obs = pre
-        else:
-            raise WorldError(f"unknown nonlinearity {self.nonlinearity!r}")
+        obs = _NONLINEARITIES[self.nonlinearity](pre)
         if rng is not None and self.obs_noise_scale > 0:
             obs = obs + self.obs_noise_scale * rng.standard_normal(obs.shape)
         return obs
@@ -107,9 +106,9 @@ class WorldConfig:
         for m in self.modalities:
             if m.obs_dim < 1:
                 raise WorldError(f"obs_dim must be >= 1 for {m.name!r}")
-            if m.nonlinearity not in NONLINEARITIES:
+            if m.nonlinearity not in _NONLINEARITIES:
                 raise WorldError(
-                    f"nonlinearity of {m.name!r} must be one of {list(NONLINEARITIES)}, "
+                    f"nonlinearity of {m.name!r} must be one of {list(_NONLINEARITIES)}, "
                     f"got {m.nonlinearity!r}"
                 )
             if m.obs_noise_scale < 0:

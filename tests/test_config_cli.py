@@ -139,9 +139,11 @@ class TestConfigValidation:
             parse_experiment_config(small_config_doc)
 
     def test_negative_seed_rejected(self, small_config_doc):
-        small_config_doc["seed"] = -1
-        with pytest.raises(ConfigError, match=r"config\.seed"):
-            parse_experiment_config(small_config_doc)
+        # 2**32 would otherwise replay seed 0's run under another seed
+        for seed in (-1, 2**32):
+            small_config_doc["seed"] = seed
+            with pytest.raises(ConfigError, match=r"config\.seed"):
+                parse_experiment_config(small_config_doc)
 
     def test_bad_temperature_mode_rejected(self, small_config_doc):
         small_config_doc["train"]["pairs"][0]["temperature"] = {"mode": "magic", "value": 0.07}
@@ -830,12 +832,13 @@ class TestCliWorldgenAndErrors:
         suite_path = tmp_path / "suite.json"
         suite_path.write_text(json.dumps(suite_doc))
         out = tmp_path / "out"
-        code = main(["ablate", "--config", str(suite_path), "--seed", "-1", "--out", str(out)])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "suite.seeds" in captured.err
-        assert not out.exists()
+        for seed in ("-1", str(2**32)):
+            code = main(["ablate", "--config", str(suite_path), "--seed", seed, "--out", str(out)])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "suite.seeds" in captured.err
+            assert not out.exists()
 
 
 class TestCliDeskBudget:

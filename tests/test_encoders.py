@@ -44,8 +44,9 @@ class TestArch:
             EncoderArch(input_dim=4, hidden_widths=(), embed_dim=0)
         with pytest.raises(ValueError):
             EncoderArch(input_dim=4, hidden_widths=(), embed_dim=4, head="conv")
-        with pytest.raises(ValueError):
-            EncoderArch(input_dim=4, hidden_widths=(), embed_dim=4, activation="relu")
+        for activation in ("relu", "tanh"):  # gelu is the only activation
+            with pytest.raises(ValueError):
+                EncoderArch(input_dim=4, hidden_widths=(), embed_dim=4, activation=activation)
 
     def test_dict_round_trip(self):
         arch = ARCHS["hidden_mlp"]

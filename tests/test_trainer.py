@@ -265,6 +265,44 @@ class TestTrainRun:
             init.encoders["alpha"].weights[0], state.encoders["alpha"].weights[0]
         )
 
+    @pytest.mark.parametrize("hub_frozen", [False, True], ids=["hub_trains", "hub_frozen"])
+    @pytest.mark.parametrize("tau_mode", ["fixed", "learnable"])
+    @pytest.mark.parametrize("l2_only", [False, True], ids=["infonce", "l2_only"])
+    def test_step_trains_what_it_should(self, tiny_world, monkeypatch, hub_frozen, tau_mode, l2_only):
+        # each step updates its spoke, the hub unless frozen, and the log-temperature only
+        # when it is learnable and the InfoNCE term (its only gradient) is on
+        archs = tiny_archs(tiny_world)
+        spokes = ("alpha", "beta")
+        pairs = [
+            PairConfig(spoke=s, batch_size=8, temperature=TemperatureParam(mode=tau_mode),
+                       infonce_weight=0.0 if l2_only else 1.0, l2_weight=1.0 if l2_only else 0.0)
+            for s in spokes
+        ]
+        cfg = quick_config(pairs=pairs, hub_frozen=hub_frozen)
+        tau_trains = tau_mode == "learnable" and not l2_only
+        clipped = []
+        real_clip = trainer_mod.clip_global_norm
+
+        def spy(grads, max_norm):
+            clipped.append([g.shape for g in grads])
+            return real_clip(grads, max_norm)
+
+        monkeypatch.setattr(trainer_mod, "clip_global_norm", spy)
+        log_tau_before = init_train_state(tiny_world, archs, cfg).temperatures["alpha"].log_tau
+        state, _ = train_run(tiny_world, archs, cfg)
+
+        steps = cfg.epochs * cfg.steps_per_epoch
+        assert state.moments["hub"].t == (0 if hub_frozen else steps)
+        for spoke in spokes:
+            assert state.moments[spoke].t == steps // 2
+            assert state.tau_moments[spoke].t == (steps // 2 if tau_trains else 0)
+            assert (state.temperatures[spoke].log_tau != log_tau_before) == tau_trains
+        shapes = {name: [a.shape for a in enc.arrays()] for name, enc in state.encoders.items()}
+        assert clipped == [
+            shapes[rec.pair] + ([] if hub_frozen else shapes["hub"]) + ([(1,)] if tau_trains else [])
+            for rec in state.loss_history
+        ]
+
     def test_supplied_hub_is_not_updated_in_place(self, tiny_world):
         # training updates parameter buffers in place; the caller's hub must not share one
         archs = tiny_archs(tiny_world)

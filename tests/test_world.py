@@ -47,6 +47,12 @@ class TestStreamRng:
         b = stream_rng(8, "train/pool").integers(0, 2**32, 5)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 2**32, 2**32 + 7])
+    def test_seed_outside_32_bits_rejected(self, seed):
+        # a masked 2**32 + 7 would replay seed 7's streams under another seed's name
+        with pytest.raises(WorldError, match=r"seed must lie in \[0, 2\*\*32\)"):
+            stream_rng(seed, "train/pool")
+
 
 class TestMakeWorld:
     def test_deterministic_serialization(self, tiny_world_config):
