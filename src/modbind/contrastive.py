@@ -24,6 +24,8 @@ from .numerics import NumericsError, as_matrix, softmax_rows  # noqa: F401  (per
 
 TAU_CLAMP_MIN = 0.01
 TAU_CLAMP_MAX = 5.0
+# smallest exp sum symmetric_info_nce takes the log of; well above the subnormals
+MIN_EXP_SUM = 1e-280
 
 
 @dataclass
@@ -128,19 +130,39 @@ def info_nce(q: np.ndarray, k: np.ndarray, temp: TemperatureParam) -> LossOutput
 def symmetric_info_nce(q: np.ndarray, k: np.ndarray, temp: TemperatureParam) -> LossOutput:
     """Sum of both InfoNCE directions, gradients accumulated per argument.
 
-    Both directions share one S = q @ k.T; the reverse one runs on a
-    contiguous copy of S.T, which holds the same bits as k @ q.T.
+    Both directions share one S = q @ k.T, logits L = S / tau, and one
+    E = exp(L - c) with c = max(L): E's row sums r give the forward
+    direction, its column sums r' the reverse one, and dL/dS is
+    D = (E / r[:, None] + E / r'[None, :] - 2I) / (n tau). With rows of norm
+    at most 1 (the encoders' output) the logits span at most 2/tau, so every
+    sum is at least exp(-2/tau) > 1e-87 at TAU_CLAMP_MIN; a sum below
+    MIN_EXP_SUM means the inputs were not such rows, and it raises
+    NumericsError before the log rather than return a loss of underflowed sums.
     """
     q, k = _check_pair(q, k)
+    n = q.shape[0]
+    tau = temp.tau
     s = q @ k.T
-    fwd_loss, d_fwd, fwd_tau = _direction(s, temp)
-    rev_loss, d_rev, rev_tau = _direction(np.ascontiguousarray(s.T), temp)
-    return LossOutput(
-        loss=fwd_loss + rev_loss,
-        grad_q=d_fwd @ k + d_rev.T @ k,
-        grad_k=d_fwd.T @ q + d_rev @ q,
-        grad_log_tau=fwd_tau + rev_tau,
-    )
+    e = s / tau
+    c = e.max()
+    c_minus_diag = c - e.diagonal()
+    e -= c
+    np.exp(e, out=e)
+    row_sums = e.sum(axis=1)
+    col_sums = e.sum(axis=0)
+    if min(row_sums.min(), col_sums.min()) < MIN_EXP_SUM:
+        raise NumericsError(
+            f"InfoNCE logits span too wide at tau={tau}: an exp sum underflowed below "
+            f"{MIN_EXP_SUM}; embedding rows must have norm <= 1"
+        )
+    loss = float(np.mean(c_minus_diag + np.log(row_sums)) + np.mean(c_minus_diag + np.log(col_sums)))
+    scale = n * tau
+    d = e / (row_sums * scale)[:, None]
+    e /= col_sums * scale
+    d += e
+    d.flat[:: n + 1] -= 2.0 / scale  # both softmaxes minus the identity
+    grad_log_tau = -float(np.vdot(d, s)) if temp.learnable else 0.0
+    return LossOutput(loss=loss, grad_q=d @ k, grad_k=d.T @ q, grad_log_tau=grad_log_tau)
 
 
 def l2_regression_loss(q: np.ndarray, k: np.ndarray) -> LossOutput:

@@ -20,6 +20,7 @@ from .numerics import (
     gelu_forward,
     l2_normalize_rows,
     l2_normalize_rows_backward,
+    row_norms,
 )
 from .world import stream_rng
 
@@ -122,17 +123,25 @@ class EncoderGrads:
     flat: np.ndarray
     views: list[np.ndarray]  # in EncoderParams.arrays() order
 
+    @classmethod
+    def like(cls, params: EncoderParams) -> "EncoderGrads":
+        """An uninitialized buffer for `params`' gradients, which encode_backward fills."""
+        flat = np.empty_like(params.flat)
+        return cls(flat=flat, views=_views(flat, params.arch.param_shapes()))
+
     def arrays(self) -> list[np.ndarray]:
         return self.views
 
 
 @dataclass
 class ForwardCache:
-    """Everything the backward pass needs: per-layer inputs and pre-activations."""
+    """Everything the backward pass needs: per-layer inputs and pre-activations, and
+    the last layer's output with its row norms (before the eps clamp)."""
 
     inputs: list[np.ndarray] = field(default_factory=list)
     pre_activations: list[np.ndarray] = field(default_factory=list)
     pre_norm: np.ndarray | None = None
+    norms: np.ndarray | None = None
 
 
 def init_encoder(arch: EncoderArch, seed: int) -> EncoderParams:
@@ -163,20 +172,31 @@ def encode(params: EncoderParams, obs: np.ndarray) -> tuple[np.ndarray, ForwardC
         cache.pre_activations.append(pre)
         h = _ACTIVATIONS[act][0](pre) if act else pre
     cache.pre_norm = h
-    return l2_normalize_rows(h), cache
+    cache.norms = row_norms(h)
+    return l2_normalize_rows(h, norms=cache.norms), cache
 
 
 def encode_backward(
-    params: EncoderParams, cache: ForwardCache, grad_embeddings: np.ndarray
+    params: EncoderParams,
+    cache: ForwardCache,
+    grad_embeddings: np.ndarray,
+    out: EncoderGrads | None = None,
 ) -> EncoderGrads:
-    """Exact gradients of the (normalized) embeddings w.r.t. all parameters."""
+    """Exact gradients of the (normalized) embeddings w.r.t. all parameters.
+
+    They are written into `out` (every element is overwritten) and returned;
+    a fresh buffer is allocated when `out` is None.
+    """
     if grad_embeddings.shape != cache.pre_norm.shape:
         raise NumericsError(
             f"grad shape {grad_embeddings.shape} does not match embeddings {cache.pre_norm.shape}"
         )
-    flat = np.empty_like(params.flat)
-    views = _views(flat, params.arch.param_shapes())
-    g = l2_normalize_rows_backward(cache.pre_norm, grad_embeddings)
+    if out is None:
+        out = EncoderGrads.like(params)
+    elif [v.shape for v in out.views] != params.arch.param_shapes():
+        raise NumericsError("gradient buffer does not match the encoder's parameter shapes")
+    views = out.views
+    g = l2_normalize_rows_backward(cache.pre_norm, grad_embeddings, norms=cache.norms)
     plan = params.arch.layer_plan()
     for i in range(len(plan) - 1, -1, -1):
         act = plan[i][2]
@@ -186,5 +206,5 @@ def encode_backward(
         g.sum(axis=0, out=views[2 * i + 1])
         if i > 0:
             g = g @ params.weights[i]
-    return EncoderGrads(flat=flat, views=views)
+    return out
 

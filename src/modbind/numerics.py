@@ -68,27 +68,40 @@ def gelu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return t
 
 
-def l2_normalize_rows(x: np.ndarray, eps: float = DEFAULT_NORM_EPS) -> np.ndarray:
-    """Divide each row by max(||row||_2, eps)."""
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """||row||_2 of each row of x, as a column: the `norms` the two functions below take."""
+    return np.linalg.norm(as_matrix(x), axis=1, keepdims=True)
+
+
+def l2_normalize_rows(
+    x: np.ndarray, eps: float = DEFAULT_NORM_EPS, norms: np.ndarray | None = None
+) -> np.ndarray:
+    """Divide each row by max(||row||_2, eps); `norms` is row_norms(x) when the caller has it."""
     if eps <= 0:
         raise NumericsError(f"eps must be positive, got {eps}")
     x = as_matrix(x)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    if norms is None:
+        norms = row_norms(x)
     return x / np.maximum(norms, eps)
 
 
 def l2_normalize_rows_backward(
-    x: np.ndarray, upstream: np.ndarray, eps: float = DEFAULT_NORM_EPS
+    x: np.ndarray,
+    upstream: np.ndarray,
+    eps: float = DEFAULT_NORM_EPS,
+    norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of l2_normalize_rows w.r.t. x, chained with `upstream`.
 
     For rows with norm >= eps: d/dx [x/||x||] projects the upstream gradient
     onto the tangent space of the sphere, scaled by 1/||x||. Rows clamped at
-    eps are a constant 1/eps scaling.
+    eps are a constant 1/eps scaling. `norms` is row_norms(x), which the
+    forward pass already took; it is computed here when not given.
     """
     x = as_matrix(x)
     upstream = as_matrix(upstream)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    if norms is None:
+        norms = row_norms(x)
     clamped = norms < eps
     n = np.maximum(norms, eps)
     y = x / n

@@ -83,6 +83,15 @@ class TrainConfig:
             raise TrainerError("pair spokes must be unique")
         if self.epochs < 0 or self.steps_per_epoch < 1:
             raise TrainerError("epochs must be >= 0 and steps_per_epoch >= 1")
+        for pc in self.pairs:
+            # a batch drawn from a smaller pool repeats samples, and InfoNCE would
+            # score copies of a positive as its negatives
+            pool_n = pool_size(self, pc)
+            if pool_n < pc.batch_size:
+                raise TrainerError(
+                    f"pair {pc.spoke!r}: replication_factor {pc.replication_factor} leaves a pool "
+                    f"of {pool_n} samples, fewer than its batch_size {pc.batch_size}"
+                )
         if self.learning_rate <= 0:
             raise TrainerError("learning_rate must be positive")
         if self.weight_decay < 0:
@@ -203,14 +212,14 @@ def adamw_step(
 
 
 def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place by max_norm/g when the global L2 norm g exceeds it.
+    """Scale flat gradient vectors in place by max_norm/g when their global L2 norm g exceeds it.
 
-    Squares are summed array by array, in the order given. Returns g, the
-    norm before clipping.
+    Each vector contributes its dot product with itself, in the order given.
+    Returns g, the norm before clipping.
     """
     if max_norm <= 0:
         raise TrainerError(f"max_norm must be positive, got {max_norm}")
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads))
+    total = math.sqrt(sum(float(np.vdot(g, g)) for g in grads))
     if total > max_norm:
         scale = max_norm / total
         for g in grads:
@@ -291,16 +300,20 @@ def check_resume(state: TrainState, archs: dict[str, EncoderArch]) -> None:
             raise TrainerError(f"checkpoint arch mismatch for encoder {name!r}")
 
 
+def pool_size(config: TrainConfig, pc: PairConfig) -> int:
+    """Samples in a pair's pool: one epoch of its batches, divided by its replication_factor."""
+    per_epoch = -(-config.steps_per_epoch // len(config.pairs)) * pc.batch_size
+    return -(-per_epoch // pc.replication_factor)
+
+
 def _build_pools(world: WorldSpec, config: TrainConfig) -> dict[str, object]:
     """Pre-generate each pair's sample pool (label-stripped)."""
-    num_pairs = len(config.pairs)
-    steps_per_pair = -(-config.steps_per_epoch // num_pairs)
     pools = {}
     for pc in config.pairs:
-        per_epoch = steps_per_pair * pc.batch_size
-        pool_n = max(1, -(-per_epoch // pc.replication_factor))
         rng = world.stream(f"train/{config.seed}/pool/{pc.spoke}")
-        pools[pc.spoke] = sample_training_batch(world, pc.spoke, pool_n, rng, aligned=pc.aligned)
+        pools[pc.spoke] = sample_training_batch(
+            world, pc.spoke, pool_size(config, pc), rng, aligned=pc.aligned
+        )
     return pools
 
 
@@ -344,6 +357,11 @@ def train_run(
     pools = _build_pools(world, config)
     warmup_steps = int(round(config.warmup_epochs * config.steps_per_epoch))
     hub_name = world.hub
+    # one gradient buffer per encoder of the pairs, which every step overwrites
+    grads = {
+        name: EncoderGrads.like(state.encoders[name])
+        for name in [hub_name] + [pc.spoke for pc in config.pairs]
+    }
 
     while state.step < target:
         t = state.step
@@ -358,16 +376,15 @@ def train_run(
         k, k_cache = encode(spoke_enc, pool.spoke_obs[idx])
 
         temp = state.temperatures[pc.spoke]
-        loss = 0.0
-        grad_q = np.zeros_like(q)
-        grad_k = np.zeros_like(k)
-        grad_log_tau = 0.0
         if pc.infonce_weight != 0:
             out = symmetric_info_nce(q, k, temp)
-            loss += pc.infonce_weight * out.loss
-            grad_q += pc.infonce_weight * out.grad_q
-            grad_k += pc.infonce_weight * out.grad_k
-            grad_log_tau += pc.infonce_weight * out.grad_log_tau
+            loss = pc.infonce_weight * out.loss
+            grad_q, grad_k = out.grad_q, out.grad_k  # fresh arrays, scaled in place
+            grad_q *= pc.infonce_weight
+            grad_k *= pc.infonce_weight
+            grad_log_tau = pc.infonce_weight * out.grad_log_tau
+        else:
+            loss, grad_q, grad_k, grad_log_tau = 0.0, np.zeros_like(q), np.zeros_like(k), 0.0
         if pc.l2_weight != 0:
             reg = l2_regression_loss(q, k)
             loss += pc.l2_weight * reg.loss
@@ -378,27 +395,24 @@ def train_run(
                 f"training diverged: non-finite loss at step {t} (pair {pc.spoke})"
             )
 
-        # what the step trains, in update order: (params, grads, moments, weight decay).
+        # what the step trains, in update order: (params, flat grads, moments, weight decay).
         # A frozen hub gets no backward pass, no share of the clip norm and no update;
         # weight decay never applies to the temperature.
-        trained = [(spoke_enc.flat, encode_backward(spoke_enc, k_cache, grad_k),
-                    state.moments[pc.spoke], config.weight_decay)]
+        spoke_grads = encode_backward(spoke_enc, k_cache, grad_k, grads[pc.spoke]).flat
+        trained = [(spoke_enc.flat, spoke_grads, state.moments[pc.spoke], config.weight_decay)]
         if not hub_enc.frozen:
-            trained.append((hub_enc.flat, encode_backward(hub_enc, q_cache, grad_q),
-                            state.moments[hub_name], config.weight_decay))
+            hub_grads = encode_backward(hub_enc, q_cache, grad_q, grads[hub_name]).flat
+            trained.append((hub_enc.flat, hub_grads, state.moments[hub_name], config.weight_decay))
         log_tau = np.array([temp.log_tau])
         if temp.learnable and pc.infonce_weight != 0:
-            tau_grad = np.array([grad_log_tau])
             tau_key = _SHARED_TAU_KEY if config.shared_temperature else pc.spoke
-            trained.append((log_tau, EncoderGrads(flat=tau_grad, views=[tau_grad]),
-                            state.tau_moments[tau_key], 0.0))
-        clip_global_norm([g for _, grads, _, _ in trained for g in grads.views], config.grad_clip_norm)
+            trained.append((log_tau, np.array([grad_log_tau]), state.tau_moments[tau_key], 0.0))
+        clip_global_norm([g for _, g, _, _ in trained], config.grad_clip_norm)
 
         scale = min(1.0, (t + 1) / warmup_steps) if warmup_steps > 0 else 1.0
         lr = config.learning_rate * scale
-        for params, grads, mom, decay in trained:
-            adamw_step(params, grads.flat, mom, lr, config.betas, decay, mom.t + 1,
-                       eps=config.adam_eps)
+        for params, g, mom, decay in trained:
+            adamw_step(params, g, mom, lr, config.betas, decay, mom.t + 1, eps=config.adam_eps)
         if temp.learnable:  # a log_tau the step did not train comes back unchanged
             temp.apply_update(float(log_tau[0]))
 

@@ -52,6 +52,46 @@ def symmetric_info_nce_loss_loops(q, k, tau):
     return info_nce_loss_loops(q, k, tau) + info_nce_loss_loops(k, q, tau)
 
 
+def info_nce_grads_loops(q, k, tau):
+    """Loss and gradients of one InfoNCE direction (rows of q against k), by loops.
+
+    With logits l_ij = q_i.k_j/tau and p_i = softmax(l_i), row i's loss is
+    log sum_j exp(l_ij) - l_ii, and for g_ij = (p_ij - [i == j]) / (n tau):
+    dL/dq_i = sum_j g_ij k_j, dL/dk_j = sum_i g_ij q_i and
+    dL/dlog(tau) = -sum_ij g_ij (q_i.k_j). Returns (loss, grad_q, grad_k,
+    grad_log_tau), the gradients as lists of rows.
+    """
+    n, dim = len(q), len(q[0])
+    loss = 0.0
+    grad_q = [[0.0] * dim for _ in range(n)]
+    grad_k = [[0.0] * dim for _ in range(n)]
+    grad_log_tau = 0.0
+    for i in range(n):
+        sims = [dot(q[i], k[j]) for j in range(n)]
+        logits = [s / tau for s in sims]
+        m = max(logits)
+        loss += m + math.log(sum(math.exp(v - m) for v in logits)) - logits[i]
+        p = softmax_row_loops(logits)
+        for j in range(n):
+            g = (p[j] - (1.0 if i == j else 0.0)) / (n * tau)
+            grad_log_tau -= g * sims[j]
+            for c in range(dim):
+                grad_q[i][c] += g * float(k[j][c])
+                grad_k[j][c] += g * float(q[i][c])
+    return loss / n, grad_q, grad_k, grad_log_tau
+
+
+def symmetric_info_nce_grads_loops(q, k, tau):
+    """Both directions summed: the reverse one runs with the arguments swapped."""
+    f_loss, f_gq, f_gk, f_tau = info_nce_grads_loops(q, k, tau)
+    r_loss, r_gk, r_gq, r_tau = info_nce_grads_loops(k, q, tau)
+    return f_loss + r_loss, _add_rows(f_gq, r_gq), _add_rows(f_gk, r_gk), f_tau + r_tau
+
+
+def _add_rows(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def l2_regression_loss_loops(q, k):
     n = len(q)
     total = 0.0

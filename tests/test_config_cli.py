@@ -794,6 +794,19 @@ class TestCliWorldgenAndErrors:
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert "config.train.pairs[0].temperature" in capsys.readouterr().err
 
+    def test_pool_smaller_than_a_batch_exits_2(self, tmp_path, capsys):
+        # desk trains 30 batches of 64 per pair and epoch; replicated 100 times, that
+        # is a pool of 20 samples, so every batch would repeat each one about 3 times
+        doc = json.loads(resources.files("modbind").joinpath("configs", "desk.json").read_text())
+        doc["train"]["pairs"][0]["replication_factor"] = 100
+        cfg_path = tmp_path / "replicated.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config.train" in err and "pool of 20 samples, fewer than its batch_size 64" in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3(self, tmp_path, capsys):
         doc = small_config_document()

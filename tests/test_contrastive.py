@@ -1,12 +1,14 @@
 """Tests for the paired contrastive objective and its exact gradients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from modbind.codec import from_doc, to_doc
 from modbind.contrastive import (
+    MIN_EXP_SUM,
     TemperatureParam,
     info_nce,
     l2_regression_loss,
@@ -19,6 +21,7 @@ from .oracles import (
     finite_difference_check,
     info_nce_loss_loops,
     l2_regression_loss_loops,
+    symmetric_info_nce_grads_loops,
     symmetric_info_nce_loss_loops,
 )
 
@@ -213,6 +216,39 @@ class TestSymmetricInfoNCE:
         assert abs(ab.loss - ba.loss) <= 1e-12
         assert np.max(np.abs(ab.grad_q - ba.grad_k)) <= 1e-12
 
+    @pytest.mark.parametrize("tau", [0.01, 0.07, 1.0, 5.0])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_loss_and_grads_match_loop_oracle(self, rng, n, tau):
+        q = unit(rng, n, 5)
+        k = unit(rng, n, 5)
+        assert_matches_loop_oracle(q, k, TemperatureParam(mode="learnable", value=tau))
+
+    @pytest.mark.parametrize("n", [2, 7, 64])
+    def test_anti_aligned_rows_at_the_smallest_tau_match_loop_oracle(self, rng, n):
+        # every positive scores -1 and some negative +1: logits span 2/tau = 200, and
+        # rows whose own maximum sits far below the global one still sum to > 1e-87
+        q = unit(rng, n, 5)
+        q[1] = -q[0]
+        temp = TemperatureParam(mode="learnable", value=0.01)
+        assert temp.tau == pytest.approx(0.01, rel=1e-12)
+        s = q @ (-q).T
+        assert s.max() - s.min() == pytest.approx(2.0, rel=1e-12)
+        assert_matches_loop_oracle(q, -q, temp)
+
+    def test_underflowed_sums_raise_instead_of_a_loss(self, rng):
+        # rows of norm 50 at tau 0.01: logits span 5e5, and exp(L - max L) is 0.0 for
+        # every entry of some rows; the log of such a sum would be -inf
+        q = 50.0 * unit(rng, 8, 5)
+        k = 50.0 * unit(rng, 8, 5)
+        temp = TemperatureParam(mode="fixed", value=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="underflowed"):
+                symmetric_info_nce(q, k, temp)
+        logits = (q @ k.T) / temp.tau
+        e = np.exp(logits - logits.max())
+        assert min(e.sum(axis=0).min(), e.sum(axis=1).min()) < MIN_EXP_SUM
+
     def test_grads_match_finite_difference(self, rng):
         q = unit(rng, 4, 8)
         k = unit(rng, 4, 8)
@@ -233,6 +269,17 @@ class TestSymmetricInfoNCE:
 
         fd = central_diff_scalar(f, temp.log_tau, 1e-6)
         assert abs(out.grad_log_tau - fd) <= 1e-6
+
+
+def assert_matches_loop_oracle(q, k, temp):
+    """Loss, both embedding gradients and grad_log_tau within 1e-12 of the loop oracle,
+    relative to the largest magnitude of each."""
+    out = symmetric_info_nce(q, k, temp)
+    loss, grad_q, grad_k, grad_log_tau = symmetric_info_nce_grads_loops(q.tolist(), k.tolist(), temp.tau)
+    for got, want in ((out.loss, loss), (out.grad_q, grad_q), (out.grad_k, grad_k),
+                      (out.grad_log_tau, grad_log_tau)):
+        got, want = np.asarray(got), np.asarray(want)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestL2RegressionLoss:

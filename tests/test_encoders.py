@@ -8,12 +8,13 @@ import pytest
 from modbind.codec import from_doc, to_doc
 from modbind.encoders import (
     EncoderArch,
+    EncoderGrads,
     EncoderParams,
     encode,
     encode_backward,
     init_encoder,
 )
-from modbind.numerics import NumericsError, l2_normalize_rows
+from modbind.numerics import NumericsError, l2_normalize_rows, l2_normalize_rows_backward
 
 from .conftest import encoder_from_vec
 from .oracles import finite_difference_check
@@ -151,6 +152,42 @@ class TestBackward:
         _, cache = encode(params, x)
         with pytest.raises(NumericsError):
             encode_backward(params, cache, rng.standard_normal((4, 7)))
+
+    @pytest.mark.parametrize("name", sorted(ARCHS))
+    def test_reused_buffer_is_bit_identical_to_a_fresh_one(self, rng, name):
+        # two backward passes in a row into one buffer, the first leaving stale values;
+        # row 0 is zero, so its embedding norm is below eps and takes the clamped branch
+        params = init_encoder(ARCHS[name], seed=5)
+        buffer = EncoderGrads.like(params)
+        buffer.flat[:] = np.nan
+        for _ in range(2):
+            x = rng.standard_normal((4, 6))
+            x[0] = 0.0
+            _, cache = encode(params, x)
+            assert cache.norms[0, 0] < 1e-12 <= cache.norms[1:].min()
+            upstream = rng.standard_normal((4, 5))
+            assert encode_backward(params, cache, upstream, buffer) is buffer
+            fresh = encode_backward(params, cache, upstream)
+            assert buffer.flat.tobytes() == fresh.flat.tobytes()
+            assert_packed(buffer.flat, buffer.arrays(), params.arch)
+
+    def test_cached_norms_are_bit_identical_to_recomputed_ones(self, rng):
+        params = init_encoder(ARCHS["hidden_mlp"], seed=5)
+        x = rng.standard_normal((4, 6))
+        x[0] = 0.0
+        emb, cache = encode(params, x)
+        upstream = rng.standard_normal((4, 5))
+        cached = l2_normalize_rows_backward(cache.pre_norm, upstream, norms=cache.norms)
+        recomputed = l2_normalize_rows_backward(cache.pre_norm, upstream)
+        assert cached.tobytes() == recomputed.tobytes()
+        assert emb.tobytes() == l2_normalize_rows(cache.pre_norm).tobytes()
+
+    def test_buffer_of_another_arch_rejected(self, rng):
+        params = init_encoder(ARCHS["hidden_mlp"], seed=5)
+        _, cache = encode(params, rng.standard_normal((4, 6)))
+        other = EncoderGrads.like(init_encoder(ARCHS["hidden_linear"], seed=5))
+        with pytest.raises(NumericsError, match="gradient buffer"):
+            encode_backward(params, cache, rng.standard_normal((4, 5)), other)
 
     def test_grads_share_the_params_layout(self, rng):
         params = init_encoder(ARCHS["hidden_mlp"], seed=5)

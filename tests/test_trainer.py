@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modbind.trainer as trainer_mod
 from modbind.codec import from_doc, to_doc
@@ -205,6 +207,15 @@ class TestConfigValidation:
         with pytest.raises(TrainerError):
             PairConfig(spoke="a", infonce_weight=-1.0)
 
+    def test_rejects_a_pool_smaller_than_one_batch(self):
+        # 6 steps over 2 pairs: 3 batches of 8 per pair and epoch, 24 samples
+        assert trainer_mod.pool_size(quick_config(), PairConfig(spoke="alpha", batch_size=8)) == 24
+        quick_config(pairs=[PairConfig(spoke="alpha", batch_size=8, replication_factor=3),
+                            PairConfig(spoke="beta", batch_size=8)])  # a pool of exactly 8
+        with pytest.raises(TrainerError, match="pool of 6 samples, fewer than its batch_size 8"):
+            quick_config(pairs=[PairConfig(spoke="alpha", batch_size=8),
+                                PairConfig(spoke="beta", batch_size=8, replication_factor=4)])
+
     def test_rejects_non_positive_adam_eps(self):
         with pytest.raises(TrainerError):
             TrainConfig(pairs=[PairConfig(spoke="a")], adam_eps=0.0)
@@ -297,9 +308,10 @@ class TestTrainRun:
             assert state.moments[spoke].t == steps // 2
             assert state.tau_moments[spoke].t == (steps // 2 if tau_trains else 0)
             assert (state.temperatures[spoke].log_tau != log_tau_before) == tau_trains
-        shapes = {name: [a.shape for a in enc.arrays()] for name, enc in state.encoders.items()}
+        # the clip sees one flat gradient vector per trained part: spoke, hub, log-temperature
+        shapes = {name: enc.flat.shape for name, enc in state.encoders.items()}
         assert clipped == [
-            shapes[rec.pair] + ([] if hub_frozen else shapes["hub"]) + ([(1,)] if tau_trains else [])
+            [shapes[rec.pair]] + ([] if hub_frozen else [shapes["hub"]]) + ([(1,)] if tau_trains else [])
             for rec in state.loss_history
         ]
 
@@ -680,3 +692,124 @@ class TestSummary:
             assert set(info) >= {"first_epoch_mean_loss", "last_epoch_mean_loss", "final_tau"}
         same = train_summary(state, cfg)
         assert same == summary
+
+
+# -- load_checkpoint under corrupted input -----------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_space(tmp_path_factory):
+    """A directory to write checkpoint variants to, and the text of a 2-step checkpoint."""
+    cfg = parse_experiment_config(small_config_document())
+    state, _ = train_run(make_world(cfg.world, cfg.seed), cfg.archs, cfg.train, max_steps=2)
+    root = tmp_path_factory.mktemp("fuzz")
+    save_checkpoint(state, root / "base.json")
+    return root, (root / "base.json").read_text()
+
+
+def doc_nodes(node, path=()):
+    """(path, value) of every node of a JSON document, the root first."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from doc_nodes(child, path + (key,))
+
+
+def is_number(value):
+    return type(value) in (int, float)
+
+
+def is_matrix(value):
+    """A list of at least two rows of numbers (a weight matrix or its moments)."""
+    return (isinstance(value, list) and len(value) >= 2
+            and all(isinstance(r, list) and r and all(map(is_number, r)) for r in value))
+
+
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def set_at(doc, path, value):
+    node_at(doc, path[:-1])[path[-1]] = value
+
+
+def resize(values, grow):
+    """Repeat the last entry of a list, or drop it."""
+    if grow:
+        values.append(values[-1])
+    else:
+        values.pop()
+
+
+def under_state_arrays(path):
+    return bool(path) and path[0] in ("encoders", "moments", "tau_moments")
+
+
+def load_fails(root, text):
+    path = root / "variant.json"
+    path.write_text(text)
+    with pytest.raises(TrainerError):
+        load_checkpoint(path)
+
+
+class TestLoadCheckpointFuzz:
+    """Every corrupted checkpoint fails with TrainerError: no other exception, and no load."""
+
+    def test_base_checkpoint_loads(self, fuzz_space):
+        root, text = fuzz_space
+        (root / "same.json").write_text(text)
+        assert load_checkpoint(root / "same.json").step == 2
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_json(self, fuzz_space, data):
+        root, text = fuzz_space
+        load_fails(root, text[: data.draw(st.integers(0, len(text) - 1))])
+
+    @given(data=st.data(), bad=st.sampled_from([math.nan, math.inf, -math.inf, True, False]))
+    @settings(max_examples=150, deadline=None)
+    def test_non_finite_or_bool_number(self, fuzz_space, data, bad):
+        root, text = fuzz_space
+        doc = json.loads(text)
+        numbers = [p for p, v in doc_nodes(doc) if is_number(v)]
+        set_at(doc, data.draw(st.sampled_from(numbers)), bad)
+        load_fails(root, json.dumps(doc))
+
+    @given(data=st.data(), grow=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_wrong_shape(self, fuzz_space, data, grow):
+        # one entry more or fewer in a list of the state's arrays, in an array, or in
+        # a loss_history row (the history itself may have any length)
+        root, text = fuzz_space
+        doc = json.loads(text)
+        lists = [p for p, v in doc_nodes(doc) if isinstance(v, list) and v
+                 and (under_state_arrays(p) or p[:1] == ("loss_history",) and len(p) == 2)]
+        resize(node_at(doc, data.draw(st.sampled_from(lists))), grow)
+        load_fails(root, json.dumps(doc))
+
+    @given(data=st.data(), grow=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_ragged_rows(self, fuzz_space, data, grow):
+        root, text = fuzz_space
+        doc = json.loads(text)
+        matrices = [p for p, v in doc_nodes(doc)
+                    if under_state_arrays(p) and isinstance(p[-1], int) and is_matrix(v)]
+        matrix = node_at(doc, data.draw(st.sampled_from(matrices)))
+        resize(matrix[data.draw(st.integers(0, len(matrix) - 1))], grow)
+        load_fails(root, json.dumps(doc))
+
+    @given(data=st.data(), key=st.text(min_size=1, max_size=8),
+           value=st.one_of(st.none(), st.integers(), st.text(max_size=4)))
+    @settings(max_examples=100, deadline=None)
+    def test_unknown_key(self, fuzz_space, data, key, value):
+        # keys beside the state land in `extra`; inside it, every object has a fixed schema
+        root, text = fuzz_space
+        doc = json.loads(text)
+        objects = [p for p, v in doc_nodes(doc) if p and isinstance(v, dict)]
+        target = node_at(doc, data.draw(st.sampled_from(objects)))
+        if key in target:
+            key += "_unknown"
+        target[key] = value
+        load_fails(root, json.dumps(doc))
