@@ -155,7 +155,9 @@ def symmetric_info_nce(q: np.ndarray, k: np.ndarray, temp: TemperatureParam) -> 
             f"InfoNCE logits span too wide at tau={tau}: an exp sum underflowed below "
             f"{MIN_EXP_SUM}; embedding rows must have norm <= 1"
         )
-    loss = float(np.mean(c_minus_diag + np.log(row_sums)) + np.mean(c_minus_diag + np.log(col_sums)))
+    loss = float(
+        (c_minus_diag + np.log(row_sums)).sum() / n + (c_minus_diag + np.log(col_sums)).sum() / n
+    )
     scale = n * tau
     d = e / (row_sums * scale)[:, None]
     e /= col_sums * scale

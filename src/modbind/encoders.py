@@ -18,12 +18,15 @@ from .numerics import (
     NumericsError,
     gelu_backward,
     gelu_forward,
+    gelu_with_tanh,
     l2_normalize_rows,
     l2_normalize_rows_backward,
     row_norms,
 )
 from .world import stream_rng
 
+# the activations an arch may name, as (forward, backward); encode calls
+# gelu_with_tanh instead of the forward, to keep the tanh for the backward pass
 _ACTIVATIONS = {
     "gelu": (gelu_forward, gelu_backward),
 }
@@ -135,13 +138,17 @@ class EncoderGrads:
 
 @dataclass
 class ForwardCache:
-    """Everything the backward pass needs: per-layer inputs and pre-activations, and
-    the last layer's output with its row norms (before the eps clamp)."""
+    """Everything the backward pass needs: per-layer inputs, pre-activations and
+    GELU tanh (None for a layer without activation, or to have the backward pass
+    recompute it), and the last layer's output with its row norms (before the
+    eps clamp) and its normalized rows."""
 
     inputs: list[np.ndarray] = field(default_factory=list)
     pre_activations: list[np.ndarray] = field(default_factory=list)
+    tanh: list[np.ndarray | None] = field(default_factory=list)
     pre_norm: np.ndarray | None = None
     norms: np.ndarray | None = None
+    normalized: np.ndarray | None = None
 
 
 def init_encoder(arch: EncoderArch, seed: int) -> EncoderParams:
@@ -168,12 +175,15 @@ def encode(params: EncoderParams, obs: np.ndarray) -> tuple[np.ndarray, ForwardC
         zip(params.weights, params.biases), params.arch.layer_plan()
     ):
         cache.inputs.append(h)
-        pre = h @ W.T + b
+        pre = h @ W.T
+        pre += b
         cache.pre_activations.append(pre)
-        h = _ACTIVATIONS[act][0](pre) if act else pre
+        h, t = gelu_with_tanh(pre) if act else (pre, None)
+        cache.tanh.append(t)
     cache.pre_norm = h
     cache.norms = row_norms(h)
-    return l2_normalize_rows(h, norms=cache.norms), cache
+    cache.normalized = l2_normalize_rows(h, norms=cache.norms)
+    return cache.normalized, cache
 
 
 def encode_backward(
@@ -196,12 +206,13 @@ def encode_backward(
     elif [v.shape for v in out.views] != params.arch.param_shapes():
         raise NumericsError("gradient buffer does not match the encoder's parameter shapes")
     views = out.views
-    g = l2_normalize_rows_backward(cache.pre_norm, grad_embeddings, norms=cache.norms)
+    g = l2_normalize_rows_backward(
+        cache.pre_norm, grad_embeddings, norms=cache.norms, normalized=cache.normalized
+    )
     plan = params.arch.layer_plan()
     for i in range(len(plan) - 1, -1, -1):
-        act = plan[i][2]
-        if act:
-            g = _ACTIVATIONS[act][1](cache.pre_activations[i], g)
+        if plan[i][2]:
+            g = gelu_backward(cache.pre_activations[i], g, tanh=cache.tanh[i])
         np.matmul(g.T, cache.inputs[i], out=views[2 * i])
         g.sum(axis=0, out=views[2 * i + 1])
         if i > 0:

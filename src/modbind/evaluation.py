@@ -196,33 +196,38 @@ def emergent_zero_shot_accuracy(
 def _block_rows(n: int) -> int:
     """Rows per block when ranking against n items.
 
-    Each (rows, n) temporary stays at 512 KB or less. The size sets memory,
-    not speed: at the 10x eval sizes (n = 2000), 32-row and 64-row blocks
-    ran equally fast, and 64-row blocks raised the peak RSS of `bind eval`
-    by about 3 MB.
+    A block's similarity rows, and each (rows, n) temporary of its ranking,
+    stay at 512 KB or less, so no (queries, n) array is ever allocated. The
+    size sets memory, not speed: at the 10x eval sizes (n = 2000), 32-row
+    and 64-row blocks ran equally fast, and 64-row blocks raised the peak
+    RSS of `bind eval` by about 3 MB.
     """
     return max(1, 2**16 // n)
 
 
+def _similarity_blocks(queries: np.ndarray, items: np.ndarray):
+    """(rows, queries[rows] @ items.T) for consecutive blocks of _block_rows(N) query rows."""
+    step = _block_rows(items.shape[0])
+    for start in range(0, queries.shape[0], step):
+        rows = slice(start, start + step)
+        yield rows, queries[rows] @ items.T
+
+
 def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
-    """(Q, K) column indices of each row's K largest values, in ascending order.
+    """(rows, K) column indices of each row's K largest values, in ascending order.
 
     Per row this is the set argsort(-row, kind="stable")[:k] takes: every
     item above the row's K-th largest value, then the tied items of lowest
-    index. Requires 1 <= k <= N and finite values.
+    index. Requires 1 <= k <= N and finite values. Callers pass one block
+    of similarity rows at a time.
     """
-    q, n = sims.shape
-    top = np.empty((q, k), dtype=np.int64)
-    step = _block_rows(n)
-    for start in range(0, q, step):
-        s = sims[start : start + step]
-        kth = np.partition(s, n - k, axis=1)[:, n - k, None]
-        above = s > kth
-        tied = s == kth
-        room = k - np.count_nonzero(above, axis=1, keepdims=True)
-        chosen = above | (tied & (np.cumsum(tied, axis=1) <= room))
-        top[start : start + step] = np.nonzero(chosen)[1].reshape(-1, k)
-    return top
+    n = sims.shape[1]
+    kth = np.partition(sims, n - k, axis=1)[:, n - k, None]
+    above = sims > kth
+    tied = sims == kth
+    room = k - np.count_nonzero(above, axis=1, keepdims=True)
+    chosen = above | (tied & (np.cumsum(tied, axis=1) <= room))
+    return np.nonzero(chosen)[1].reshape(-1, k)
 
 
 def cross_modal_recall_at_k(
@@ -258,12 +263,9 @@ def cross_modal_recall_at_k(
             f"ground-truth id {ground_truth_ids[missing][0].item()!r} not present in index"
         )
     cols = by_id[found]
-    sims = queries @ index.embeddings.T
     ranks = np.empty(len(cols), dtype=np.int64)
-    step = _block_rows(n_items)
-    for start in range(0, len(cols), step):
-        rows = slice(start, start + step)
-        s, c = sims[rows], cols[rows]
+    for rows, s in _similarity_blocks(queries, index.embeddings):
+        c = cols[rows]
         s_gt = s[np.arange(len(c)), c][:, None]
         ranks[rows] = np.count_nonzero(s > s_gt, axis=1) + np.count_nonzero(
             (s == s_gt) & (ids[None, :] < ids[c][:, None]), axis=1
@@ -403,9 +405,12 @@ def composed_retrieval_stats(
     if not (np.all(np.isfinite(composed)) and np.all(np.isfinite(hub_emb))):
         raise EvaluationError("composed queries and hub embeddings must be finite")
 
+    top = np.empty((n_queries, k), dtype=np.int64)
+    for block, s in _similarity_blocks(composed, hub_emb):
+        top[block] = _top_k(s, k)
     rows = np.arange(n_queries)
     covered = np.zeros((n_queries, world.num_classes), dtype=bool)
-    covered[rows[:, None], idx_labels[_top_k(composed @ hub_emb.T, k)]] = True
+    covered[rows[:, None], idx_labels[top]] = True
     hits = covered[rows, class_a] & covered[rows, class_b]
     perm = qrng.permutation(n_queries)
     permuted_hits = covered[rows, class_a[perm]] & covered[rows, class_b[perm]]

@@ -49,23 +49,41 @@ def gelu_forward(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def gelu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+def gelu_with_tanh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gelu_forward(x) and the tanh it took, which gelu_backward can reuse.
+
+    Keeping t costs one array more than gelu_forward, which adds 1 to t in place.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    t = _gelu_tanh(x, x * x)
+    y = 0.5 * x
+    y *= t + 1.0
+    return y, t
+
+
+def gelu_backward(
+    x: np.ndarray, upstream: np.ndarray, tanh: np.ndarray | None = None
+) -> np.ndarray:
     """Upstream gradient times dGELU/dx at x (same tanh approximation):
-    0.5*(1 + t) + 0.5*x*(1 - t^2)*c*(1 + 3a*x^2), with t the forward's tanh."""
+    0.5*(1 + t) + 0.5*x*(1 - t^2)*c*(1 + 3a*x^2), with t the forward's tanh.
+
+    `tanh` is that t as gelu_with_tanh(x) returned it; it is only read, and
+    it is recomputed when not given.
+    """
     x = np.asarray(x, dtype=np.float64)
     x2 = x * x
-    t = _gelu_tanh(x, x2)
+    t = _gelu_tanh(x, x2) if tanh is None else tanh
     du = (3.0 * _GELU_A) * x2
     du += 1.0
     du *= _GELU_C
     h = 0.5 * x
     h *= np.subtract(1.0, t * t, out=x2)  # x2 is not needed again
     h *= du
-    t += 1.0
-    t *= 0.5
-    t += h
-    t *= upstream
-    return t
+    grad = np.add(t, 1.0, out=du)  # nor is du
+    grad *= 0.5
+    grad += h
+    grad *= upstream
+    return grad
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -90,13 +108,15 @@ def l2_normalize_rows_backward(
     upstream: np.ndarray,
     eps: float = DEFAULT_NORM_EPS,
     norms: np.ndarray | None = None,
+    normalized: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of l2_normalize_rows w.r.t. x, chained with `upstream`.
 
     For rows with norm >= eps: d/dx [x/||x||] projects the upstream gradient
     onto the tangent space of the sphere, scaled by 1/||x||. Rows clamped at
-    eps are a constant 1/eps scaling. `norms` is row_norms(x), which the
-    forward pass already took; it is computed here when not given.
+    eps are a constant 1/eps scaling. `norms` is row_norms(x) and
+    `normalized` is l2_normalize_rows(x), which the forward pass already
+    took; each is computed here when not given.
     """
     x = as_matrix(x)
     upstream = as_matrix(upstream)
@@ -104,7 +124,7 @@ def l2_normalize_rows_backward(
         norms = row_norms(x)
     clamped = norms < eps
     n = np.maximum(norms, eps)
-    y = x / n
+    y = x / n if normalized is None else normalized
     grad = (upstream - y * np.sum(upstream * y, axis=1, keepdims=True)) / n
     if np.any(clamped):
         grad = np.where(clamped, upstream / eps, grad)

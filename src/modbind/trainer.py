@@ -58,6 +58,11 @@ class PairConfig:
             raise TrainerError(f"replication_factor must be >= 1, got {self.replication_factor}")
         if self.infonce_weight < 0 or self.l2_weight < 0:
             raise TrainerError("loss weights must be non-negative")
+        if self.infonce_weight == 0 and self.l2_weight == 0:
+            # the step would train on weight decay alone and log a loss of 0.0
+            raise TrainerError(
+                f"pair {self.spoke!r}: infonce_weight and l2_weight are both 0, so it trains on nothing"
+            )
 
 
 @dataclass
@@ -368,8 +373,11 @@ def train_run(
         pc = config.pairs[t % num_pairs]
         pool = pools[pc.spoke]
         pool_n = pool.hub_obs.shape[0]
-        start = (t // num_pairs) * pc.batch_size
-        idx = np.arange(start, start + pc.batch_size) % pool_n
+        start = (t // num_pairs) * pc.batch_size % pool_n
+        if start + pc.batch_size <= pool_n:  # a slice is a view; only a wrapping batch copies
+            idx = slice(start, start + pc.batch_size)
+        else:
+            idx = np.arange(start, start + pc.batch_size) % pool_n
         hub_enc = state.encoders[hub_name]
         spoke_enc = state.encoders[pc.spoke]
         q, q_cache = encode(hub_enc, pool.hub_obs[idx])

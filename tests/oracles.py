@@ -121,6 +121,11 @@ def retrieval_ranking_loops(query, index_embeddings, ids):
     return [ids[j] for j in order]
 
 
+def rank_loops(query, index_embeddings, ids, gt):
+    """Position (0-based) of item id `gt` in the retrieval_ranking_loops ranking."""
+    return retrieval_ranking_loops(query, index_embeddings, ids).index(gt)
+
+
 def top_k_loops(sims_row, k):
     """Indices of the k most-similar items, equal sims by ascending index,
     returned in ascending index order."""

@@ -807,6 +807,17 @@ class TestCliWorldgenAndErrors:
         assert "config.train" in err and "pool of 20 samples, fewer than its batch_size 64" in err
         assert not out.exists()
 
+    def test_pair_without_a_loss_exits_2(self, tmp_path, capsys):
+        doc = small_config_document()
+        doc["train"]["pairs"][1].update(infonce_weight=0.0, l2_weight=0.0)
+        cfg_path = tmp_path / "no_loss.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config.train.pairs[1]" in err and "infonce_weight and l2_weight are both 0" in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3(self, tmp_path, capsys):
         doc = small_config_document()

@@ -23,6 +23,7 @@ ARCHS = {
     "no_trunk_linear": EncoderArch(input_dim=6, hidden_widths=(), embed_dim=5, head="linear"),
     "hidden_linear": EncoderArch(input_dim=6, hidden_widths=(8,), embed_dim=5, head="linear"),
     "hidden_mlp": EncoderArch(input_dim=6, hidden_widths=(8,), embed_dim=5, head="mlp"),
+    "two_hidden_linear": EncoderArch(input_dim=6, hidden_widths=(8, 7), embed_dim=5, head="linear"),
 }
 
 
@@ -181,6 +182,26 @@ class TestBackward:
         recomputed = l2_normalize_rows_backward(cache.pre_norm, upstream)
         assert cached.tobytes() == recomputed.tobytes()
         assert emb.tobytes() == l2_normalize_rows(cache.pre_norm).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(ARCHS))
+    def test_cached_tanh_and_normalized_rows_are_bit_identical_to_recomputed_ones(self, rng, name):
+        # row 0 is zero, so its embedding norm is below eps and takes the clamped branch;
+        # a cache without tanh or normalized rows has the backward pass recompute them
+        params = init_encoder(ARCHS[name], seed=5)
+        x = rng.standard_normal((4, 6))
+        x[0] = 0.0
+        emb, cache = encode(params, x)
+        assert cache.norms[0, 0] < 1e-12 <= cache.norms[1:].min()
+        activated = [act is not None for _, _, act in params.arch.layer_plan()]
+        assert [t is not None for t in cache.tanh] == activated
+        assert cache.normalized is emb
+        kept = [t.copy() for t in cache.tanh if t is not None]
+        recomputing = dataclasses.replace(cache, tanh=[None] * len(cache.tanh), normalized=None)
+        upstream = rng.standard_normal((4, 5))
+        cached = encode_backward(params, cache, upstream)
+        recomputed = encode_backward(params, recomputing, upstream)
+        assert cached.flat.tobytes() == recomputed.flat.tobytes()
+        assert [t.tobytes() for t in cache.tanh if t is not None] == [t.tobytes() for t in kept]
 
     def test_buffer_of_another_arch_rejected(self, rng):
         params = init_encoder(ARCHS["hidden_mlp"], seed=5)

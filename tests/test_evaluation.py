@@ -7,6 +7,8 @@ statistical gambles.
 """
 
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,12 +32,12 @@ from modbind.evaluation import (
     trained_pair_registry,
     zero_shot_classify,
 )
-from modbind.evaluation import _block_rows, _top_k
+from modbind.evaluation import _block_rows, _similarity_blocks, _top_k
 from modbind.trainer import PairConfig, TrainConfig, init_train_state, train_run
 from modbind.world import ModalityConfig, WorldConfig, make_world
 
 from .conftest import unit_rows
-from .oracles import nearest_prototype_loops, recall_at_k_loops, top_k_loops
+from .oracles import dot, nearest_prototype_loops, rank_loops, recall_at_k_loops, top_k_loops
 
 
 def world_config(beta_noise=0.05, within_class_scale=0.2):
@@ -78,6 +80,24 @@ def trained(world):
     archs = make_archs(world)
     state, _ = train_run(world, archs, train_config())
     return archs, state
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes allocated while fn() runs, above what was allocated before.
+
+    NumPy reports its array buffers to tracemalloc, so this counts them.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 class TestPrototypeBank:
@@ -303,9 +323,9 @@ class TestRecallAtK:
 class TestTopK:
     @pytest.mark.parametrize("k", [1, 2, 37, 4096])
     def test_matches_loop_oracle_with_ties_across_blocks(self, rng, k):
-        # values from a small set, signed zeros included, over 70 rows: three row blocks
+        # values from a small set, signed zeros included, in one block of 70 rows;
+        # callers pass blocks of _block_rows(n) rows, which TestSimilarityBlocks checks
         n, q = 4096, 70
-        assert 2 * _block_rows(n) < q
         values = np.array([-1.0, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0])
         sims = values[rng.integers(0, len(values), (q, n))]
         sims[5] = 0.0
@@ -320,6 +340,77 @@ class TestTopK:
         top = _top_k(sims, 6)
         for i in range(9):
             assert top[i].tolist() == top_k_loops(sims[i].tolist(), 6)
+
+
+class TestSimilarityBlocks:
+    """Ranking over blocks of similarity rows, with ties that straddle the blocks."""
+
+    N, Q = 2048, 70  # 32-row blocks: 32, 32 and 6 rows
+
+    @pytest.fixture(scope="class")
+    def tied(self):
+        # 24 unit vectors with entries in {0, +-0.5, +-1}: every dot product between them
+        # is exact in any summation order, so BLAS and the loop oracle agree bit for bit.
+        # Index rows repeat, and so do similarity values: ties fill every block.
+        rng = np.random.default_rng(3)
+        palette = np.concatenate([
+            0.5 * np.array(list(itertools.product([-1.0, 1.0], repeat=4))),
+            np.eye(4), -np.eye(4),
+        ])
+        items = palette[rng.integers(0, len(palette), self.N)]
+        queries = palette[rng.integers(0, len(palette), self.Q)]
+        sims = [[dot(qr, e) for e in items.tolist()] for qr in queries.tolist()]
+        return items, queries, sims
+
+    def test_blocks_are_consecutive_rows_of_the_similarity_matrix(self, tied):
+        items, queries, sims = tied
+        step = _block_rows(self.N)
+        blocks = list(_similarity_blocks(queries, items))
+        assert len(blocks) >= 3
+        assert [rows for rows, _ in blocks] == [
+            slice(start, start + step) for start in range(0, self.Q, step)
+        ]
+        for rows, s in blocks:
+            assert s.tolist() == sims[rows]
+
+    def test_ranks_match_loop_oracle_with_ties_across_blocks(self, tied):
+        items, queries, _ = tied
+        rng = np.random.default_rng(4)
+        ids = rng.permutation(3 * self.N)[: self.N]
+        gt = ids[rng.integers(0, self.N, self.Q)]
+        index = RetrievalIndex(embeddings=items, item_ids=ids)
+        k_list = list(range(1, self.N + 1))
+        recalls = cross_modal_recall_at_k(index, queries, gt, k_list)
+        ranks = [
+            rank_loops(qr, items.tolist(), ids.tolist(), g)
+            for qr, g in zip(queries.tolist(), gt.tolist())
+        ]
+        assert len(set(ranks)) > 10
+        for k in k_list:
+            assert recalls[k] == sum(r < k for r in ranks) / self.Q
+
+    @pytest.mark.parametrize("k", [1, 7, 300])
+    def test_block_top_k_matches_loop_oracle_with_ties_across_blocks(self, tied, k):
+        items, queries, sims = tied
+        top = np.concatenate([_top_k(s, k) for _, s in _similarity_blocks(queries, items)])
+        assert top.shape == (self.Q, k)
+        for i in range(self.Q):
+            assert top[i].tolist() == top_k_loops(sims[i], k)
+
+    # one (2000, 2000) float64 similarity matrix is 32 MB
+    def test_recall_allocates_no_queries_by_items_matrix(self, rng):
+        n = 2000
+        index = RetrievalIndex(embeddings=unit_rows(n, 32, rng), item_ids=np.arange(n))
+        queries = unit_rows(n, 32, rng)
+        peak = peak_bytes(lambda: cross_modal_recall_at_k(index, queries, np.arange(n), [1, 10]))
+        assert peak < 4 * 2**20
+
+    def test_composed_retrieval_allocates_no_queries_by_items_matrix(self, world, trained):
+        _, state = trained
+        peak = peak_bytes(lambda: composed_retrieval_stats(
+            world, state, "alpha", "beta", 2000, 0.5, 10, 2000, "arith"
+        ))
+        assert peak < 8 * 2**20
 
 
 class TestFewShotProbe:

@@ -13,6 +13,7 @@ from modbind.numerics import (
     as_matrix,
     gelu_backward,
     gelu_forward,
+    gelu_with_tanh,
     l2_normalize_rows,
     l2_normalize_rows_backward,
     softmax_rows,
@@ -85,6 +86,26 @@ class TestGelu:
 
                 fd = central_diff_scalar(f, x[i, j], 1e-6)
                 assert abs(grad[i, j] - fd) <= 1e-6
+
+    def test_with_tanh_gives_the_forward_and_its_tanh(self, rng):
+        x = np.concatenate([rng.standard_normal((16, 8)) * 3.0, np.linspace(-8, 8, 8)[None]])
+        y, t = gelu_with_tanh(x)
+        assert y.tobytes() == gelu_forward(x).tobytes()
+        c = math.sqrt(2.0 / math.pi)
+        want = [[math.tanh(c * (v + 0.044715 * v**3)) for v in row] for row in x.tolist()]
+        np.testing.assert_allclose(t, want, rtol=1e-14, atol=1e-300)
+
+    def test_backward_with_the_forward_tanh_is_bit_identical(self, rng):
+        # signed zeros, tiny and large inputs, where tanh saturates or 1 + t cancels
+        x = np.concatenate([
+            rng.standard_normal((32, 16)) * 3.0,
+            np.array([[0.0, -0.0, 1e-300, -1e-300, 5e-324, 30.0, -30.0, -6.0] * 2]),
+        ])
+        up = rng.standard_normal(x.shape)
+        _, t = gelu_with_tanh(x)
+        kept = t.copy()
+        assert gelu_backward(x, up, tanh=t).tobytes() == gelu_backward(x, up).tobytes()
+        assert t.tobytes() == kept.tobytes()  # the cached tanh is only read
 
 
 class TestNormalize:

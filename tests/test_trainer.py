@@ -207,6 +207,13 @@ class TestConfigValidation:
         with pytest.raises(TrainerError):
             PairConfig(spoke="a", infonce_weight=-1.0)
 
+    def test_rejects_a_pair_without_a_loss(self):
+        # with both weights 0 the step would train on weight decay alone, logging loss 0.0
+        with pytest.raises(TrainerError, match="'a': infonce_weight and l2_weight are both 0"):
+            PairConfig(spoke="a", infonce_weight=0.0, l2_weight=0.0)
+        PairConfig(spoke="a", infonce_weight=0.0, l2_weight=1.0)
+        PairConfig(spoke="a", infonce_weight=1.0, l2_weight=0.0)
+
     def test_rejects_a_pool_smaller_than_one_batch(self):
         # 6 steps over 2 pairs: 3 batches of 8 per pair and epoch, 24 samples
         assert trainer_mod.pool_size(quick_config(), PairConfig(spoke="alpha", batch_size=8)) == 24
@@ -350,6 +357,33 @@ class TestTrainRun:
         for pair in seen:
             assert not hasattr(pair, "class_labels")
             assert not hasattr(pair, "latents")
+
+    def test_batches_are_consecutive_pool_rows_that_wrap(self, tiny_world, monkeypatch):
+        # pools of 12 samples for batches of 8: a pair's batches start at rows 0, 8, 4, 0, ...,
+        # and the one at 8 wraps around to rows 0-3
+        pools, encoded = [], []
+        sample, encode = trainer_mod.sample_training_batch, trainer_mod.encode
+
+        def sample_spy(world, spoke, n, rng, aligned=True):
+            pools.append(sample(world, spoke, n, rng, aligned=aligned))
+            return pools[-1]
+
+        def encode_spy(params, obs):
+            encoded.append(np.array(obs))
+            return encode(params, obs)
+
+        monkeypatch.setattr(trainer_mod, "sample_training_batch", sample_spy)
+        monkeypatch.setattr(trainer_mod, "encode", encode_spy)
+        cfg = quick_config(pairs=[PairConfig(spoke="alpha", batch_size=8, replication_factor=2),
+                                  PairConfig(spoke="beta", batch_size=8, replication_factor=2)])
+        train_run(tiny_world, tiny_archs(tiny_world), cfg)
+        assert [pool.hub_obs.shape[0] for pool in pools] == [12, 12]
+        assert len(encoded) == 2 * 12
+        for t in range(12):
+            rows = [((t // 2) * 8 + j) % 12 for j in range(8)]
+            pool = pools[t % 2]
+            np.testing.assert_array_equal(encoded[2 * t], pool.hub_obs[rows])
+            np.testing.assert_array_equal(encoded[2 * t + 1], pool.spoke_obs[rows])
 
     def test_divergence_aborts_with_step_index(self, tiny_world, monkeypatch):
         def bad_loss(q, k, temp):
