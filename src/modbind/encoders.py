@@ -17,7 +17,6 @@ from .codec import RUN_STATE
 from .numerics import (
     NumericsError,
     gelu_backward,
-    gelu_forward,
     gelu_with_tanh,
     l2_normalize_rows,
     l2_normalize_rows_backward,
@@ -25,10 +24,10 @@ from .numerics import (
 )
 from .world import stream_rng
 
-# the activations an arch may name, as (forward, backward); encode calls
-# gelu_with_tanh instead of the forward, to keep the tanh for the backward pass
+# the activations an arch may name, as (forward, backward): the forward returns
+# the activation and a cache that encode keeps for the backward's `tanh`
 _ACTIVATIONS = {
-    "gelu": (gelu_forward, gelu_backward),
+    "gelu": (gelu_with_tanh, gelu_backward),
 }
 
 
@@ -138,17 +137,16 @@ class EncoderGrads:
 
 @dataclass
 class ForwardCache:
-    """Everything the backward pass needs: per-layer inputs, pre-activations and
-    GELU tanh (None for a layer without activation, or to have the backward pass
-    recompute it), and the last layer's output with its row norms (before the
-    eps clamp) and its normalized rows."""
+    """Everything the backward pass needs: per-layer inputs and pre-activations,
+    each GELU layer's tanh (None for a layer without activation, or to have the
+    backward pass recompute it), and the last layer's output with its row norms
+    (before the eps clamp)."""
 
     inputs: list[np.ndarray] = field(default_factory=list)
     pre_activations: list[np.ndarray] = field(default_factory=list)
     tanh: list[np.ndarray | None] = field(default_factory=list)
     pre_norm: np.ndarray | None = None
     norms: np.ndarray | None = None
-    normalized: np.ndarray | None = None
 
 
 def init_encoder(arch: EncoderArch, seed: int) -> EncoderParams:
@@ -178,12 +176,11 @@ def encode(params: EncoderParams, obs: np.ndarray) -> tuple[np.ndarray, ForwardC
         pre = h @ W.T
         pre += b
         cache.pre_activations.append(pre)
-        h, t = gelu_with_tanh(pre) if act else (pre, None)
+        h, t = _ACTIVATIONS[act][0](pre) if act else (pre, None)
         cache.tanh.append(t)
     cache.pre_norm = h
     cache.norms = row_norms(h)
-    cache.normalized = l2_normalize_rows(h, norms=cache.norms)
-    return cache.normalized, cache
+    return l2_normalize_rows(h, norms=cache.norms), cache
 
 
 def encode_backward(
@@ -206,13 +203,12 @@ def encode_backward(
     elif [v.shape for v in out.views] != params.arch.param_shapes():
         raise NumericsError("gradient buffer does not match the encoder's parameter shapes")
     views = out.views
-    g = l2_normalize_rows_backward(
-        cache.pre_norm, grad_embeddings, norms=cache.norms, normalized=cache.normalized
-    )
+    g = l2_normalize_rows_backward(cache.pre_norm, grad_embeddings, norms=cache.norms)
     plan = params.arch.layer_plan()
     for i in range(len(plan) - 1, -1, -1):
-        if plan[i][2]:
-            g = gelu_backward(cache.pre_activations[i], g, tanh=cache.tanh[i])
+        act = plan[i][2]
+        if act:
+            g = _ACTIVATIONS[act][1](cache.pre_activations[i], g, tanh=cache.tanh[i])
         np.matmul(g.T, cache.inputs[i], out=views[2 * i])
         g.sum(axis=0, out=views[2 * i + 1])
         if i > 0:

@@ -108,15 +108,13 @@ def l2_normalize_rows_backward(
     upstream: np.ndarray,
     eps: float = DEFAULT_NORM_EPS,
     norms: np.ndarray | None = None,
-    normalized: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of l2_normalize_rows w.r.t. x, chained with `upstream`.
 
     For rows with norm >= eps: d/dx [x/||x||] projects the upstream gradient
     onto the tangent space of the sphere, scaled by 1/||x||. Rows clamped at
-    eps are a constant 1/eps scaling. `norms` is row_norms(x) and
-    `normalized` is l2_normalize_rows(x), which the forward pass already
-    took; each is computed here when not given.
+    eps are a constant 1/eps scaling. `norms` is row_norms(x), which the
+    forward pass already took; it is computed here when not given.
     """
     x = as_matrix(x)
     upstream = as_matrix(upstream)
@@ -124,7 +122,7 @@ def l2_normalize_rows_backward(
         norms = row_norms(x)
     clamped = norms < eps
     n = np.maximum(norms, eps)
-    y = x / n if normalized is None else normalized
+    y = x / n
     grad = (upstream - y * np.sum(upstream * y, axis=1, keepdims=True)) / n
     if np.any(clamped):
         grad = np.where(clamped, upstream / eps, grad)
