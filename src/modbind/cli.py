@@ -23,7 +23,7 @@ from .config import (
     parse_ablation_suite,
     parse_experiment_config,
 )
-from .encoders import encode
+from .encoders import embed
 from .evaluation import EvaluationError, aligned_eval_items, embed_arithmetic, run_eval_plan
 from .numerics import NumericsError
 from .report import ReportError, write_atomic
@@ -202,14 +202,14 @@ def cmd_retrieve(args) -> int:
             raise ConfigError("--index-modality/--query-modality/--compose", f"unknown modality {name!r}")
 
     obs, _ = aligned_eval_items(world, mods, n_items, world.stream("eval/retrieve"))
-    index_emb, _ = encode(state.encoders[args.index_modality], obs[args.index_modality])
+    index_emb = embed(state.encoders[args.index_modality], obs[args.index_modality])
     row = slice(args.query_id, args.query_id + 1)
     if compose:
-        emb_a, _ = encode(state.encoders[compose[0]], obs[compose[0]][row])
-        emb_b, _ = encode(state.encoders[compose[1]], obs[compose[1]][row])
+        emb_a = embed(state.encoders[compose[0]], obs[compose[0]][row])
+        emb_b = embed(state.encoders[compose[1]], obs[compose[1]][row])
         query = embed_arithmetic(emb_a, emb_b, args.compose_weight)[0]
     else:
-        query_emb, _ = encode(state.encoders[args.query_modality], obs[args.query_modality][row])
+        query_emb = embed(state.encoders[args.query_modality], obs[args.query_modality][row])
         query = query_emb[0]
     sims = index_emb @ query
     order = np.argsort(-sims, kind="stable")[: args.k]

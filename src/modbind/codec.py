@@ -2,10 +2,11 @@
 
 `to_doc` and `from_doc` walk `dataclasses.fields` and the field types, so no
 dataclass carries serialization code of its own. Decoding checks only the
-JSON shape: unknown and missing keys, JSON types (a bool is never a number),
-list lengths of fixed tuples. Every range and choice rule lives in the
-constructor of the dataclass that owns it; its error comes back as a
-ConfigError naming the object's path.
+JSON shape: unknown and missing keys, JSON types (a bool is never a number,
+and in a config document neither is the NaN or Infinity that Python's json
+module reads), list lengths of fixed tuples. Every range and choice rule
+lives in the constructor of the dataclass that owns it; its error comes
+back as a ConfigError naming the object's path.
 
 A full document (a checkpoint part) holds every field. A config document
 leaves out fields marked RUN_STATE and fields marked OMIT_DEFAULT while they
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 
@@ -130,6 +132,8 @@ def decode(tp, value, path: str, config: bool = False):
     if tp is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(path, f"expected a number, got {value!r}")
+        if config and not math.isfinite(value):
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
         return float(value)
     if tp is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ConfigError(path, f"expected an integer, got {value!r}")

@@ -1,8 +1,9 @@
 """Per-modality encoder stacks: MLP trunk plus a linear or MLP projection head.
 
 Each encoder maps raw observations to L2-row-normalized embeddings in the
-shared d-dimensional space. Forward passes cache enough to run an exact
-hand-derived backward pass; the MLP head variant is
+shared d-dimensional space. `encode` caches enough to run an exact
+hand-derived backward pass; `embed` is the same forward pass without that
+cache, for callers that never go backward. The MLP head variant is
 Linear(in, in) -> GELU -> Linear(in, d).
 """
 
@@ -16,6 +17,7 @@ import numpy as np
 from .codec import RUN_STATE
 from .numerics import (
     NumericsError,
+    block_rows,
     gelu_backward,
     gelu_with_tanh,
     l2_normalize_rows,
@@ -160,13 +162,19 @@ def init_encoder(arch: EncoderArch, seed: int) -> EncoderParams:
     return EncoderParams(arch=arch, weights=weights, biases=biases)
 
 
-def encode(params: EncoderParams, obs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass: trunk, head, then row normalization onto the unit sphere."""
+def _as_obs(params: EncoderParams, obs: np.ndarray) -> np.ndarray:
+    """obs as a float64 (rows, input_dim) matrix; NumericsError for any other shape."""
     obs = np.asarray(obs, dtype=np.float64)
     if obs.ndim != 2 or obs.shape[1] != params.arch.input_dim:
         raise NumericsError(
             f"observation dim {obs.shape} does not match encoder input_dim {params.arch.input_dim}"
         )
+    return obs
+
+
+def encode(params: EncoderParams, obs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Forward pass: trunk, head, then row normalization onto the unit sphere."""
+    obs = _as_obs(params, obs)
     cache = ForwardCache()
     h = obs
     for (W, b), (_, _, act) in zip(
@@ -181,6 +189,36 @@ def encode(params: EncoderParams, obs: np.ndarray) -> tuple[np.ndarray, ForwardC
     cache.pre_norm = h
     cache.norms = row_norms(h)
     return l2_normalize_rows(h, norms=cache.norms), cache
+
+
+def embed(params: EncoderParams, obs: np.ndarray) -> np.ndarray:
+    """encode(params, obs)[0] without the cache for a backward pass.
+
+    Runs the rows in blocks of at most block_rows(widest layer) and writes
+    each block's embeddings into one output array, so no layer's
+    (rows, width) array outlives its block. Every step is per row or a
+    row-blocked matmul, so the result is encode's bit for bit wherever BLAS
+    rounds a row of a product the same in a block as in the whole array.
+    OpenBLAS does at the bundled configs' widths if no block is short (it
+    takes other kernels below about 40 rows at width 64), hence blocks of
+    near-equal size. At some widths it does not: with a layer output of 700
+    it rounds a row by its place in a group of 12 rows.
+    """
+    obs = _as_obs(params, obs)
+    plan = params.arch.layer_plan()
+    n = obs.shape[0]
+    out = np.empty((n, params.arch.embed_dim))
+    blocks = -(-n // block_rows(max(o for _, o, _ in plan)))
+    for i in range(blocks):
+        rows = slice(i * n // blocks, (i + 1) * n // blocks)
+        h = obs[rows]
+        for W, b, (_, _, act) in zip(params.weights, params.biases, plan):
+            h = h @ W.T
+            h += b
+            if act:
+                h = _ACTIVATIONS[act][0](h)[0]
+        out[rows] = l2_normalize_rows(h)
+    return out
 
 
 def encode_backward(

@@ -18,8 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoders import EncoderParams, encode
-from .numerics import softmax_rows
+from .encoders import EncoderParams
+# evaluation needs no backward pass, so it encodes forward-only; the name `encode`
+# (with encode's arguments) is the attribute the benchmark in perfbench/ wraps
+from .encoders import embed as encode
+from .numerics import block_rows, softmax_rows
 from .report import MetricsReport
 from .trainer import TrainConfig, TrainState, init_train_state, train_run
 from .world import WorldSpec, _class_latents, class_prototypes, make_eval_set
@@ -134,7 +137,7 @@ def build_prototypes(
 ) -> PrototypeBank:
     """Encode C*P prompt observations, average per class, renormalize."""
     obs, labels = class_prototypes(world, modality, prompts_per_class, rng)
-    emb, _ = encode(encoder, obs)
+    emb = encode(encoder, obs)
     c = world.num_classes
     prototypes = np.zeros((c, emb.shape[1]))
     for cls_id in range(c):
@@ -183,7 +186,7 @@ def emergent_zero_shot_accuracy(
     eval_set = make_eval_set(
         world, data_modality, n_per_class, world.stream(f"{stream}/data/{data_modality}")
     )
-    emb, _ = encode(_encoder(state, data_modality), eval_set.obs)
+    emb = encode(_encoder(state, data_modality), eval_set.obs)
     pred = zero_shot_classify(emb, bank)
     accuracy = float(np.mean(pred == eval_set.labels))
     registry = trained_pair_registry(world, state)
@@ -193,21 +196,12 @@ def emergent_zero_shot_accuracy(
     return EmergentResult(accuracy=accuracy, emergent=emergent)
 
 
-def _block_rows(n: int) -> int:
-    """Rows per block when ranking against n items.
-
-    A block's similarity rows, and each (rows, n) temporary of its ranking,
-    stay at 512 KB or less, so no (queries, n) array is ever allocated. The
-    size sets memory, not speed: at the 10x eval sizes (n = 2000), 32-row
-    and 64-row blocks ran equally fast, and 64-row blocks raised the peak
-    RSS of `bind eval` by about 3 MB.
-    """
-    return max(1, 2**16 // n)
-
-
 def _similarity_blocks(queries: np.ndarray, items: np.ndarray):
-    """(rows, queries[rows] @ items.T) for consecutive blocks of _block_rows(N) query rows."""
-    step = _block_rows(items.shape[0])
+    """(rows, queries[rows] @ items.T) for consecutive blocks of block_rows(N) query rows.
+
+    No (queries, N) array is ever allocated.
+    """
+    step = block_rows(items.shape[0])
     for start in range(0, queries.shape[0], step):
         rows = slice(start, start + step)
         yield rows, queries[rows] @ items.T
@@ -223,6 +217,10 @@ def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
     """
     n = sims.shape[1]
     kth = np.partition(sims, n - k, axis=1)[:, n - k, None]
+    at_least = sims >= kth
+    if np.count_nonzero(at_least) == sims.shape[0] * k:
+        # every row has exactly K values >= its K-th largest: nothing ties at the cut
+        return np.nonzero(at_least)[1].reshape(-1, k)
     above = sims > kth
     tied = sims == kth
     room = k - np.count_nonzero(above, axis=1, keepdims=True)
@@ -267,9 +265,13 @@ def cross_modal_recall_at_k(
     for rows, s in _similarity_blocks(queries, index.embeddings):
         c = cols[rows]
         s_gt = s[np.arange(len(c)), c][:, None]
-        ranks[rows] = np.count_nonzero(s > s_gt, axis=1) + np.count_nonzero(
-            (s == s_gt) & (ids[None, :] < ids[c][:, None]), axis=1
-        )
+        if np.count_nonzero(s == s_gt) == len(c):
+            # each true item ties only with itself, so no id breaks a tie
+            ranks[rows] = np.count_nonzero(s >= s_gt, axis=1) - 1
+        else:
+            ranks[rows] = np.count_nonzero(s > s_gt, axis=1) + np.count_nonzero(
+                (s == s_gt) & (ids[None, :] < ids[c][:, None]), axis=1
+            )
     return {k: float(np.mean(ranks < k)) for k in k_list}
 
 
@@ -388,13 +390,13 @@ def composed_retrieval_stats(
     hub = world.hub
     rng = world.stream(f"{stream}/index")
     idx_obs, idx_labels = aligned_eval_items(world, [hub], index_size, rng)
-    hub_emb, _ = encode(_encoder(state, hub), idx_obs[hub])
+    hub_emb = encode(_encoder(state, hub), idx_obs[hub])
 
     per_class = max(4, n_queries // world.num_classes + 1)
     pool_a = make_eval_set(world, modality_a, per_class, world.stream(f"{stream}/pool/{modality_a}"))
     pool_b = make_eval_set(world, modality_b, per_class, world.stream(f"{stream}/pool/{modality_b}"))
-    emb_a, _ = encode(_encoder(state, modality_a), pool_a.obs)
-    emb_b, _ = encode(_encoder(state, modality_b), pool_b.obs)
+    emb_a = encode(_encoder(state, modality_a), pool_a.obs)
+    emb_b = encode(_encoder(state, modality_b), pool_b.obs)
 
     qrng = world.stream(f"{stream}/queries")
     class_a = qrng.integers(0, world.num_classes, n_queries)
@@ -464,8 +466,8 @@ def run_eval_plan(
     for query_mod, index_mod in plan.retrieval_pairs:
         rng = world.stream(f"{plan.stream}/retrieval/{query_mod}_to_{index_mod}")
         obs, _ = aligned_eval_items(world, [query_mod, index_mod], plan.retrieval_index_size, rng)
-        index_emb, _ = encode(_encoder(state, index_mod), obs[index_mod])
-        query_emb, _ = encode(_encoder(state, query_mod), obs[query_mod])
+        index_emb = encode(_encoder(state, index_mod), obs[index_mod])
+        query_emb = encode(_encoder(state, query_mod), obs[query_mod])
         ids = np.arange(plan.retrieval_index_size)
         index = RetrievalIndex(embeddings=index_emb, item_ids=ids)
         recalls = cross_modal_recall_at_k(index, query_emb, ids, plan.k_list)
@@ -481,12 +483,12 @@ def run_eval_plan(
         eval_set = make_eval_set(
             world, mod, plan.n_per_class, world.stream(f"{plan.stream}/few_shot/eval/{mod}")
         )
-        eval_emb, _ = encode(_encoder(state, mod), eval_set.obs)
+        eval_emb = encode(_encoder(state, mod), eval_set.obs)
         for k in plan.few_shot_ks:
             shots = make_eval_set(
                 world, mod, k, world.stream(f"{plan.stream}/few_shot/shots/{mod}/k={k}")
             )
-            shot_emb, _ = encode(_encoder(state, mod), shots.obs)
+            shot_emb = encode(_encoder(state, mod), shots.obs)
             metrics[f"few_shot_k{k}/{mod}"] = few_shot_probe(
                 shot_emb, shots.labels, eval_emb, eval_set.labels
             )
@@ -506,9 +508,9 @@ def run_eval_plan(
         obs, _ = aligned_eval_items(
             world, [hub, mod_a, mod_b], plan.retrieval_index_size, rng
         )
-        hub_emb, _ = encode(_encoder(state, hub), obs[hub])
-        emb_a, _ = encode(_encoder(state, mod_a), obs[mod_a])
-        emb_b, _ = encode(_encoder(state, mod_b), obs[mod_b])
+        hub_emb = encode(_encoder(state, hub), obs[hub])
+        emb_a = encode(_encoder(state, mod_a), obs[mod_a])
+        emb_b = encode(_encoder(state, mod_b), obs[mod_b])
         ids = np.arange(plan.retrieval_index_size)
         index = RetrievalIndex(embeddings=hub_emb, item_ids=ids)
         for w in plan.ensemble_weights:

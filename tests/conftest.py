@@ -57,6 +57,36 @@ def encoder_from_vec(arch, vec):
     return EncoderParams(arch=arch, weights=arrays[0::2], biases=arrays[1::2])
 
 
+def doc_nodes(node, path=()):
+    """(path, value) of every node of a JSON document, the root first."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from doc_nodes(child, path + (key,))
+
+
+def is_number(value):
+    return type(value) in (int, float)
+
+
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def set_at(doc, path, value):
+    node_at(doc, path[:-1])[path[-1]] = value
+
+
+def resize(values, grow):
+    """Repeat the last entry of a list, or drop it."""
+    if grow:
+        values.append(values[-1])
+    else:
+        values.pop()
+
+
 def small_config_document():
     """A fast, fully explicit experiment config document for config/CLI tests."""
     return {

@@ -4,9 +4,13 @@ CLI tests call main(argv) in-process and write only under tmp dirs; the one
 training run they need is shared through a module-scoped fixture.
 """
 
+import contextlib
+import io
 import json
+import math
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -14,6 +18,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modbind
 import modbind.ablation as ablation_mod
@@ -35,7 +41,7 @@ from modbind.config import (
     parse_experiment_config,
 )
 
-from .conftest import small_config_document
+from .conftest import doc_nodes, is_number, node_at, resize, set_at, small_config_document
 
 # pool tests run two workers, or one where the process may use one core only
 POOL = min(2, usable_cores())
@@ -188,6 +194,117 @@ class TestConfigValidation:
         # zero spread puts every sample on its class mean, which a world allows
         small_config_doc["world"]["within_class_scale"] = 0
         assert parse_experiment_config(small_config_doc).world.within_class_scale == 0.0
+
+    @pytest.mark.parametrize("path, token, where", [
+        (("train", "learning_rate"), "NaN", "config.train.learning_rate"),
+        (("world", "within_class_scale"), "Infinity", "config.world.within_class_scale"),
+        (("world", "modalities", 1, "obs_noise_scale"), "-Infinity",
+         "config.world.modalities[1].obs_noise_scale"),
+    ])
+    def test_non_finite_number_rejected_with_path(self, small_config_doc, tmp_path, capsys,
+                                                  path, token, where):
+        # Python's json module reads NaN and Infinity; a range check such as
+        # `scale < 0` lets NaN through, so the codec rejects them
+        set_at(small_config_doc, path, "@")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(small_config_doc).replace('"@"', token))
+        with pytest.raises(ConfigError, match="finite") as e:
+            parse_experiment_config(json.loads(cfg_path.read_text()))
+        assert e.value.path == where
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def fuzz_base_document():
+    """small_config_document with every optional eval measurement and train number set."""
+    doc = small_config_document()
+    doc["eval"].update(
+        few_shot_modality="alpha", few_shot_ks=[1, 2], arithmetic_pair=["alpha", "beta"],
+        arithmetic_queries=5, arithmetic_weight=0.5, ensemble_pair=["alpha", "beta"],
+        ensemble_weights=[0.0, 0.5],
+    )
+    doc["train"].update(weight_decay=0.01, warmup_epochs=1.0, betas=[0.9, 0.95])
+    doc["train"]["pairs"][0]["temperature"] = {"mode": "fixed", "value": 0.1}
+    return doc
+
+
+@pytest.fixture(scope="module")
+def config_fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_fuzz")
+
+
+def train_rejects(root, text):
+    """`bind train` on a config file holding `text` exits 2 with a config error."""
+    path = root / "variant.json"
+    path.write_text(text)
+    out = root / "out"
+    shutil.rmtree(out, ignore_errors=True)  # so that one escape fails one example only
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["train", "--config", str(path), "--out", str(out)])
+    assert code == 2, err.getvalue()
+    assert err.getvalue().startswith("config error: ")
+    assert not out.exists()
+
+
+class TestExperimentConfigFuzz:
+    """Every corrupted config ends in exit 2 from `bind train`: no traceback, no training."""
+
+    def test_base_document_is_valid(self):
+        doc = fuzz_base_document()
+        assert parse_experiment_config(doc).eval_plan.ensemble_weights == [0.0, 0.5]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_json(self, config_fuzz_dir, data):
+        text = json.dumps(fuzz_base_document(), indent=1)
+        train_rejects(config_fuzz_dir, text[: data.draw(st.integers(0, len(text) - 1))])
+
+    @given(data=st.data(), kind=st.sampled_from(["list", "object", "string", "number", "null"]))
+    @settings(max_examples=150, deadline=None)
+    def test_wrong_shape(self, config_fuzz_dir, data, kind):
+        # a node of another JSON kind; a number for a number and null for an
+        # optional field are no change of shape
+        doc = fuzz_base_document()
+        replacement = {"list": [], "object": {}, "string": "x", "number": 2, "null": None}[kind]
+        nodes = [p for p, v in doc_nodes(doc) if p and not (
+            type(v) is type(replacement) or is_number(v) and kind == "number"
+            or kind == "null" and p[-1] in ("few_shot_modality", "arithmetic_pair", "ensemble_pair")
+        )]
+        set_at(doc, data.draw(st.sampled_from(nodes)), replacement)
+        train_rejects(config_fuzz_dir, json.dumps(doc))
+
+    @given(data=st.data(), bad=st.sampled_from([math.nan, math.inf, -math.inf, True, False]))
+    @settings(max_examples=150, deadline=None)
+    def test_non_finite_or_bool_number(self, config_fuzz_dir, data, bad):
+        doc = fuzz_base_document()
+        set_at(doc, data.draw(st.sampled_from([p for p, v in doc_nodes(doc) if is_number(v)])), bad)
+        train_rejects(config_fuzz_dir, json.dumps(doc))
+
+    @given(data=st.data(), key=st.text(min_size=1, max_size=8),
+           value=st.one_of(st.none(), st.integers(), st.text(max_size=4)))
+    @settings(max_examples=100, deadline=None)
+    def test_unknown_key(self, config_fuzz_dir, data, key, value):
+        doc = fuzz_base_document()
+        target = node_at(doc, data.draw(st.sampled_from(
+            [p for p, v in doc_nodes(doc) if isinstance(v, dict)]
+        )))
+        while key in target:
+            key += "_unknown"
+        target[key] = value
+        train_rejects(config_fuzz_dir, json.dumps(doc))
+
+    @given(data=st.data(), grow=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_ragged_rows(self, config_fuzz_dir, data, grow):
+        # one entry more or fewer in a row of a list of pairs, or in a fixed pair
+        doc = fuzz_base_document()
+        rows = [p for p, v in doc_nodes(doc)
+                if isinstance(v, list) and len(p) == 3 and p[1].endswith("_pairs")
+                or p[-1:] in (("arithmetic_pair",), ("ensemble_pair",), ("betas",))]
+        resize(node_at(doc, data.draw(st.sampled_from(rows))), grow)
+        train_rejects(config_fuzz_dir, json.dumps(doc))
 
 
 class TestConfigHash:

@@ -2,23 +2,36 @@
 
 import dataclasses
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modbind.encoders as encoders_mod
+from modbind.cli import main
 from modbind.codec import from_doc, to_doc
+from modbind.config import parse_experiment_config
 from modbind.encoders import (
     EncoderArch,
     EncoderGrads,
     EncoderParams,
+    embed,
     encode,
     encode_backward,
     init_encoder,
 )
-from modbind.numerics import NumericsError, l2_normalize_rows, l2_normalize_rows_backward
+from modbind.evaluation import EvalPlan, run_eval_plan
+from modbind.numerics import (
+    NumericsError,
+    block_rows,
+    l2_normalize_rows,
+    l2_normalize_rows_backward,
+)
+from modbind.trainer import init_train_state, save_checkpoint
+from modbind.world import make_world
 
-from .conftest import encoder_from_vec
+from .conftest import encoder_from_vec, small_config_document
 from .oracles import finite_difference_check
 
 ARCHS = {
@@ -131,6 +144,90 @@ class TestEncode:
         a, _ = encode(params, x)
         b, _ = encode(params, x)
         np.testing.assert_array_equal(a, b)
+
+
+class TestEmbed:
+    """embed is encode's forward pass without the cache, in row blocks, bit for bit."""
+
+    # desk's widths: the widest layer has 64 outputs, so blocks of 1024 rows
+    WIDE = {
+        head: EncoderArch(input_dim=20, hidden_widths=(64,), embed_dim=32, head=head)
+        for head in ("linear", "mlp")
+    }
+
+    @pytest.fixture(params=sorted(WIDE))
+    def params(self, request):
+        params = init_encoder(self.WIDE[request.param], seed=4)
+        params.flat[:] += np.random.default_rng(5).uniform(-0.1, 0.1, params.flat.shape)
+        return params
+
+    @pytest.mark.parametrize("rows", [1, 2, 37, 1025, 3 * 1024 + 7])
+    def test_matches_encode(self, params, rows, rng):
+        # 1025 rows in full blocks would leave a last block of one row, which this
+        # BLAS rounds differently; 3079 rows span four blocks
+        assert block_rows(64) == 1024
+        x = rng.standard_normal((rows, 20))
+        x[0] = 0.0  # a row whose norm is clamped at eps
+        got = embed(params, x)
+        assert got.shape == (rows, 32) and got.flags.c_contiguous
+        assert np.array_equal(got, encode(params, x)[0])
+
+    @pytest.mark.parametrize("name", sorted(ARCHS))
+    def test_matches_encode_on_small_archs(self, rng, name):
+        params = init_encoder(ARCHS[name], seed=1)
+        x = rng.standard_normal((9, 6))
+        assert np.array_equal(embed(params, x), encode(params, x)[0])
+
+    def test_no_rows(self, params):
+        assert embed(params, np.zeros((0, 20))).shape == (0, 32)
+
+    @pytest.mark.parametrize("shape", [(3, 7), (20,), (2, 3, 20)])
+    def test_input_dim_mismatch_raises_what_encode_raises(self, params, shape):
+        x = np.zeros(shape)
+        with pytest.raises(NumericsError) as from_encode:
+            encode(params, x)
+        with pytest.raises(NumericsError) as from_embed:
+            embed(params, x)
+        assert str(from_embed.value) == str(from_encode.value)
+
+
+class TestEvaluationEncodesForwardOnly:
+    """No evaluation path builds the training step's ForwardCache."""
+
+    @pytest.fixture
+    def no_cache(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ForwardCache was built")
+
+        monkeypatch.setattr(encoders_mod, "ForwardCache", refuse)
+
+    def test_run_eval_plan_and_retrieve(self, no_cache, tmp_path):
+        doc = small_config_document()
+        cfg = parse_experiment_config(doc)
+        world = make_world(cfg.world, cfg.seed)
+        state = init_train_state(world, cfg.archs, cfg.train)
+        with pytest.raises(AssertionError, match="ForwardCache"):
+            encode(state.encoders["hub"], np.zeros((1, 6)))
+        plan = EvalPlan(
+            emergent_pairs=[("alpha", "beta")], retrieval_pairs=[("alpha", "beta")],
+            k_list=[1, 5], few_shot_modality="alpha", few_shot_ks=[1, 2],
+            arithmetic_pair=("alpha", "beta"), arithmetic_queries=10,
+            ensemble_pair=("alpha", "beta"), ensemble_weights=[0.0, 0.5],
+            n_per_class=5, prompts_per_class=4, retrieval_index_size=30, retrieval_k=5,
+        )
+        metrics = run_eval_plan(world, state, plan).metrics
+        assert len(metrics) == 1 + 2 + 2 + 2 + 2
+
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        ckpt = tmp_path / "checkpoint.json"
+        save_checkpoint(state, ckpt, extra={"config_hash": cfg.hash, "seed": cfg.seed})
+        common = ["retrieve", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                  "--index-modality", "hub"]
+        assert main(common + ["--query-modality", "alpha"]) == 0
+        assert main(common + ["--compose", "alpha+beta"]) == 0
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 0
 
 
 class TestBackward:

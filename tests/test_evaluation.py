@@ -8,12 +8,15 @@ statistical gambles.
 
 import dataclasses
 import itertools
+import json
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from modbind.codec import from_doc, to_doc
+from modbind.config import parse_experiment_config
 from modbind.encoders import EncoderArch, encode, init_encoder
 from modbind.evaluation import (
     EvalPlan,
@@ -32,7 +35,8 @@ from modbind.evaluation import (
     trained_pair_registry,
     zero_shot_classify,
 )
-from modbind.evaluation import _block_rows, _similarity_blocks, _top_k
+from modbind.evaluation import _similarity_blocks, _top_k
+from modbind.numerics import block_rows
 from modbind.trainer import PairConfig, TrainConfig, init_train_state, train_run
 from modbind.world import ModalityConfig, WorldConfig, make_world
 
@@ -259,7 +263,7 @@ class TestRecallAtK:
     def test_matches_loop_oracle_with_ties_across_blocks(self, rng):
         # 5 distinct rows over 2048 items force ties; 40 queries span two row blocks
         n, q = 2048, 40
-        assert _block_rows(n) < q
+        assert block_rows(n) < q
         emb = unit_rows(5, 6, rng)[rng.integers(0, 5, n)]
         ids = rng.permutation(3 * n)[:n]
         index = RetrievalIndex(embeddings=emb, item_ids=ids)
@@ -324,7 +328,7 @@ class TestTopK:
     @pytest.mark.parametrize("k", [1, 2, 37, 4096])
     def test_matches_loop_oracle_with_ties_across_blocks(self, rng, k):
         # values from a small set, signed zeros included, in one block of 70 rows;
-        # callers pass blocks of _block_rows(n) rows, which TestSimilarityBlocks checks
+        # callers pass blocks of block_rows(n) rows, which TestSimilarityBlocks checks
         n, q = 4096, 70
         values = np.array([-1.0, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0])
         sims = values[rng.integers(0, len(values), (q, n))]
@@ -364,7 +368,7 @@ class TestSimilarityBlocks:
 
     def test_blocks_are_consecutive_rows_of_the_similarity_matrix(self, tied):
         items, queries, sims = tied
-        step = _block_rows(self.N)
+        step = block_rows(self.N)
         blocks = list(_similarity_blocks(queries, items))
         assert len(blocks) >= 3
         assert [rows for rows, _ in blocks] == [
@@ -396,6 +400,68 @@ class TestSimilarityBlocks:
         assert top.shape == (self.Q, k)
         for i in range(self.Q):
             assert top[i].tolist() == top_k_loops(sims[i], k)
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        # 5-d items: the 24 exact palette vectors in the first four coordinates, and
+        # 1000 random unit vectors close to e5. Queries run in three 64-row blocks:
+        # random, palette, random. A palette query's similarities with palette items
+        # are exact and tie; every other similarity is a continuous value, so only
+        # the middle block has ties, and the outer ones take the fast paths.
+        rng = np.random.default_rng(6)
+        palette = np.concatenate([
+            0.5 * np.array(list(itertools.product([-1.0, 1.0], repeat=4))),
+            np.eye(4), -np.eye(4),
+        ])
+        palette = np.hstack([palette, np.zeros((24, 1))])
+        near_e5 = np.hstack([0.05 * unit_rows(1000, 4, rng), np.zeros((1000, 1))])
+        near_e5[:, 4] = np.sqrt(1.0 - np.sum(near_e5**2, axis=1))
+        items = rng.permutation(np.concatenate([palette, near_e5]))
+        ids = rng.permutation(5 * len(items))[: len(items)]
+        queries = np.concatenate(
+            [unit_rows(64, 5, rng), palette[rng.integers(0, 24, 64)], unit_rows(64, 5, rng)]
+        )
+        is_palette = np.all(items[:, 4:] == 0.0, axis=1)
+        gt_cols = np.concatenate([
+            rng.integers(0, len(items), 64),
+            rng.choice(np.flatnonzero(is_palette), 64),
+            rng.integers(0, len(items), 64),
+        ])
+        assert block_rows(len(items)) == 64
+        return items, ids, queries, ids[gt_cols]
+
+    def test_recall_with_tied_and_untied_blocks_matches_loop_oracle(self, mixed):
+        items, ids, queries, gt = mixed
+        index = RetrievalIndex(embeddings=items, item_ids=ids)
+        col = {i: j for j, i in enumerate(ids.tolist())}
+        tied = []
+        for rows, s in _similarity_blocks(queries, items):
+            s_gt = s[np.arange(s.shape[0]), [col[g] for g in gt[rows].tolist()]][:, None]
+            tied.append(bool(np.count_nonzero(s == s_gt) > s.shape[0]))
+        assert tied == [False, True, False]
+        ranks = [
+            rank_loops(qr, items.tolist(), ids.tolist(), g)
+            for qr, g in zip(queries.tolist(), gt.tolist())
+        ]
+        assert len(set(ranks[64:128])) > 3
+        k_list = sorted({r + 1 for r in ranks})
+        recalls = cross_modal_recall_at_k(index, queries, gt, k_list)
+        for k in k_list:
+            assert recalls[k] == sum(r < k for r in ranks) / len(ranks)
+
+    # a palette query's similarities, from the top: its own 1.0, eight palette items at
+    # 0.5, then continuous values; its K-th value ties for K = 2 to 8 only
+    @pytest.mark.parametrize("k, middle_tied", [(1, False), (5, True), (9, False)])
+    def test_top_k_with_tied_and_untied_blocks_matches_loop_oracle(self, mixed, k, middle_tied):
+        items, _, queries, _ = mixed
+        tied = []
+        for _, s in _similarity_blocks(queries, items):
+            kth = np.sort(s, axis=1)[:, -k, None]
+            tied.append(bool(np.count_nonzero(s >= kth) > s.shape[0] * k))
+            top = _top_k(s, k)
+            for i in range(s.shape[0]):
+                assert top[i].tolist() == top_k_loops(s[i].tolist(), k)
+        assert tied == [False, middle_tied, False]
 
     # one (2000, 2000) float64 similarity matrix is 32 MB
     def test_recall_allocates_no_queries_by_items_matrix(self, rng):
@@ -596,6 +662,18 @@ class TestRunEvalPlan:
             retrieval_index_size=40,
             retrieval_k=5,
         )
+
+    def test_ten_times_eval_sizes_stay_under_16_mb(self):
+        # desk.json at the 10x eval sizes of the benchmark's eval-desk-x10 workload
+        # (X10_EVAL in perfbench/run.py), on an untrained state; encoding through
+        # encode, which keeps the backward pass's cache, peaks at about 27.5 MB
+        doc = json.loads(resources.files("modbind").joinpath("configs", "desk.json").read_text())
+        doc["eval"].update(retrieval_index_size=2000, arithmetic_queries=2000, n_per_class=1000)
+        cfg = parse_experiment_config(doc)
+        world = make_world(cfg.world, cfg.seed)
+        state = init_train_state(world, cfg.archs, cfg.train)
+        peak = peak_bytes(lambda: run_eval_plan(world, state, cfg.eval_plan))
+        assert peak < 16 * 2**20
 
     def test_all_configured_metrics_present(self, world, trained):
         _, state = trained

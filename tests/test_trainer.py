@@ -31,7 +31,7 @@ from modbind.trainer import (
 )
 from modbind.world import make_world
 
-from .conftest import small_config_document
+from .conftest import doc_nodes, is_number, node_at, resize, set_at, small_config_document
 from .oracles import adamw_scalar_loops
 
 
@@ -741,40 +741,10 @@ def fuzz_space(tmp_path_factory):
     return root, (root / "base.json").read_text()
 
 
-def doc_nodes(node, path=()):
-    """(path, value) of every node of a JSON document, the root first."""
-    yield path, node
-    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in children:
-        yield from doc_nodes(child, path + (key,))
-
-
-def is_number(value):
-    return type(value) in (int, float)
-
-
 def is_matrix(value):
     """A list of at least two rows of numbers (a weight matrix or its moments)."""
     return (isinstance(value, list) and len(value) >= 2
             and all(isinstance(r, list) and r and all(map(is_number, r)) for r in value))
-
-
-def node_at(doc, path):
-    for key in path:
-        doc = doc[key]
-    return doc
-
-
-def set_at(doc, path, value):
-    node_at(doc, path[:-1])[path[-1]] = value
-
-
-def resize(values, grow):
-    """Repeat the last entry of a list, or drop it."""
-    if grow:
-        values.append(values[-1])
-    else:
-        values.pop()
 
 
 def under_state_arrays(path):
