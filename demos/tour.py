@@ -24,7 +24,7 @@ def section(title):
 
 
 def main():
-    text = resources.files("modbind").joinpath("configs", "desk.json").read_text()
+    text = resources.files("modbind").joinpath("configs", "desk.json").read_text(encoding="utf-8")
     cfg = parse_experiment_config(json.loads(text))
     world = make_world(cfg.world, cfg.seed)
 

@@ -86,7 +86,7 @@ def _openblas_call(verb: str, *args) -> list[int]:
     import ctypes
 
     try:
-        with open("/proc/self/maps") as maps:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
             fields = [line.split(maxsplit=5) for line in maps]
     except OSError:
         return []

@@ -40,19 +40,20 @@ from .world import WorldError, make_world
 
 
 def _load_json_doc(path_str: str):
-    """Read a JSON document from disk, falling back to the bundled configs."""
+    """Read a UTF-8 JSON document from disk, falling back to the bundled configs."""
     p = Path(path_str)
-    if p.exists():
-        text = p.read_text()
-    else:
-        bundled = resources.files("modbind").joinpath("configs", path_str)
-        try:
-            text = bundled.read_text()
-        except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
-            raise FileNotFoundError(f"config file not found: {path_str}") from None
     try:
+        if p.exists():
+            text = p.read_text(encoding="utf-8")
+        else:
+            bundled = resources.files("modbind").joinpath("configs", path_str)
+            try:
+                text = bundled.read_text(encoding="utf-8")
+            except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
+                raise FileNotFoundError(f"config file not found: {path_str}") from None
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: nested too deep to parse
         raise ConfigError(path_str, f"invalid JSON: {e}") from e
 
 

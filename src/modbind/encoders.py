@@ -9,7 +9,7 @@ Linear(in, in) -> GELU -> Linear(in, d).
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,17 +76,12 @@ class EncoderArch:
 def pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """One contiguous float64 copy of `arrays`, laid end to end, and a view of it per array."""
     flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-    return flat, _views(flat, [np.shape(a) for a in arrays])
-
-
-def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Views of `flat` with the given shapes, laid end to end."""
     views, pos = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[pos : pos + size].reshape(shape))
+    for a in arrays:
+        size = np.size(a)
+        views.append(flat[pos : pos + size].reshape(np.shape(a)))
         pos += size
-    return views
+    return flat, views
 
 
 @dataclass
@@ -121,33 +116,16 @@ class EncoderParams:
 
 
 @dataclass
-class EncoderGrads:
-    """Parameter gradients in the layout of EncoderParams: one vector, a view per array."""
-
-    flat: np.ndarray
-    views: list[np.ndarray]  # in EncoderParams.arrays() order
-
-    @classmethod
-    def like(cls, params: EncoderParams) -> "EncoderGrads":
-        """An uninitialized buffer for `params`' gradients, which encode_backward fills."""
-        flat = np.empty_like(params.flat)
-        return cls(flat=flat, views=_views(flat, params.arch.param_shapes()))
-
-    def arrays(self) -> list[np.ndarray]:
-        return self.views
-
-
-@dataclass
 class ForwardCache:
-    """Everything the backward pass needs: per-layer inputs and pre-activations,
-    each GELU layer's tanh (None for a layer without activation, or to have the
-    backward pass recompute it), and the last layer's output with its row norms
-    (before the eps clamp)."""
+    """Everything the backward pass needs: (input, pre-activation, tanh) per
+    layer, and the row norms of the last layer's output (before the eps clamp).
 
-    inputs: list[np.ndarray] = field(default_factory=list)
-    pre_activations: list[np.ndarray] = field(default_factory=list)
-    tanh: list[np.ndarray | None] = field(default_factory=list)
-    pre_norm: np.ndarray | None = None
+    tanh is each GELU layer's tanh, or None for a layer without activation or
+    to have the backward pass recompute it. The last layer has no activation,
+    so its pre-activation, layers[-1][1], is the output that was normalized.
+    """
+
+    layers: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]] = field(default_factory=list)
     norms: np.ndarray | None = None
 
 
@@ -172,21 +150,26 @@ def _as_obs(params: EncoderParams, obs: np.ndarray) -> np.ndarray:
     return obs
 
 
-def encode(params: EncoderParams, obs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass: trunk, head, then row normalization onto the unit sphere."""
-    obs = _as_obs(params, obs)
-    cache = ForwardCache()
-    h = obs
-    for (W, b), (_, _, act) in zip(
-        zip(params.weights, params.biases), params.arch.layer_plan()
-    ):
-        cache.inputs.append(h)
+def _forward(params: EncoderParams, h: np.ndarray, layers: list | None = None) -> np.ndarray:
+    """The affine layers and activations of one encoder over the rows of h.
+
+    Returns the last layer's output, before row normalization. When `layers`
+    is a list, each layer's (input, pre-activation, tanh) is appended to it.
+    """
+    for W, b, (_, _, act) in zip(params.weights, params.biases, params.arch.layer_plan()):
         pre = h @ W.T
         pre += b
-        cache.pre_activations.append(pre)
-        h, t = _ACTIVATIONS[act][0](pre) if act else (pre, None)
-        cache.tanh.append(t)
-    cache.pre_norm = h
+        y, t = _ACTIVATIONS[act][0](pre) if act else (pre, None)
+        if layers is not None:
+            layers.append((h, pre, t))
+        h = y
+    return h
+
+
+def encode(params: EncoderParams, obs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Forward pass: trunk, head, then row normalization onto the unit sphere."""
+    cache = ForwardCache()
+    h = _forward(params, _as_obs(params, obs), cache.layers)
     cache.norms = row_norms(h)
     return l2_normalize_rows(h, norms=cache.norms), cache
 
@@ -205,19 +188,12 @@ def embed(params: EncoderParams, obs: np.ndarray) -> np.ndarray:
     it rounds a row by its place in a group of 12 rows.
     """
     obs = _as_obs(params, obs)
-    plan = params.arch.layer_plan()
     n = obs.shape[0]
     out = np.empty((n, params.arch.embed_dim))
-    blocks = -(-n // block_rows(max(o for _, o, _ in plan)))
+    blocks = -(-n // block_rows(max(o for _, o, _ in params.arch.layer_plan())))
     for i in range(blocks):
         rows = slice(i * n // blocks, (i + 1) * n // blocks)
-        h = obs[rows]
-        for W, b, (_, _, act) in zip(params.weights, params.biases, plan):
-            h = h @ W.T
-            h += b
-            if act:
-                h = _ACTIVATIONS[act][0](h)[0]
-        out[rows] = l2_normalize_rows(h)
+        out[rows] = l2_normalize_rows(_forward(params, obs[rows]))
     return out
 
 
@@ -225,31 +201,33 @@ def encode_backward(
     params: EncoderParams,
     cache: ForwardCache,
     grad_embeddings: np.ndarray,
-    out: EncoderGrads | None = None,
-) -> EncoderGrads:
+    out: EncoderParams | None = None,
+) -> EncoderParams:
     """Exact gradients of the (normalized) embeddings w.r.t. all parameters.
 
-    They are written into `out` (every element is overwritten) and returned;
-    a fresh buffer is allocated when `out` is None.
+    A gradient buffer is an EncoderParams of the same arch (its `frozen` flag
+    means nothing). The gradients are written into `out`'s weights and biases
+    (every element is overwritten) and returned; a fresh buffer is allocated
+    when `out` is None.
     """
-    if grad_embeddings.shape != cache.pre_norm.shape:
+    pre_norm = cache.layers[-1][1]
+    if grad_embeddings.shape != pre_norm.shape:
         raise NumericsError(
-            f"grad shape {grad_embeddings.shape} does not match embeddings {cache.pre_norm.shape}"
+            f"grad shape {grad_embeddings.shape} does not match embeddings {pre_norm.shape}"
         )
     if out is None:
-        out = EncoderGrads.like(params)
-    elif [v.shape for v in out.views] != params.arch.param_shapes():
-        raise NumericsError("gradient buffer does not match the encoder's parameter shapes")
-    views = out.views
-    g = l2_normalize_rows_backward(cache.pre_norm, grad_embeddings, norms=cache.norms)
+        out = dataclasses.replace(params)
+    elif out.arch != params.arch:
+        raise NumericsError("gradient buffer does not match the encoder's arch")
+    g = l2_normalize_rows_backward(pre_norm, grad_embeddings, norms=cache.norms)
     plan = params.arch.layer_plan()
     for i in range(len(plan) - 1, -1, -1):
+        h, pre, t = cache.layers[i]
         act = plan[i][2]
         if act:
-            g = _ACTIVATIONS[act][1](cache.pre_activations[i], g, tanh=cache.tanh[i])
-        np.matmul(g.T, cache.inputs[i], out=views[2 * i])
-        g.sum(axis=0, out=views[2 * i + 1])
+            g = _ACTIVATIONS[act][1](pre, g, tanh=t)
+        np.matmul(g.T, h, out=out.weights[i])
+        g.sum(axis=0, out=out.biases[i])
         if i > 0:
             g = g @ params.weights[i]
     return out
-

@@ -121,6 +121,12 @@ def trained_pair_registry(world: WorldSpec, state: TrainState) -> set[frozenset]
     return {frozenset((world.hub, spoke)) for spoke in state.temperatures}
 
 
+def _emergent(world: WorldSpec, state: TrainState, a: str, b: str) -> bool:
+    """Whether a result between modalities a and b is emergent: they differ and
+    were never trained as a pair."""
+    return a != b and frozenset((a, b)) not in trained_pair_registry(world, state)
+
+
 def _encoder(state: TrainState, modality: str) -> EncoderParams:
     try:
         return state.encoders[modality]
@@ -189,11 +195,9 @@ def emergent_zero_shot_accuracy(
     emb = encode(_encoder(state, data_modality), eval_set.obs)
     pred = zero_shot_classify(emb, bank)
     accuracy = float(np.mean(pred == eval_set.labels))
-    registry = trained_pair_registry(world, state)
-    emergent = data_modality != prompt_modality and frozenset(
-        (data_modality, prompt_modality)
-    ) not in registry
-    return EmergentResult(accuracy=accuracy, emergent=emergent)
+    return EmergentResult(
+        accuracy=accuracy, emergent=_emergent(world, state, data_modality, prompt_modality)
+    )
 
 
 def _similarity_blocks(queries: np.ndarray, items: np.ndarray):
@@ -473,9 +477,8 @@ def run_eval_plan(
         recalls = cross_modal_recall_at_k(index, query_emb, ids, plan.k_list)
         for k, value in recalls.items():
             metrics[f"recall_at_{k}/{query_mod}_to_{index_mod}"] = value
-        flags[f"emergent/{query_mod}_to_{index_mod}"] = (
-            query_mod != index_mod
-            and frozenset((query_mod, index_mod)) not in trained_pair_registry(world, state)
+        flags[f"emergent/{query_mod}_to_{index_mod}"] = _emergent(
+            world, state, query_mod, index_mod
         )
 
     if plan.few_shot_modality and plan.few_shot_ks:

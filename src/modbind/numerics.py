@@ -13,7 +13,7 @@ import numpy as np
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 
-DEFAULT_NORM_EPS = 1e-12
+_NORM_EPS = 1e-12  # the smallest row norm that l2_normalize_rows divides by
 
 
 class NumericsError(ValueError):
@@ -39,21 +39,9 @@ def _gelu_tanh(x: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def gelu_forward(x: np.ndarray) -> np.ndarray:
-    """Elementwise GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + a*x^3)))."""
-    x = np.asarray(x, dtype=np.float64)
-    t = _gelu_tanh(x, x * x)
-    t += 1.0
-    y = 0.5 * x
-    y *= t
-    return y
-
-
 def gelu_with_tanh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """gelu_forward(x) and the tanh it took, which gelu_backward can reuse.
-
-    Keeping t costs one array more than gelu_forward, which adds 1 to t in place.
-    """
+    """Elementwise GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + a*x^3))),
+    and the tanh it took, which gelu_backward can reuse."""
     x = np.asarray(x, dtype=np.float64)
     t = _gelu_tanh(x, x * x)
     y = 0.5 * x
@@ -91,41 +79,34 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.linalg.norm(as_matrix(x), axis=1, keepdims=True)
 
 
-def l2_normalize_rows(
-    x: np.ndarray, eps: float = DEFAULT_NORM_EPS, norms: np.ndarray | None = None
-) -> np.ndarray:
-    """Divide each row by max(||row||_2, eps); `norms` is row_norms(x) when the caller has it."""
-    if eps <= 0:
-        raise NumericsError(f"eps must be positive, got {eps}")
+def l2_normalize_rows(x: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """Divide each row by max(||row||_2, 1e-12); `norms` is row_norms(x) when the caller has it."""
     x = as_matrix(x)
     if norms is None:
         norms = row_norms(x)
-    return x / np.maximum(norms, eps)
+    return x / np.maximum(norms, _NORM_EPS)
 
 
 def l2_normalize_rows_backward(
-    x: np.ndarray,
-    upstream: np.ndarray,
-    eps: float = DEFAULT_NORM_EPS,
-    norms: np.ndarray | None = None,
+    x: np.ndarray, upstream: np.ndarray, norms: np.ndarray | None = None
 ) -> np.ndarray:
     """Gradient of l2_normalize_rows w.r.t. x, chained with `upstream`.
 
-    For rows with norm >= eps: d/dx [x/||x||] projects the upstream gradient
-    onto the tangent space of the sphere, scaled by 1/||x||. Rows clamped at
-    eps are a constant 1/eps scaling. `norms` is row_norms(x), which the
-    forward pass already took; it is computed here when not given.
+    For rows with norm >= 1e-12: d/dx [x/||x||] projects the upstream
+    gradient onto the tangent space of the sphere, scaled by 1/||x||. Rows
+    clamped at 1e-12 are a constant 1e12 scaling. `norms` is row_norms(x),
+    which the forward pass already took; it is computed here when not given.
     """
     x = as_matrix(x)
     upstream = as_matrix(upstream)
     if norms is None:
         norms = row_norms(x)
-    clamped = norms < eps
-    n = np.maximum(norms, eps)
+    clamped = norms < _NORM_EPS
+    n = np.maximum(norms, _NORM_EPS)
     y = x / n
     grad = (upstream - y * np.sum(upstream * y, axis=1, keepdims=True)) / n
     if np.any(clamped):
-        grad = np.where(clamped, upstream / eps, grad)
+        grad = np.where(clamped, upstream / _NORM_EPS, grad)
     return grad
 
 

@@ -42,7 +42,7 @@ def render_csv(rows, comment: str = "") -> str:
 
 
 def write_atomic(path: str | Path, text: str) -> None:
-    """Write `text` to a temp file beside `path`, then rename it over `path`.
+    """Write `text` as UTF-8 to a temp file beside `path`, then rename it over `path`.
 
     A failed write leaves whatever `path` held before, and no temp file.
     There is no fsync: the rename protects against a crashed process, not
@@ -51,7 +51,7 @@ def write_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

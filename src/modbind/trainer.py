@@ -24,9 +24,7 @@ import numpy as np
 
 from .codec import CONFIG_REQUIRED, RUN_STATE, decode, from_doc, to_doc
 from .contrastive import TemperatureParam, l2_regression_loss, symmetric_info_nce
-from .encoders import (
-    EncoderArch, EncoderGrads, EncoderParams, encode, encode_backward, init_encoder, pack,
-)
+from .encoders import EncoderArch, EncoderParams, encode, encode_backward, init_encoder, pack
 from .report import render_csv, write_atomic
 from .world import WorldSpec, sample_training_batch, stream_rng
 
@@ -362,9 +360,10 @@ def train_run(
     pools = _build_pools(world, config)
     warmup_steps = int(round(config.warmup_epochs * config.steps_per_epoch))
     hub_name = world.hub
-    # one gradient buffer per encoder of the pairs, which every step overwrites
+    # one gradient buffer per encoder of the pairs, in the encoder's own type and
+    # layout; every step overwrites it
     grads = {
-        name: EncoderGrads.like(state.encoders[name])
+        name: dataclasses.replace(state.encoders[name])
         for name in [hub_name] + [pc.spoke for pc in config.pairs]
     }
 
@@ -486,10 +485,10 @@ def load_checkpoint(path: str | Path) -> TrainState:
     Format 1 stored each temperature's moments as scalars, {"m": x, "v": y,
     "t": n}; they are read as one-element AdamMoments.
     """
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: nested too deep to parse
         raise TrainerError(f"corrupt checkpoint: {e}") from e
     if not isinstance(doc, dict) or doc.get("kind") != "checkpoint":
         raise TrainerError("corrupt checkpoint: not a checkpoint document")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import gelu_forward
+from .numerics import gelu_with_tanh
 
 WORLD_FORMAT_VERSION = 1
 
@@ -27,7 +27,9 @@ WORLD_FORMAT_VERSION = 1
 PROTOTYPE_NOISE_DIVISOR = 4.0
 
 # a modality's observation map, by the name its config gives
-_NONLINEARITIES = {"tanh": np.tanh, "gelu": gelu_forward, "identity": lambda pre: pre}
+_NONLINEARITIES = {
+    "tanh": np.tanh, "gelu": lambda pre: gelu_with_tanh(pre)[0], "identity": lambda pre: pre,
+}
 
 _SEPARABILITY_FACTOR = 4.0  # min pairwise class-mean distance, in within-class scales
 _MAX_MEAN_ATTEMPTS = 8

@@ -787,6 +787,16 @@ class TestCliEval:
         assert "log_tau must be finite" in capsys.readouterr().err
         assert not (tmp_path / "metrics.json").exists()
 
+    def test_checkpoint_not_utf8_is_runtime_error(self, cli_space, tmp_path, capsys):
+        _, cfg_path, _ = cli_space
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_bytes(b"\xff\xfe\x00garbage")
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "corrupt checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_checkpoint_config_mismatch_is_config_error(self, cli_space, tmp_path, capsys):
         _, cfg_path, out = cli_space
         doc = json.loads(cfg_path.read_text())
@@ -897,6 +907,12 @@ class TestCliWorldgenAndErrors:
     def test_config_nested_too_deep_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "deep.json"
         cfg_path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(b"\xff\xfe\x00garbage")
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 

@@ -14,7 +14,6 @@ from modbind.codec import from_doc, to_doc
 from modbind.config import parse_experiment_config
 from modbind.encoders import (
     EncoderArch,
-    EncoderGrads,
     EncoderParams,
     embed,
     encode,
@@ -269,7 +268,7 @@ class TestBackward:
         # two backward passes in a row into one buffer, the first leaving stale values;
         # row 0 is zero, so its embedding norm is below eps and takes the clamped branch
         params = init_encoder(ARCHS[name], seed=5)
-        buffer = EncoderGrads.like(params)
+        buffer = init_encoder(ARCHS[name], seed=6)
         buffer.flat[:] = np.nan
         for _ in range(2):
             x = rng.standard_normal((4, 6))
@@ -288,10 +287,11 @@ class TestBackward:
         x[0] = 0.0
         emb, cache = encode(params, x)
         upstream = rng.standard_normal((4, 5))
-        cached = l2_normalize_rows_backward(cache.pre_norm, upstream, norms=cache.norms)
-        recomputed = l2_normalize_rows_backward(cache.pre_norm, upstream)
+        pre_norm = cache.layers[-1][1]
+        cached = l2_normalize_rows_backward(pre_norm, upstream, norms=cache.norms)
+        recomputed = l2_normalize_rows_backward(pre_norm, upstream)
         assert cached.tobytes() == recomputed.tobytes()
-        assert emb.tobytes() == l2_normalize_rows(cache.pre_norm).tobytes()
+        assert emb.tobytes() == l2_normalize_rows(pre_norm).tobytes()
 
     @pytest.mark.parametrize("name", sorted(ARCHS))
     def test_cached_tanh_is_bit_identical_to_a_recomputed_one(self, rng, name):
@@ -303,19 +303,22 @@ class TestBackward:
         emb, cache = encode(params, x)
         assert cache.norms[0, 0] < 1e-12 <= cache.norms[1:].min()
         activated = [act is not None for _, _, act in params.arch.layer_plan()]
-        assert [t is not None for t in cache.tanh] == activated
-        kept = [t.copy() for t in cache.tanh if t is not None]
-        recomputing = dataclasses.replace(cache, tanh=[None] * len(cache.tanh))
+        tanh = [t for _, _, t in cache.layers]
+        assert [t is not None for t in tanh] == activated
+        kept = [t.copy() for t in tanh if t is not None]
+        recomputing = dataclasses.replace(
+            cache, layers=[(h, pre, None) for h, pre, _ in cache.layers]
+        )
         upstream = rng.standard_normal((4, 5))
         cached = encode_backward(params, cache, upstream)
         recomputed = encode_backward(params, recomputing, upstream)
         assert cached.flat.tobytes() == recomputed.flat.tobytes()
-        assert [t.tobytes() for t in cache.tanh if t is not None] == [t.tobytes() for t in kept]
+        assert [t.tobytes() for t in tanh if t is not None] == [t.tobytes() for t in kept]
 
     def test_buffer_of_another_arch_rejected(self, rng):
         params = init_encoder(ARCHS["hidden_mlp"], seed=5)
         _, cache = encode(params, rng.standard_normal((4, 6)))
-        other = EncoderGrads.like(init_encoder(ARCHS["hidden_linear"], seed=5))
+        other = init_encoder(ARCHS["hidden_linear"], seed=5)
         with pytest.raises(NumericsError, match="gradient buffer"):
             encode_backward(params, cache, rng.standard_normal((4, 5)), other)
 

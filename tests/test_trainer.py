@@ -804,6 +804,18 @@ class TestLoadCheckpointFuzz:
         resize(matrix[data.draw(st.integers(0, len(matrix) - 1))], grow)
         load_fails(root, json.dumps(doc))
 
+    @given(data=st.data(), byte=st.integers(0x80, 0xFF))
+    @settings(max_examples=60, deadline=None)
+    def test_byte_outside_ascii(self, fuzz_space, data, byte):
+        # the checkpoint is ASCII, where a lone byte of 0x80-0xFF is never valid UTF-8
+        root, text = fuzz_space
+        raw = bytearray(text.encode("ascii"))
+        raw[data.draw(st.integers(0, len(raw) - 1))] = byte
+        path = root / "variant.json"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TrainerError, match="corrupt checkpoint"):
+            load_checkpoint(path)
+
     @given(data=st.data(), key=st.text(min_size=1, max_size=8),
            value=st.one_of(st.none(), st.integers(), st.text(max_size=4)))
     @settings(max_examples=100, deadline=None)

@@ -17,6 +17,8 @@ from modbind.world import (
     stream_rng,
 )
 
+from .oracles import gelu_power_loops
+
 
 def noiseless_config(within_class_scale=0.0):
     return WorldConfig(
@@ -143,6 +145,21 @@ class TestObserver:
         b = obs_model.observe(z, tiny_world.stream("x"))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, obs_model.observe(z))
+
+    @pytest.mark.parametrize("nonlinearity", ["tanh", "gelu", "identity"])
+    def test_noiseless_observation_matches_the_oracle_map(self, rng, nonlinearity):
+        base = noiseless_config()
+        modalities = [base.modalities[0],
+                      ModalityConfig("alpha", 5, nonlinearity=nonlinearity, obs_noise_scale=0.1)]
+        world = make_world(dataclasses.replace(base, modalities=modalities), seed=3)
+        observer = world.observer("alpha")
+        z = 3.0 * rng.standard_normal((16, world.latent_dim))
+        pre = z @ observer.weight.T + observer.bias
+        got = observer.observe(z)
+        if nonlinearity == "gelu":
+            np.testing.assert_allclose(got, gelu_power_loops(pre.tolist()), rtol=0, atol=1e-12)
+        else:
+            assert np.array_equal(got, {"tanh": np.tanh(pre), "identity": pre}[nonlinearity])
 
 
 def round_robin_labels(world, n):
