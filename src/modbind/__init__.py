@@ -26,6 +26,7 @@ from .evaluation import (  # noqa: F401
     embed_arithmetic,
     emergent_zero_shot_accuracy,
     few_shot_probe,
+    few_shot_probes,
     frozen_hub_eval,
     run_eval_plan,
     zero_shot_classify,

@@ -24,7 +24,14 @@ from .config import (
     parse_experiment_config,
 )
 from .encoders import embed
-from .evaluation import EvaluationError, aligned_eval_items, embed_arithmetic, run_eval_plan
+from .evaluation import (
+    EvaluationError,
+    _similarity_blocks,
+    _top_k,
+    aligned_eval_items,
+    embed_arithmetic,
+    run_eval_plan,
+)
 from .numerics import NumericsError
 from .report import ReportError, write_atomic
 from .trainer import (
@@ -204,16 +211,22 @@ def cmd_retrieve(args) -> int:
 
     obs, _ = aligned_eval_items(world, mods, n_items, world.stream("eval/retrieve"))
     index_emb = embed(state.encoders[args.index_modality], obs[args.index_modality])
-    row = slice(args.query_id, args.query_id + 1)
+    # every query view is embedded in one batch of all items, as the index is and as
+    # `bind eval` does, and its similarities come from the same block of rows as there
     if compose:
-        emb_a = embed(state.encoders[compose[0]], obs[compose[0]][row])
-        emb_b = embed(state.encoders[compose[1]], obs[compose[1]][row])
-        query = embed_arithmetic(emb_a, emb_b, args.compose_weight)[0]
+        queries = embed_arithmetic(
+            embed(state.encoders[compose[0]], obs[compose[0]]),
+            embed(state.encoders[compose[1]], obs[compose[1]]),
+            args.compose_weight,
+        )
     else:
-        query_emb = embed(state.encoders[args.query_modality], obs[args.query_modality][row])
-        query = query_emb[0]
-    sims = index_emb @ query
-    order = np.argsort(-sims, kind="stable")[: args.k]
+        queries = embed(state.encoders[args.query_modality], obs[args.query_modality])
+    for rows, block in _similarity_blocks(queries, index_emb):
+        if args.query_id < rows.stop:
+            sims = block[args.query_id - rows.start]
+            break
+    top = _top_k(sims[None, :], args.k)[0]  # ascending ids
+    order = top[np.argsort(-sims[top], kind="stable")]  # by similarity, equal ones by id
     print("rank,id,similarity")
     for rank, j in enumerate(order, start=1):
         print(f"{rank},{j},{float(sims[j])!r}")

@@ -46,8 +46,8 @@ class TemperatureParam:
     def __post_init__(self):
         if self.mode not in ("fixed", "learnable"):
             raise ValueError(f"mode must be one of ['fixed', 'learnable'], got {self.mode!r}")
-        if not (self.clamp_min > 0 and self.clamp_min <= self.clamp_max):
-            raise ValueError("temperature clamps must satisfy 0 < clamp_min <= clamp_max")
+        if not 0 < self.clamp_min <= self.clamp_max < math.inf:
+            raise ValueError("temperature clamps must satisfy 0 < clamp_min <= clamp_max < inf")
         if not (math.isfinite(self.value) and self.value > 0):
             raise ValueError(f"temperature must be positive and finite, got {self.value}")
         self._set_log_tau(math.log(self.value) if self.log_tau is None else self.log_tau)

@@ -23,6 +23,7 @@ from .encoders import EncoderParams
 # (with encode's arguments) is the attribute the benchmark in perfbench/ wraps
 from .encoders import embed as encode
 from .numerics import block_rows, softmax_rows
+from .pool import ordered_map
 from .report import MetricsReport
 from .trainer import TrainConfig, TrainState, init_train_state, train_run
 from .world import WorldSpec, _class_latents, class_prototypes, make_eval_set
@@ -279,40 +280,90 @@ def cross_modal_recall_at_k(
     return {k: float(np.mean(ranks < k)) for k in k_list}
 
 
+@dataclass
+class FewShotProbe:
+    """One fitted probe: logits are embeddings @ weights.T + bias."""
+
+    weights: np.ndarray  # (C, d)
+    bias: np.ndarray  # (C,)
+    accuracy: float  # on the eval set
+
+
+def few_shot_probes(
+    shots: list[tuple[np.ndarray, np.ndarray]],
+    eval_embeddings: np.ndarray,
+    eval_labels: np.ndarray,
+) -> list[FewShotProbe]:
+    """Multinomial logistic probes on frozen embeddings, full-batch GD from zero.
+
+    One probe per (shot embeddings, shot labels) entry, all scored on one
+    eval set. Each probe's shots must be class-balanced and cover every class
+    of the eval labels, and all probes must know the same number of classes.
+    The probes share one gradient-descent loop: their shot rows are stacked
+    into one logits array, so the elementwise steps run once per iteration
+    for all of them. Each keeps its own products, row softmax, division by
+    its own shot count and bias sum, so each probe's weights equal those of
+    a loop that fits it alone, bit for bit.
+    """
+    eval_embeddings = np.asarray(eval_embeddings, dtype=np.float64)
+    eval_labels = np.asarray(eval_labels, dtype=np.int64)
+    xs, ys, counts = [], [], []
+    for train_embeddings, train_labels in shots:
+        xs.append(np.asarray(train_embeddings, dtype=np.float64))
+        ys.append(np.asarray(train_labels, dtype=np.int64))
+        shot_classes, shot_counts = np.unique(ys[-1], return_counts=True)
+        missing = np.setdiff1d(np.unique(eval_labels), shot_classes)
+        if missing.size:
+            raise EvaluationError(f"classes missing from shots: {missing.tolist()}")
+        if shot_counts.min() != shot_counts.max():
+            raise EvaluationError("shots must be balanced across classes")
+        counts.append(int(max(shot_classes.max(), eval_labels.max())) + 1)
+    if not shots:
+        return []
+    if len(set(counts)) > 1:
+        raise EvaluationError(f"probes must share one class count, got {sorted(set(counts))}")
+    sizes = [len(y) for y in ys]
+    rows = [slice(a, a + size) for a, size in zip(np.cumsum([0, *sizes]), sizes)]
+    # probe p has weights[p] and bias[p]; stacked shot row i belongs to probe of_row[i]
+    weights = np.zeros((len(xs), counts[0], eval_embeddings.shape[1]))
+    bias = np.zeros((len(xs), counts[0]))
+    of_row = np.repeat(np.arange(len(xs)), sizes)
+    onehot = np.zeros((len(of_row), counts[0]))
+    onehot[np.arange(len(of_row)), np.concatenate(ys)] = 1.0
+    n = np.array(sizes, dtype=np.float64)[of_row, None]
+    logits = np.empty_like(onehot)
+    grads, bias_grads = np.empty_like(weights), np.empty_like(bias)
+    # views taken once: the weights change in place, and logits is one buffer
+    weights_t = [w.T for w in weights]
+    probe_logits = [logits[r] for r in rows]
+    for _ in range(PROBE_ITERATIONS):
+        for x, w_t, out in zip(xs, weights_t, probe_logits):
+            np.matmul(x, w_t, out=out)
+        logits += bias[of_row]
+        g = softmax_rows(logits)
+        g -= onehot
+        g /= n
+        for x, r, grad, bias_grad in zip(xs, rows, grads, bias_grads):
+            np.matmul(g[r].T, x, out=grad)
+            np.add.reduce(g[r], axis=0, out=bias_grad)  # what g[r].sum(axis=0) runs
+        weights -= PROBE_LEARNING_RATE * grads
+        bias -= PROBE_LEARNING_RATE * bias_grads
+    predictions = [np.argmax(eval_embeddings @ w.T + b, axis=1) for w, b in zip(weights, bias)]
+    return [
+        FewShotProbe(w, b, float(np.mean(pred == eval_labels)))
+        for w, b, pred in zip(weights, bias, predictions)
+    ]
+
+
 def few_shot_probe(
     train_embeddings: np.ndarray,
     train_labels: np.ndarray,
     eval_embeddings: np.ndarray,
     eval_labels: np.ndarray,
 ) -> float:
-    """Multinomial logistic probe on frozen embeddings, full-batch GD from zero.
-
-    Shots must be class-balanced and cover every class present in the eval
-    labels; returns eval accuracy.
-    """
-    train_embeddings = np.asarray(train_embeddings, dtype=np.float64)
-    eval_embeddings = np.asarray(eval_embeddings, dtype=np.float64)
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    eval_labels = np.asarray(eval_labels, dtype=np.int64)
-    shot_classes, shot_counts = np.unique(train_labels, return_counts=True)
-    missing = np.setdiff1d(np.unique(eval_labels), shot_classes)
-    if missing.size:
-        raise EvaluationError(f"classes missing from shots: {missing.tolist()}")
-    if shot_counts.min() != shot_counts.max():
-        raise EvaluationError("shots must be balanced across classes")
-    n, d = train_embeddings.shape
-    num_classes = int(max(shot_classes.max(), eval_labels.max())) + 1
-    weights = np.zeros((num_classes, d))
-    bias = np.zeros(num_classes)
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), train_labels] = 1.0
-    for _ in range(PROBE_ITERATIONS):
-        probs = softmax_rows(train_embeddings @ weights.T + bias)
-        g = (probs - onehot) / n
-        weights -= PROBE_LEARNING_RATE * (g.T @ train_embeddings)
-        bias -= PROBE_LEARNING_RATE * g.sum(axis=0)
-    pred = np.argmax(eval_embeddings @ weights.T + bias, axis=1)
-    return float(np.mean(pred == eval_labels))
+    """Eval accuracy of one probe (`few_shot_probes` with one shot set)."""
+    shots = [(train_embeddings, train_labels)]
+    return few_shot_probes(shots, eval_embeddings, eval_labels)[0].accuracy
 
 
 def embed_arithmetic(e1: np.ndarray, e2: np.ndarray, w: float = DEFAULT_ARITHMETIC_WEIGHT):
@@ -446,6 +497,99 @@ def frozen_hub_eval(
     return run_eval_plan(world, state, plan, config_hash=config_hash, seed=config.seed)
 
 
+def _emergent_group(world, state, plan, data_mod: str, prompt_mod: str):
+    res = emergent_zero_shot_accuracy(
+        world, state, data_mod, prompt_mod, plan.n_per_class,
+        stream=f"{plan.stream}/emergent/{data_mod}_vs_{prompt_mod}",
+        prompts_per_class=plan.prompts_per_class,
+    )
+    return ({f"emergent_zero_shot/{data_mod}_vs_{prompt_mod}": res.accuracy},
+            {f"emergent/{data_mod}_vs_{prompt_mod}": res.emergent})
+
+
+def _retrieval_group(world, state, plan, query_mod: str, index_mod: str):
+    rng = world.stream(f"{plan.stream}/retrieval/{query_mod}_to_{index_mod}")
+    obs, _ = aligned_eval_items(world, [query_mod, index_mod], plan.retrieval_index_size, rng)
+    index_emb = encode(_encoder(state, index_mod), obs[index_mod])
+    query_emb = encode(_encoder(state, query_mod), obs[query_mod])
+    ids = np.arange(plan.retrieval_index_size)
+    index = RetrievalIndex(embeddings=index_emb, item_ids=ids)
+    recalls = cross_modal_recall_at_k(index, query_emb, ids, plan.k_list)
+    return ({f"recall_at_{k}/{query_mod}_to_{index_mod}": v for k, v in recalls.items()},
+            {f"emergent/{query_mod}_to_{index_mod}": _emergent(world, state, query_mod, index_mod)})
+
+
+def _few_shot_group(world, state, plan):
+    mod = plan.few_shot_modality
+    encoder = _encoder(state, mod)
+    eval_set = make_eval_set(
+        world, mod, plan.n_per_class, world.stream(f"{plan.stream}/few_shot/eval/{mod}")
+    )
+    shots = []
+    for k in plan.few_shot_ks:
+        shot_set = make_eval_set(
+            world, mod, k, world.stream(f"{plan.stream}/few_shot/shots/{mod}/k={k}")
+        )
+        shots.append((encode(encoder, shot_set.obs), shot_set.labels))
+    probes = few_shot_probes(shots, encode(encoder, eval_set.obs), eval_set.labels)
+    return {f"few_shot_k{k}/{mod}": p.accuracy for k, p in zip(plan.few_shot_ks, probes)}, {}
+
+
+def _arithmetic_group(world, state, plan):
+    mod_a, mod_b = plan.arithmetic_pair
+    both, permuted = composed_retrieval_stats(
+        world, state, mod_a, mod_b, plan.arithmetic_queries, plan.arithmetic_weight,
+        plan.retrieval_k, plan.retrieval_index_size, f"{plan.stream}/arithmetic",
+    )
+    return {"arithmetic/both_class_fraction": both, "arithmetic/permuted_baseline": permuted}, {}
+
+
+def _ensemble_group(world, state, plan):
+    mod_a, mod_b = plan.ensemble_pair
+    hub = world.hub
+    rng = world.stream(f"{plan.stream}/ensemble/{mod_a}_{mod_b}")
+    obs, _ = aligned_eval_items(world, [hub, mod_a, mod_b], plan.retrieval_index_size, rng)
+    hub_emb = encode(_encoder(state, hub), obs[hub])
+    emb_a = encode(_encoder(state, mod_a), obs[mod_a])
+    emb_b = encode(_encoder(state, mod_b), obs[mod_b])
+    ids = np.arange(plan.retrieval_index_size)
+    index = RetrievalIndex(embeddings=hub_emb, item_ids=ids)
+    k = plan.retrieval_k
+    metrics = {}
+    for w in plan.ensemble_weights:
+        combined = embed_arithmetic(emb_a, emb_b, w)
+        recall = cross_modal_recall_at_k(index, combined, ids, [k])
+        metrics[f"ensemble_recall_at_{k}/w={w:g}"] = recall[k]
+    return metrics, {}
+
+
+def _measurement_groups(plan: EvalPlan) -> list[tuple]:
+    """(group function, its extra arguments) for every measurement of the plan, in plan order."""
+    groups = [(_emergent_group, pair) for pair in plan.emergent_pairs]
+    groups += [(_retrieval_group, pair) for pair in plan.retrieval_pairs]
+    if plan.few_shot_modality and plan.few_shot_ks:
+        groups.append((_few_shot_group, ()))
+    if plan.arithmetic_pair and plan.arithmetic_queries > 0:
+        groups.append((_arithmetic_group, ()))
+    if plan.ensemble_pair and plan.ensemble_weights:
+        groups.append((_ensemble_group, ()))
+    return groups
+
+
+# The order groups start in: the few-shot probes (PROBE_ITERATIONS steps), then the
+# groups that rank against an index of retrieval_index_size items, then the shortest.
+# Starting the longest first shortens the pool's makespan; results merge in plan order.
+# Groups run on workers only for an index of at least POOLED_INDEX_ITEMS items. Below
+# that every group but the probes takes a few ms, and starting the workers costs more
+# than they save. On 2 cores, desk plans with index N, N queries and N/2 per class
+# took, in-process against on workers: 56-85 against 86-117 ms at N=200, 117-129
+# against 126-133 ms at N=700, 139-170 against 105-128 ms at N=1000.
+POOLED_INDEX_ITEMS = 1000
+_START_ORDER = (
+    _few_shot_group, _ensemble_group, _arithmetic_group, _retrieval_group, _emergent_group
+)
+
+
 def run_eval_plan(
     world: WorldSpec,
     state: TrainState,
@@ -453,74 +597,38 @@ def run_eval_plan(
     config_hash: str = "",
     seed: int = 0,
 ) -> MetricsReport:
-    """Execute every configured measurement and collect one flat report."""
-    hub = world.hub
+    """Execute every configured measurement and collect one flat report.
+
+    Each measurement group (an emergent pair, a retrieval pair, the few-shot
+    probes, the arithmetic, the ensemble) draws from its own named streams,
+    so the groups run through `pool.ordered_map`: on forked workers where
+    more than one core is usable and the plan's index holds at least
+    POOLED_INDEX_ITEMS items, else in this process. Their metrics and flags
+    are merged in plan order, so the report is the same however many
+    workers run. A group lost with a dead worker raises EvaluationError
+    naming the broken pool.
+    """
+    groups = _measurement_groups(plan)
+    order = sorted(range(len(groups)), key=lambda i: _START_ORDER.index(groups[i][0]))
+
+    def run(i):
+        group, args = groups[i]
+        return group(world, state, plan, *args)
+
+    def lost(i, error):
+        name = groups[i][0].__name__.strip("_")
+        raise EvaluationError(f"evaluation worker lost in {name}: {type(error).__name__}: {error}")
+
+    results = [None] * len(groups)
+    max_workers = None if plan.retrieval_index_size >= POOLED_INDEX_ITEMS else 1
+    with ordered_map(run, order, lost=lost, max_workers=max_workers) as done:
+        for i, result in zip(order, done):
+            results[i] = result
     metrics: dict[str, float] = {}
     flags: dict[str, bool] = {}
-
-    for data_mod, prompt_mod in plan.emergent_pairs:
-        res = emergent_zero_shot_accuracy(
-            world, state, data_mod, prompt_mod, plan.n_per_class,
-            stream=f"{plan.stream}/emergent/{data_mod}_vs_{prompt_mod}",
-            prompts_per_class=plan.prompts_per_class,
-        )
-        metrics[f"emergent_zero_shot/{data_mod}_vs_{prompt_mod}"] = res.accuracy
-        flags[f"emergent/{data_mod}_vs_{prompt_mod}"] = res.emergent
-
-    for query_mod, index_mod in plan.retrieval_pairs:
-        rng = world.stream(f"{plan.stream}/retrieval/{query_mod}_to_{index_mod}")
-        obs, _ = aligned_eval_items(world, [query_mod, index_mod], plan.retrieval_index_size, rng)
-        index_emb = encode(_encoder(state, index_mod), obs[index_mod])
-        query_emb = encode(_encoder(state, query_mod), obs[query_mod])
-        ids = np.arange(plan.retrieval_index_size)
-        index = RetrievalIndex(embeddings=index_emb, item_ids=ids)
-        recalls = cross_modal_recall_at_k(index, query_emb, ids, plan.k_list)
-        for k, value in recalls.items():
-            metrics[f"recall_at_{k}/{query_mod}_to_{index_mod}"] = value
-        flags[f"emergent/{query_mod}_to_{index_mod}"] = _emergent(
-            world, state, query_mod, index_mod
-        )
-
-    if plan.few_shot_modality and plan.few_shot_ks:
-        mod = plan.few_shot_modality
-        eval_set = make_eval_set(
-            world, mod, plan.n_per_class, world.stream(f"{plan.stream}/few_shot/eval/{mod}")
-        )
-        eval_emb = encode(_encoder(state, mod), eval_set.obs)
-        for k in plan.few_shot_ks:
-            shots = make_eval_set(
-                world, mod, k, world.stream(f"{plan.stream}/few_shot/shots/{mod}/k={k}")
-            )
-            shot_emb = encode(_encoder(state, mod), shots.obs)
-            metrics[f"few_shot_k{k}/{mod}"] = few_shot_probe(
-                shot_emb, shots.labels, eval_emb, eval_set.labels
-            )
-
-    if plan.arithmetic_pair and plan.arithmetic_queries > 0:
-        mod_a, mod_b = plan.arithmetic_pair
-        both, permuted = composed_retrieval_stats(
-            world, state, mod_a, mod_b, plan.arithmetic_queries, plan.arithmetic_weight,
-            plan.retrieval_k, plan.retrieval_index_size, f"{plan.stream}/arithmetic",
-        )
-        metrics["arithmetic/both_class_fraction"] = both
-        metrics["arithmetic/permuted_baseline"] = permuted
-
-    if plan.ensemble_pair and plan.ensemble_weights:
-        mod_a, mod_b = plan.ensemble_pair
-        rng = world.stream(f"{plan.stream}/ensemble/{mod_a}_{mod_b}")
-        obs, _ = aligned_eval_items(
-            world, [hub, mod_a, mod_b], plan.retrieval_index_size, rng
-        )
-        hub_emb = encode(_encoder(state, hub), obs[hub])
-        emb_a = encode(_encoder(state, mod_a), obs[mod_a])
-        emb_b = encode(_encoder(state, mod_b), obs[mod_b])
-        ids = np.arange(plan.retrieval_index_size)
-        index = RetrievalIndex(embeddings=hub_emb, item_ids=ids)
-        for w in plan.ensemble_weights:
-            combined = embed_arithmetic(emb_a, emb_b, w)
-            recall = cross_modal_recall_at_k(index, combined, ids, [plan.retrieval_k])
-            metrics[f"ensemble_recall_at_{plan.retrieval_k}/w={w:g}"] = recall[plan.retrieval_k]
-
+    for group_metrics, group_flags in results:
+        metrics.update(group_metrics)
+        flags.update(group_flags)
     report = MetricsReport(metrics=metrics, flags=flags, config_hash=config_hash, seed=seed)
     report.validate()
     return report

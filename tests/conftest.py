@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modbind.encoders import EncoderParams
+from modbind.pool import ordered_map
 from modbind.world import ModalityConfig, WorldConfig, make_world
 
 
@@ -38,6 +39,15 @@ def tiny_world_config():
 @pytest.fixture
 def tiny_world(tiny_world_config):
     return make_world(tiny_world_config, seed=7)
+
+
+def pool_map(fn, jobs) -> list:
+    """[fn(job) for job in jobs], computed on the fork pool of `modbind.pool`.
+
+    fn and the jobs reach the workers through the fork; the results must pickle.
+    """
+    with ordered_map(fn, jobs) as results:
+        return list(results)
 
 
 def unit_rows(n, d, rng):

@@ -4,7 +4,9 @@ Everything here is written with explicit Python loops over lists and
 math.exp/math.log, sharing no code with the package. Slow and simple on
 purpose: these are the ground truth the vectorized implementations must
 match. `finite_difference_check` checks hand-derived gradients against
-central finite differences of the loss.
+central finite differences of the loss. `few_shot_probe_reference` is the
+exception: the one-probe NumPy loop that the stacked probe fit must equal
+bit for bit, so it keeps NumPy's operations in their original order.
 """
 
 import math
@@ -140,6 +142,33 @@ def recall_at_k_loops(queries, ground_truth, index_embeddings, ids, k):
         if gt in ranking[:k]:
             hits += 1
     return hits / len(queries)
+
+
+def few_shot_probe_reference(train_embeddings, train_labels, eval_embeddings, eval_labels,
+                             iterations=500, learning_rate=0.1):
+    """One multinomial logistic probe by full-batch gradient descent from zero.
+
+    Returns (weights, bias, eval accuracy). Checks no input: the package's
+    balance and coverage errors are tested on their own.
+    """
+    x = np.asarray(train_embeddings, dtype=np.float64)
+    labels = np.asarray(train_labels, dtype=np.int64)
+    eval_labels = np.asarray(eval_labels, dtype=np.int64)
+    n, d = x.shape
+    num_classes = int(max(labels.max(), eval_labels.max())) + 1
+    weights = np.zeros((num_classes, d))
+    bias = np.zeros(num_classes)
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), labels] = 1.0
+    for _ in range(iterations):
+        logits = x @ weights.T + bias
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        g = (probs - onehot) / n
+        weights -= learning_rate * (g.T @ x)
+        bias -= learning_rate * g.sum(axis=0)
+    pred = np.argmax(np.asarray(eval_embeddings, dtype=np.float64) @ weights.T + bias, axis=1)
+    return weights, bias, float(np.mean(pred == eval_labels))
 
 
 def adamw_scalar_loops(p, grads, lr, beta1, beta2, weight_decay, eps=1e-8):

@@ -38,7 +38,7 @@ from modbind.evaluation import (
 from modbind.trainer import init_train_state, train_run
 from modbind.world import make_eval_set, make_world
 
-from .conftest import encoder_from_vec
+from .conftest import encoder_from_vec, pool_map
 from .oracles import finite_difference_check, info_nce_loss_loops
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -81,39 +81,44 @@ def desk_emergent(world, state, plan):
     ).accuracy
 
 
+def timed_train(cfg, world):
+    """(trained state, seconds the training took)."""
+    start = time.perf_counter()
+    state, _ = train_run(world, cfg.archs, cfg.train)
+    return state, time.perf_counter() - start
+
+
+def seed_runs(name):
+    """Configs and worlds of a bundled config over SEEDS, trained on the shared pool."""
+    base = load_bundled(name)
+    cfgs = [base.with_seed(seed) for seed in SEEDS]
+    worlds = [make_world(cfg.world, cfg.seed) for cfg in cfgs]
+    trained = pool_map(lambda job: timed_train(*job), list(zip(cfgs, worlds)))
+    return cfgs, worlds, trained
+
+
 @pytest.fixture(scope="module")
 def desk_runs():
-    base = load_bundled("desk.json")
-    runs = []
-    for seed in SEEDS:
-        cfg = base.with_seed(seed)
-        world = make_world(cfg.world, cfg.seed)
-        start = time.perf_counter()
-        state, _ = train_run(world, cfg.archs, cfg.train)
-        train_seconds = time.perf_counter() - start
-        untrained = init_train_state(world, cfg.archs, cfg.train)
-        runs.append(
-            SimpleNamespace(
-                cfg=cfg,
-                world=world,
-                state=state,
-                untrained=untrained,
-                train_seconds=train_seconds,
-            )
+    cfgs, worlds, trained = seed_runs("desk.json")
+    return [
+        SimpleNamespace(
+            cfg=cfg,
+            world=world,
+            state=state,
+            untrained=init_train_state(world, cfg.archs, cfg.train),
+            train_seconds=train_seconds,
         )
-    return runs
+        for cfg, world, (state, train_seconds) in zip(cfgs, worlds, trained)
+    ]
 
 
 @pytest.fixture(scope="module")
 def m1m2_runs():
-    base = load_bundled("desk_m1m2.json")
-    runs = []
-    for seed in SEEDS:
-        cfg = base.with_seed(seed)
-        world = make_world(cfg.world, cfg.seed)
-        state, _ = train_run(world, cfg.archs, cfg.train)
-        runs.append(SimpleNamespace(cfg=cfg, world=world, state=state))
-    return runs
+    cfgs, worlds, trained = seed_runs("desk_m1m2.json")
+    return [
+        SimpleNamespace(cfg=cfg, world=world, state=state)
+        for cfg, world, (state, _) in zip(cfgs, worlds, trained)
+    ]
 
 
 def test_criterion_01_infonce_matches_loop_oracle(verdicts):
@@ -278,16 +283,18 @@ def test_criterion_06_hub_capacity_trend(verdicts, desk_runs):
     base = load_bundled("desk.json")
     plan = base.eval_plan
     means = {64: float(np.mean([desk_emergent(r.world, r.state, plan) for r in desk_runs]))}
-    for width in (16, 256):
-        doc = apply_axis(base.normalized, "hub_capacity", width)
-        accs = []
-        for seed in SEEDS:
-            doc["seed"] = seed
-            cfg = parse_experiment_config(doc)
-            world = make_world(cfg.world, cfg.seed)
-            state, _ = train_run(world, cfg.archs, cfg.train)
-            accs.append(desk_emergent(world, state, cfg.eval_plan))
-        means[width] = float(np.mean(accs))
+
+    def width_run(job):
+        width, seed = job
+        cfg = parse_experiment_config({**apply_axis(base.normalized, "hub_capacity", width), "seed": seed})
+        world = make_world(cfg.world, cfg.seed)
+        state, _ = train_run(world, cfg.archs, cfg.train)
+        return desk_emergent(world, state, cfg.eval_plan)
+
+    widths = (16, 256)
+    accs = pool_map(width_run, [(width, seed) for width in widths for seed in SEEDS])
+    for i, width in enumerate(widths):
+        means[width] = float(np.mean(accs[i * len(SEEDS) : (i + 1) * len(SEEDS)]))
     sequence = [means[w] for w in (16, 64, 256)]
     drops = _inversions(sequence)
     ok = len(drops) <= 1 and all(d <= 0.01 for d in drops)
@@ -458,9 +465,12 @@ class TestDeskTrends:
     def test_trained_hub_outranks_random_hub_when_frozen(self, desk_runs):
         key = "emergent_zero_shot/spoke1_vs_textlike"
         pairs = [("spoke1", "textlike")]
-        good, rand = [], []
-        for run in desk_runs:
-            cfg = run.cfg.train
-            good.append(frozen_hub_eval(run.state.encoders["hub"], run.world, run.cfg.archs, cfg, pairs).metrics[key])
-            rand.append(frozen_hub_eval(run.untrained.encoders["hub"], run.world, run.cfg.archs, cfg, pairs).metrics[key])
+
+        def frozen(job):
+            run, which = job  # "state" (trained) or "untrained"
+            hub = getattr(run, which).encoders["hub"]
+            return frozen_hub_eval(hub, run.world, run.cfg.archs, run.cfg.train, pairs).metrics[key]
+
+        accs = pool_map(frozen, [(run, which) for which in ("state", "untrained") for run in desk_runs])
+        good, rand = accs[: len(desk_runs)], accs[len(desk_runs) :]
         assert float(np.mean(good)) > float(np.mean(rand)) + 0.05

@@ -23,11 +23,12 @@ from hypothesis import strategies as st
 
 import modbind
 import modbind.ablation as ablation_mod
+import modbind.evaluation as evaluation_mod
+import modbind.pool as pool_mod
 from modbind.ablation import (
     format_axis_value,
     run_ablation_suite,
     summarize,
-    usable_cores,
     write_long_csv,
     write_summary_csv,
 )
@@ -40,6 +41,16 @@ from modbind.config import (
     parse_ablation_suite,
     parse_experiment_config,
 )
+from modbind.encoders import embed
+from modbind.evaluation import (
+    POOLED_INDEX_ITEMS,
+    EvaluationError,
+    aligned_eval_items,
+    embed_arithmetic,
+)
+from modbind.pool import usable_cores
+from modbind.trainer import load_checkpoint
+from modbind.world import make_world
 
 from .conftest import doc_nodes, is_number, node_at, resize, set_at, small_config_document
 
@@ -49,10 +60,10 @@ POOL = min(2, usable_cores())
 
 @pytest.fixture
 def cores(monkeypatch):
-    """Sets the usable cores `run_ablation_suite` sees; 1 runs cells in-process."""
+    """Sets the usable cores `pool.ordered_map` sees; 1 runs every job in-process."""
 
     def set_cores(n):
-        monkeypatch.setattr(ablation_mod, "usable_cores", lambda: n)
+        monkeypatch.setattr(pool_mod, "usable_cores", lambda: n)
 
     return set_cores
 
@@ -587,22 +598,22 @@ class TestAblationPool:
         assert multiprocessing.active_children() == []
 
     def test_workers_run_blas_on_one_thread(self, cores, monkeypatch):
-        before = ablation_mod._openblas_call("get_num_threads")
+        before = pool_mod._openblas_call("get_num_threads")
         if not before or POOL < 2:
             pytest.skip("needs OpenBLAS and two usable cores")
         cores(POOL)
 
         def blas_threads(base_normalized, axis, value, seed):
-            return "", {"blas_threads": float(ablation_mod._openblas_call("get_num_threads")[0])}
+            return "", {"blas_threads": float(pool_mod._openblas_call("get_num_threads")[0])}
 
         monkeypatch.setattr(ablation_mod, "run_cell", blas_threads)
-        ablation_mod._openblas_call("set_num_threads", 2)  # as if OPENBLAS_NUM_THREADS were unset
+        pool_mod._openblas_call("set_num_threads", 2)  # as if OPENBLAS_NUM_THREADS were unset
         try:
             results = run_ablation_suite(epochs_suite([1, 2]))
             assert [r.metrics for r in results] == [{"blas_threads": 1.0}] * 2
-            assert ablation_mod._openblas_call("get_num_threads") == [2] * len(before)
+            assert pool_mod._openblas_call("get_num_threads") == [2] * len(before)
         finally:
-            ablation_mod._openblas_call("set_num_threads", before[0])
+            pool_mod._openblas_call("set_num_threads", before[0])
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
     def test_cli_leaves_no_process_in_its_session(self, tmp_path):
@@ -621,6 +632,116 @@ class TestAblationPool:
         assert proc.returncode == 0, stderr
         assert "cells: 2, failures: 0" in stdout
         # the child led its own session, so its pid is the session id
+        assert session_members(proc.pid) == []
+
+
+def full_eval_document():
+    """small_config_document() with every measurement group of an eval plan, and an
+    index large enough for `bind eval` to run the groups on workers."""
+    doc = small_config_document()
+    doc["eval"].update(
+        few_shot_modality="alpha", few_shot_ks=[1, 2], arithmetic_pair=["alpha", "beta"],
+        arithmetic_queries=10, ensemble_pair=["alpha", "beta"], ensemble_weights=[0.0, 0.5],
+        retrieval_index_size=POOLED_INDEX_ITEMS,
+    )
+    return doc
+
+
+class TestEvalPool:
+    """`bind eval` runs its measurement groups through the same pool as `bind ablate`."""
+
+    @pytest.fixture
+    def full_config(self, tmp_path):
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps(full_eval_document()))
+        return str(path)
+
+    @pytest.mark.parametrize("world", ["desk", "tiny"])
+    def test_cli_outputs_identical_in_process_and_in_workers(self, cores, full_config, tmp_path,
+                                                             capsys, world):
+        config = full_config
+        if world == "desk":
+            doc = json.loads(resources.files("modbind").joinpath("configs", "desk.json").read_text())
+            doc["eval"]["retrieval_index_size"] = POOLED_INDEX_ITEMS
+            config = tmp_path / "desk.json"
+            config.write_text(json.dumps(doc))
+        stdout = {}
+        for n in (1, 2):
+            cores(n)
+            out = tmp_path / f"cores{n}"
+            assert main(["eval", "--config", str(config), "--out", str(out)]) == 0
+            stdout[n] = capsys.readouterr().out.replace(str(out), "OUT")
+        assert stdout[1] == stdout[2]
+        for name in ("metrics.json", "metrics.csv", "eval_manifest.json"):
+            assert (tmp_path / "cores1" / name).read_bytes() == (tmp_path / "cores2" / name).read_bytes()
+        assert multiprocessing.active_children() == []
+
+    def test_evaluation_error_in_a_group_exits_3_with_the_in_process_message(
+        self, cores, full_config, monkeypatch, tmp_path, capsys
+    ):
+        def failing_probes(*args):
+            raise EvaluationError("the probes failed")
+
+        monkeypatch.setattr(evaluation_mod, "few_shot_probes", failing_probes)
+        stderr = {}
+        for n in (1, 2):
+            cores(n)
+            assert main(["eval", "--config", full_config, "--out", str(tmp_path / f"c{n}")]) == 3
+            stderr[n] = capsys.readouterr().err
+        assert stderr[1] == stderr[2] == "error: the probes failed\n"
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_exits_3_naming_the_broken_pool(self, cores, full_config, monkeypatch,
+                                                        tmp_path, capsys):
+        cores(2)
+        parent = os.getpid()
+        real = evaluation_mod.composed_retrieval_stats
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args)
+
+        monkeypatch.setattr(evaluation_mod, "composed_retrieval_stats", dying)
+        assert main(["eval", "--config", full_config, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: evaluation worker lost in ")
+        assert ": BrokenProcessPool: " in err
+        assert not (tmp_path / "metrics.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_run_eval_plan_in_an_ablation_worker_starts_no_pool(self, cores, monkeypatch):
+        # each cell's plan has two groups and a large index, so outside a worker
+        # its evaluation would fork two workers
+        cores(2)
+        parent = os.getpid()
+        real_run_cell = ablation_mod.run_cell
+
+        def counting_forks(*args):
+            forks = []
+            os.register_at_fork(before=lambda: forks.append(1))
+            real_run_cell(*args)
+            return "", {"forks": float(len(forks)), "in_worker": float(os.getpid() != parent)}
+
+        monkeypatch.setattr(ablation_mod, "run_cell", counting_forks)
+        base = small_config_document()
+        base["eval"]["retrieval_index_size"] = POOLED_INDEX_ITEMS
+        suite = parse_ablation_suite({"base": base, "axes": [{"axis": "epochs", "grid": [1, 2]}]})
+        results = run_ablation_suite(suite)
+        assert [r.metrics for r in results] == [{"forks": 0.0, "in_worker": 1.0}] * 2
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_cli_leaves_no_process_in_its_session(self, full_config, tmp_path):
+        src = str(Path(modbind.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "modbind", "eval", "--config", full_config,
+             "--out", str(tmp_path / "out")],
+            env=env, start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, stderr
+        assert "metrics.json" in stdout
         assert session_members(proc.pid) == []
 
 
@@ -835,6 +956,27 @@ class TestCliRetrieve:
         assert main(common + ["--compose", "alpha+beta", "--compose-weight", "1.0"]) == 0
         composed = capsys.readouterr().out
         assert composed == plain
+
+    def test_printed_similarities_are_the_batch_values(self, cli_space, capsys):
+        # the query is embedded in the batch of all items that `bind eval` ranks
+        _, cfg_path, out = cli_space
+        cfg = parse_experiment_config(json.loads(cfg_path.read_text()))
+        world = make_world(cfg.world, cfg.seed)
+        encoders = load_checkpoint(out / "checkpoint.json").encoders
+        n = cfg.eval_plan.retrieval_index_size
+        common = ["retrieve", "--config", str(cfg_path), "--checkpoint", str(out / "checkpoint.json"),
+                  "--index-modality", "hub", "--k", str(n)]
+        for query, mods in ((["--query-modality", "alpha"], ["hub", "alpha"]),
+                            (["--compose", "alpha+beta"], ["hub", "alpha", "beta"])):
+            obs, _ = aligned_eval_items(world, mods, n, world.stream("eval/retrieve"))
+            emb = {m: embed(encoders[m], obs[m]) for m in mods}
+            queries = emb["alpha"] if len(mods) == 2 else embed_arithmetic(emb["alpha"], emb["beta"])
+            batch = queries @ emb["hub"].T
+            for qid in (0, 7, n - 1):
+                assert main(common + query + ["--query-id", str(qid)]) == 0
+                rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+                assert [int(j) for _, j, _ in rows] == sorted(range(n), key=lambda j: (-batch[qid, j], j))
+                assert [float(sim) for _, _, sim in rows] == [batch[qid, int(j)] for _, j, _ in rows]
 
     def test_compose_midpoint_runs(self, cli_space, capsys):
         _, cfg_path, out = cli_space

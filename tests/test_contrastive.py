@@ -46,6 +46,13 @@ class TestTemperatureParam:
         with pytest.raises(ValueError):
             TemperatureParam(mode="learnable", value=0.07, log_tau=bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_clamps(self, bad):
+        # an infinite clamp_max let a checkpoint load with tau bounded only by overflow
+        for clamps in ({"clamp_max": bad}, {"clamp_min": bad, "clamp_max": bad}):
+            with pytest.raises(ValueError, match="clamp"):
+                TemperatureParam(mode="learnable", value=0.07, **clamps)
+
     def test_non_finite_update_rejected_and_state_kept(self):
         t = TemperatureParam(mode="learnable", value=0.07)
         before = t.log_tau

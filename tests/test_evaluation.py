@@ -9,16 +9,20 @@ statistical gambles.
 import dataclasses
 import itertools
 import json
+import os
 import tracemalloc
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import modbind.evaluation as evaluation_mod
+import modbind.pool as pool_mod
 from modbind.codec import from_doc, to_doc
 from modbind.config import parse_experiment_config
 from modbind.encoders import EncoderArch, encode, init_encoder
 from modbind.evaluation import (
+    POOLED_INDEX_ITEMS,
     EvalPlan,
     EvaluationError,
     PrototypeBank,
@@ -30,6 +34,7 @@ from modbind.evaluation import (
     embed_arithmetic,
     emergent_zero_shot_accuracy,
     few_shot_probe,
+    few_shot_probes,
     frozen_hub_eval,
     run_eval_plan,
     trained_pair_registry,
@@ -41,7 +46,14 @@ from modbind.trainer import PairConfig, TrainConfig, init_train_state, train_run
 from modbind.world import ModalityConfig, WorldConfig, make_world
 
 from .conftest import unit_rows
-from .oracles import dot, nearest_prototype_loops, rank_loops, recall_at_k_loops, top_k_loops
+from .oracles import (
+    dot,
+    few_shot_probe_reference,
+    nearest_prototype_loops,
+    rank_loops,
+    recall_at_k_loops,
+    top_k_loops,
+)
 
 
 def world_config(beta_noise=0.05, within_class_scale=0.2):
@@ -506,6 +518,46 @@ class TestFewShotProbe:
             )
 
 
+    @pytest.mark.parametrize(
+        "classes, width, ks",
+        [(2, 8, [3, 1, 2]), (3, 8, [1]), (5, 16, [4, 1, 7]), (10, 32, [1, 2, 4, 8]), (12, 64, [5, 1])],
+    )
+    def test_stacked_probes_equal_the_one_probe_loop_bit_for_bit(self, classes, width, ks):
+        rng = np.random.default_rng(100 * classes + width)
+        centers = unit_rows(classes, width, rng)
+
+        def draw(per_class):
+            labels = rng.permutation(np.arange(per_class * classes) % classes)
+            emb = centers[labels] + 0.7 * rng.standard_normal((len(labels), width))
+            return emb / np.linalg.norm(emb, axis=1, keepdims=True), labels
+
+        eval_emb, eval_labels = draw(30)
+        shots = [draw(k) for k in ks]
+        probes = few_shot_probes(shots, eval_emb, eval_labels)
+        assert len(probes) == len(ks)
+        for (emb, labels), probe in zip(shots, probes):
+            weights, bias, accuracy = few_shot_probe_reference(emb, labels, eval_emb, eval_labels)
+            assert probe.weights.tobytes() == weights.tobytes()
+            assert probe.bias.tobytes() == bias.tobytes()
+            assert probe.accuracy == accuracy
+            assert few_shot_probe(emb, labels, eval_emb, eval_labels) == accuracy
+
+    def test_every_probe_is_checked(self, rng):
+        eval_set = (unit_rows(6, 6, rng), np.arange(6) % 3)
+        good = (unit_rows(6, 6, rng), np.arange(6) % 3)
+        for bad, message in (
+            ((unit_rows(4, 6, rng), np.array([0, 0, 1, 1])), "missing from shots"),
+            ((unit_rows(5, 6, rng), np.array([0, 0, 1, 2, 2])), "balanced"),
+            ((unit_rows(4, 6, rng), np.arange(4)), "one class count"),
+        ):
+            for shots in ([good, bad], [bad, good]):
+                with pytest.raises(EvaluationError, match=message):
+                    few_shot_probes(shots, *eval_set)
+
+    def test_no_shot_sets_fit_no_probe(self, rng):
+        assert few_shot_probes([], unit_rows(6, 6, rng), np.arange(6) % 3) == []
+
+
 class TestEmbedArithmetic:
     def test_endpoints_are_exact(self, rng):
         e1 = unit_rows(4, 6, rng)
@@ -663,10 +715,12 @@ class TestRunEvalPlan:
             retrieval_k=5,
         )
 
-    def test_ten_times_eval_sizes_stay_under_16_mb(self):
+    def test_ten_times_eval_sizes_stay_under_16_mb(self, monkeypatch):
         # desk.json at the 10x eval sizes of the benchmark's eval-desk-x10 workload
         # (X10_EVAL in perfbench/run.py), on an untrained state; encoding through
-        # encode, which keeps the backward pass's cache, peaks at about 27.5 MB
+        # encode, which keeps the backward pass's cache, peaks at about 27.5 MB.
+        # tracemalloc sees only this process, so the measurements must run in it
+        monkeypatch.setattr(pool_mod, "usable_cores", lambda: 1)
         doc = json.loads(resources.files("modbind").joinpath("configs", "desk.json").read_text())
         doc["eval"].update(retrieval_index_size=2000, arithmetic_queries=2000, n_per_class=1000)
         cfg = parse_experiment_config(doc)
@@ -698,6 +752,31 @@ class TestRunEvalPlan:
         assert report.config_hash == "h"
         assert report.seed == 11
         report.validate()
+
+    def test_same_report_in_process_and_in_workers(self, world, trained, monkeypatch):
+        _, state = trained
+        plan = dataclasses.replace(self.full_plan(), retrieval_index_size=POOLED_INDEX_ITEMS)
+        reports = []
+        for cores in (1, 2):
+            monkeypatch.setattr(pool_mod, "usable_cores", lambda: cores)
+            reports.append(run_eval_plan(world, state, plan, config_hash="h").to_json())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("index_items", [POOLED_INDEX_ITEMS - 1, POOLED_INDEX_ITEMS])
+    def test_only_a_large_index_starts_workers(self, world, trained, monkeypatch, index_items):
+        _, state = trained
+        monkeypatch.setattr(pool_mod, "usable_cores", lambda: 2)
+        pids = []  # a worker appends to its own copy, which this process never sees
+        real = evaluation_mod.emergent_zero_shot_accuracy
+
+        def spy(*args, **kwargs):
+            pids.append(os.getpid())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation_mod, "emergent_zero_shot_accuracy", spy)
+        plan = dataclasses.replace(self.full_plan(), retrieval_index_size=index_items)
+        run_eval_plan(world, state, plan)
+        assert pids == ([] if index_items >= POOLED_INDEX_ITEMS else [os.getpid()])
 
     def test_deterministic(self, world, trained):
         _, state = trained
