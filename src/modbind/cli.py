@@ -13,8 +13,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .ablation import run_ablation_suite, summarize, write_long_csv, write_summary_csv
 from .config import (
@@ -225,10 +223,8 @@ def cmd_retrieve(args) -> int:
         if args.query_id < rows.stop:
             sims = block[args.query_id - rows.start]
             break
-    top = _top_k(sims[None, :], args.k)[0]  # ascending ids
-    order = top[np.argsort(-sims[top], kind="stable")]  # by similarity, equal ones by id
     print("rank,id,similarity")
-    for rank, j in enumerate(order, start=1):
+    for rank, j in enumerate(_top_k(sims[None, :], args.k)[0], start=1):
         print(f"{rank},{j},{float(sims[j])!r}")
     return 0
 

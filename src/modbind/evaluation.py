@@ -1,10 +1,10 @@
 """Measurement protocols over trained (or untrained) encoder states.
 
-Everything here is read-only with respect to training state: prototype-bank
-zero-shot classification, cross-modal retrieval, few-shot linear probes on
-frozen embeddings, embedding arithmetic, modality ensembling, and the
-frozen-hub protocol that scores a supplied hub encoder by training fresh
-spokes against it.
+Everything here is read-only with respect to training state: zero-shot
+classification against an index of class prototypes, cross-modal retrieval,
+few-shot linear probes on frozen embeddings, embedding arithmetic, modality
+ensembling, and the frozen-hub protocol that scores a supplied hub encoder by
+training fresh spokes against it.
 
 A classification or retrieval result between two modalities is "emergent"
 when neither is the hub and the two were never trained as a pair; the
@@ -36,37 +36,20 @@ _DEGENERATE_NORM = 1e-9
 
 
 class EvaluationError(ValueError):
-    """Raised for malformed evaluation inputs (dims, ids, missing classes)."""
-
-
-@dataclass
-class PrototypeBank:
-    """One unit-norm row per class: the renormalized mean of prompt embeddings."""
-
-    prototypes: np.ndarray  # (C, d)
-    class_ids: np.ndarray  # (C,)
-
-    def __post_init__(self):
-        norms = np.linalg.norm(self.prototypes, axis=1)
-        if not np.allclose(norms, 1.0, atol=1e-8):
-            raise EvaluationError("prototype rows must be unit-norm")
-        if len(self.class_ids) != self.prototypes.shape[0]:
-            raise EvaluationError("one class id per prototype row required")
+    """Raised for malformed evaluation inputs (dims, ground-truth rows, missing classes)."""
 
 
 @dataclass
 class RetrievalIndex:
-    """Unit-norm item embeddings with unique ids, ready for cosine ranking."""
+    """Unit-norm embeddings ready for cosine ranking: item i is row i.
+
+    The items are retrieval candidates, or one prototype per class, row c
+    holding class c's.
+    """
 
     embeddings: np.ndarray  # (N, d)
-    item_ids: np.ndarray  # (N,)
 
     def __post_init__(self):
-        self.item_ids = np.asarray(self.item_ids)
-        if len(self.item_ids) != self.embeddings.shape[0]:
-            raise EvaluationError("one id per embedding row required")
-        if len(np.unique(self.item_ids)) != len(self.item_ids):
-            raise EvaluationError("item ids must be unique")
         norms = np.linalg.norm(self.embeddings, axis=1)
         if not np.allclose(norms, 1.0, atol=1e-8):
             raise EvaluationError("index rows must be unit-norm")
@@ -141,8 +124,8 @@ def build_prototypes(
     encoder: EncoderParams,
     prompts_per_class: int,
     rng: np.random.Generator,
-) -> PrototypeBank:
-    """Encode C*P prompt observations, average per class, renormalize."""
+) -> RetrievalIndex:
+    """Encode C*P prompt observations, average per class, renormalize: row c is class c's."""
     obs, labels = class_prototypes(world, modality, prompts_per_class, rng)
     emb = encode(encoder, obs)
     c = world.num_classes
@@ -153,19 +136,18 @@ def build_prototypes(
         if norm < _DEGENERATE_NORM:
             raise EvaluationError(f"degenerate (zero-norm) prototype for class {cls_id}")
         prototypes[cls_id] = mean / norm
-    return PrototypeBank(prototypes=prototypes, class_ids=np.arange(c))
+    return RetrievalIndex(prototypes)
 
 
-def zero_shot_classify(query_embeddings: np.ndarray, bank: PrototypeBank) -> np.ndarray:
-    """Nearest prototype by cosine; ties resolve to the lowest class index."""
+def zero_shot_classify(query_embeddings: np.ndarray, prototypes: RetrievalIndex) -> np.ndarray:
+    """Row of the nearest prototype by cosine, which is the class; ties go to the lower row."""
     query_embeddings = np.asarray(query_embeddings, dtype=np.float64)
-    if query_embeddings.shape[1] != bank.prototypes.shape[1]:
+    if query_embeddings.shape[1] != prototypes.embeddings.shape[1]:
         raise EvaluationError(
             f"query dim {query_embeddings.shape[1]} does not match "
-            f"prototype dim {bank.prototypes.shape[1]}"
+            f"prototype dim {prototypes.embeddings.shape[1]}"
         )
-    sims = query_embeddings @ bank.prototypes.T
-    return bank.class_ids[np.argmax(sims, axis=1)]
+    return np.argmax(query_embeddings @ prototypes.embeddings.T, axis=1)
 
 
 def emergent_zero_shot_accuracy(
@@ -183,7 +165,7 @@ def emergent_zero_shot_accuracy(
     trained as a pair (and differ); otherwise the accuracy is still reported
     but carries emergent=False.
     """
-    bank = build_prototypes(
+    prototypes = build_prototypes(
         world,
         prompt_modality,
         _encoder(state, prompt_modality),
@@ -194,7 +176,7 @@ def emergent_zero_shot_accuracy(
         world, data_modality, n_per_class, world.stream(f"{stream}/data/{data_modality}")
     )
     emb = encode(_encoder(state, data_modality), eval_set.obs)
-    pred = zero_shot_classify(emb, bank)
+    pred = zero_shot_classify(emb, prototypes)
     accuracy = float(np.mean(pred == eval_set.labels))
     return EmergentResult(
         accuracy=accuracy, emergent=_emergent(world, state, data_modality, prompt_modality)
@@ -213,24 +195,27 @@ def _similarity_blocks(queries: np.ndarray, items: np.ndarray):
 
 
 def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
-    """(rows, K) column indices of each row's K largest values, in ascending order.
+    """(rows, K) column indices of each row's K largest values, in rank order.
 
-    Per row this is the set argsort(-row, kind="stable")[:k] takes: every
-    item above the row's K-th largest value, then the tied items of lowest
-    index. Requires 1 <= k <= N and finite values. Callers pass one block
-    of similarity rows at a time.
+    Per row this is argsort(-row, kind="stable")[:k]: larger values first,
+    equal values by lower index. Requires 1 <= k <= N and finite values.
+    Callers pass one block of similarity rows at a time.
     """
     n = sims.shape[1]
     kth = np.partition(sims, n - k, axis=1)[:, n - k, None]
     at_least = sims >= kth
     if np.count_nonzero(at_least) == sims.shape[0] * k:
         # every row has exactly K values >= its K-th largest: nothing ties at the cut
-        return np.nonzero(at_least)[1].reshape(-1, k)
-    above = sims > kth
-    tied = sims == kth
-    room = k - np.count_nonzero(above, axis=1, keepdims=True)
-    chosen = above | (tied & (np.cumsum(tied, axis=1) <= room))
-    return np.nonzero(chosen)[1].reshape(-1, k)
+        top = np.nonzero(at_least)[1].reshape(-1, k)
+    else:
+        above = sims > kth
+        tied = sims == kth
+        room = k - np.count_nonzero(above, axis=1, keepdims=True)
+        chosen = above | (tied & (np.cumsum(tied, axis=1) <= room))
+        top = np.nonzero(chosen)[1].reshape(-1, k)
+    # top holds ascending columns, so a stable sort leaves equal values by lower index
+    order = np.argsort(-np.take_along_axis(sims, top, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(top, order, axis=1)
 
 
 def cross_modal_recall_at_k(
@@ -241,8 +226,9 @@ def cross_modal_recall_at_k(
 ) -> dict[int, float]:
     """recall@K per K: fraction of queries whose true item ranks in the top K.
 
-    Rank counts items with strictly higher cosine, plus equal-cosine items
-    with a lower id (deterministic tie order).
+    An item's id is its index row, so ground_truth_ids[i] is the row of query
+    i's true item. Rank counts items with strictly higher cosine, plus
+    equal-cosine items of a lower row (deterministic tie order).
     """
     queries = np.asarray(queries, dtype=np.float64)
     if not np.all(np.isfinite(queries)):
@@ -251,31 +237,24 @@ def cross_modal_recall_at_k(
     for k in k_list:
         if k < 1 or k > n_items:
             raise EvaluationError(f"K={k} outside [1, {n_items}]")
-    ground_truth_ids = np.asarray(ground_truth_ids)
-    if len(ground_truth_ids) != queries.shape[0]:
+    cols = np.asarray(ground_truth_ids)
+    if len(cols) != queries.shape[0]:
         raise EvaluationError("one ground-truth id per query required")
-    if len(ground_truth_ids) == 0:
+    if len(cols) == 0:
         raise EvaluationError("recall needs at least one query")
-    ids = index.item_ids
-    by_id = np.argsort(ids)
-    sorted_ids = ids[by_id]
-    found = np.searchsorted(sorted_ids, ground_truth_ids).clip(max=n_items - 1)
-    missing = sorted_ids[found] != ground_truth_ids
-    if np.any(missing):
-        raise EvaluationError(
-            f"ground-truth id {ground_truth_ids[missing][0].item()!r} not present in index"
-        )
-    cols = by_id[found]
+    if cols.dtype.kind not in "iu" or cols.min() < 0 or cols.max() >= n_items:
+        raise EvaluationError(f"ground-truth ids must be integer rows in [0, {n_items})")
+    columns = np.arange(n_items)
     ranks = np.empty(len(cols), dtype=np.int64)
     for rows, s in _similarity_blocks(queries, index.embeddings):
         c = cols[rows]
         s_gt = s[np.arange(len(c)), c][:, None]
         if np.count_nonzero(s == s_gt) == len(c):
-            # each true item ties only with itself, so no id breaks a tie
+            # each true item ties only with itself, so no row breaks a tie
             ranks[rows] = np.count_nonzero(s >= s_gt, axis=1) - 1
         else:
             ranks[rows] = np.count_nonzero(s > s_gt, axis=1) + np.count_nonzero(
-                (s == s_gt) & (ids[None, :] < ids[c][:, None]), axis=1
+                (s == s_gt) & (columns < c[:, None]), axis=1
             )
     return {k: float(np.mean(ranks < k)) for k in k_list}
 
@@ -401,7 +380,7 @@ def aligned_eval_items(
     """The same n latent items observed through several modalities.
 
     Returns ({modality: obs}, labels); item i is identical across modalities,
-    which is what gives retrieval a ground-truth id mapping.
+    so row i of one modality's index is the true item of row i of another's.
     """
     labels = np.arange(n_items) % world.num_classes
     latents = _class_latents(world, labels, world.within_class_scale, rng)
@@ -512,9 +491,8 @@ def _retrieval_group(world, state, plan, query_mod: str, index_mod: str):
     obs, _ = aligned_eval_items(world, [query_mod, index_mod], plan.retrieval_index_size, rng)
     index_emb = encode(_encoder(state, index_mod), obs[index_mod])
     query_emb = encode(_encoder(state, query_mod), obs[query_mod])
-    ids = np.arange(plan.retrieval_index_size)
-    index = RetrievalIndex(embeddings=index_emb, item_ids=ids)
-    recalls = cross_modal_recall_at_k(index, query_emb, ids, plan.k_list)
+    rows = np.arange(plan.retrieval_index_size)
+    recalls = cross_modal_recall_at_k(RetrievalIndex(index_emb), query_emb, rows, plan.k_list)
     return ({f"recall_at_{k}/{query_mod}_to_{index_mod}": v for k, v in recalls.items()},
             {f"emergent/{query_mod}_to_{index_mod}": _emergent(world, state, query_mod, index_mod)})
 
@@ -552,13 +530,13 @@ def _ensemble_group(world, state, plan):
     hub_emb = encode(_encoder(state, hub), obs[hub])
     emb_a = encode(_encoder(state, mod_a), obs[mod_a])
     emb_b = encode(_encoder(state, mod_b), obs[mod_b])
-    ids = np.arange(plan.retrieval_index_size)
-    index = RetrievalIndex(embeddings=hub_emb, item_ids=ids)
+    rows = np.arange(plan.retrieval_index_size)
+    index = RetrievalIndex(hub_emb)
     k = plan.retrieval_k
     metrics = {}
     for w in plan.ensemble_weights:
         combined = embed_arithmetic(emb_a, emb_b, w)
-        recall = cross_modal_recall_at_k(index, combined, ids, [k])
+        recall = cross_modal_recall_at_k(index, combined, rows, [k])
         metrics[f"ensemble_recall_at_{k}/w={w:g}"] = recall[k]
     return metrics, {}
 

@@ -480,7 +480,8 @@ _STATE_KEYS = ("version", "kind", "step", "encoders", "moments", "temperatures",
 
 def load_checkpoint(path: str | Path) -> TrainState:
     """Read a checkpoint back; rejects unknown versions, malformed content and
-    non-finite weights, moments or losses. Keys beside the state land in `extra`.
+    non-finite weights, moments or losses. Keys beside the state land in `extra`;
+    of those, a `seed` must be an integer in [0, 2**32) and a `config_hash` a string.
 
     Format 1 stored each temperature's moments as scalars, {"m": x, "v": y,
     "t": n}; they are read as one-element AdamMoments.
@@ -492,10 +493,18 @@ def load_checkpoint(path: str | Path) -> TrainState:
         raise TrainerError(f"corrupt checkpoint: {e}") from e
     if not isinstance(doc, dict) or doc.get("kind") != "checkpoint":
         raise TrainerError("corrupt checkpoint: not a checkpoint document")
-    if doc.get("version") not in (1, CHECKPOINT_FORMAT_VERSION):
-        raise TrainerError(f"unsupported checkpoint version {doc.get('version')!r}")
+    version = doc.get("version")
+    # exact types: JSON 2.0 and true compare equal to 2 and 1
+    if type(version) is not int or version not in (1, CHECKPOINT_FORMAT_VERSION):
+        raise TrainerError(f"unsupported checkpoint version {version!r}")
+    extra = {k: v for k, v in doc.items() if k not in _STATE_KEYS}
+    seed, config_hash = extra.get("seed", 0), extra.get("config_hash", "")
+    if type(seed) is not int or not 0 <= seed < 2**32:
+        raise TrainerError(f"corrupt checkpoint: seed must be an integer in [0, 2**32), got {seed!r}")
+    if type(config_hash) is not str:
+        raise TrainerError(f"corrupt checkpoint: config_hash must be a string, got {config_hash!r}")
     try:
-        if doc["version"] == 1:
+        if version == 1:
             doc["tau_moments"] = {
                 key: {**d, "m": [[d["m"]]], "v": [[d["v"]]]}
                 for key, d in doc["tau_moments"].items()
@@ -537,7 +546,7 @@ def load_checkpoint(path: str | Path) -> TrainState:
         **parts,
         step=step,
         loss_history=history,
-        extra={k: v for k, v in doc.items() if k not in _STATE_KEYS},
+        extra=extra,
     )
 
 

@@ -32,7 +32,6 @@ _NONLINEARITIES = {
 }
 
 _SEPARABILITY_FACTOR = 4.0  # min pairwise class-mean distance, in within-class scales
-_MAX_MEAN_ATTEMPTS = 8
 
 
 class WorldError(ValueError):
@@ -204,19 +203,15 @@ def make_world(config: WorldConfig, seed: int) -> WorldSpec:
     streams and are immutable afterwards.
     """
     target = _SEPARABILITY_FACTOR * config.within_class_scale
-    rng = stream_rng(seed, "world/class_means")
-    means = None
-    for _ in range(_MAX_MEAN_ATTEMPTS):
-        cand = rng.standard_normal((config.num_classes, config.latent_dim))
-        dists = np.linalg.norm(cand[:, None, :] - cand[None, :, :], axis=-1)
-        min_dist = dists[~np.eye(config.num_classes, dtype=bool)].min()
-        if min_dist > 0:
-            if min_dist < target:
-                cand = cand * (target / min_dist)
-            means = cand
-            break
-    if means is None:
-        raise WorldError("could not sample pairwise-distinct class means")
+    means = stream_rng(seed, "world/class_means").standard_normal(
+        (config.num_classes, config.latent_dim)
+    )
+    dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
+    min_dist = dists[~np.eye(config.num_classes, dtype=bool)].min()
+    if min_dist == 0:
+        raise WorldError("class means are not pairwise distinct")
+    if min_dist < target:
+        means = means * (target / min_dist)
 
     observers = []
     for mc in config.modalities:

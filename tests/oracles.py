@@ -116,30 +116,27 @@ def nearest_prototype_loops(query, prototypes):
     return best_idx
 
 
-def retrieval_ranking_loops(query, index_embeddings, ids):
-    """Full id ranking by descending similarity, equal sims by ascending id."""
+def retrieval_ranking_loops(query, index_embeddings):
+    """Every index row, by descending similarity, equal sims by ascending row."""
     sims = [dot(query, e) for e in index_embeddings]
-    order = sorted(range(len(ids)), key=lambda j: (-sims[j], ids[j]))
-    return [ids[j] for j in order]
+    return sorted(range(len(sims)), key=lambda j: (-sims[j], j))
 
 
-def rank_loops(query, index_embeddings, ids, gt):
-    """Position (0-based) of item id `gt` in the retrieval_ranking_loops ranking."""
-    return retrieval_ranking_loops(query, index_embeddings, ids).index(gt)
+def rank_loops(query, index_embeddings, gt):
+    """Position (0-based) of row `gt` in the retrieval_ranking_loops ranking."""
+    return retrieval_ranking_loops(query, index_embeddings).index(gt)
 
 
 def top_k_loops(sims_row, k):
-    """Indices of the k most-similar items, equal sims by ascending index,
-    returned in ascending index order."""
-    order = sorted(range(len(sims_row)), key=lambda j: (-float(sims_row[j]), j))
-    return sorted(order[:k])
+    """Indices of the k most-similar items in rank order: descending
+    similarity, equal sims by ascending index."""
+    return sorted(range(len(sims_row)), key=lambda j: (-float(sims_row[j]), j))[:k]
 
 
-def recall_at_k_loops(queries, ground_truth, index_embeddings, ids, k):
+def recall_at_k_loops(queries, ground_truth, index_embeddings, k):
     hits = 0
     for query, gt in zip(queries, ground_truth):
-        ranking = retrieval_ranking_loops(query, index_embeddings, ids)
-        if gt in ranking[:k]:
+        if gt in retrieval_ranking_loops(query, index_embeddings)[:k]:
             hits += 1
     return hits / len(queries)
 

@@ -255,11 +255,11 @@ def test_criterion_05_never_paired_retrieval(verdicts, m1m2_runs):
         obs, _ = aligned_eval_items(run.world, ["spoke1", "spoke2"], n_items, rng)
         index_emb, _ = encode(run.state.encoders["spoke2"], obs["spoke2"])
         query_emb, _ = encode(run.state.encoders["spoke1"], obs["spoke1"])
-        ids = np.arange(n_items)
-        index = RetrievalIndex(embeddings=index_emb, item_ids=ids)
-        recalls.append(cross_modal_recall_at_k(index, query_emb, ids, [10])[10])
-        control_ids = np.random.default_rng(1000 + i).permutation(ids)
-        shuffled.append(cross_modal_recall_at_k(index, query_emb, control_ids, [10])[10])
+        rows = np.arange(n_items)
+        index = RetrievalIndex(index_emb)
+        recalls.append(cross_modal_recall_at_k(index, query_emb, rows, [10])[10])
+        control_rows = np.random.default_rng(1000 + i).permutation(rows)
+        shuffled.append(cross_modal_recall_at_k(index, query_emb, control_rows, [10])[10])
     recall_mean = float(np.mean(recalls))
     shuffled_mean = float(np.mean(shuffled))
     lo, hi = binomial_band(10 / n_items, n_items * len(SEEDS))

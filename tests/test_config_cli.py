@@ -918,6 +918,28 @@ class TestCliEval:
         assert "corrupt checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "metrics.json").exists()
 
+    @pytest.mark.parametrize("key, bad, seed, message", [
+        ("version", 2.0, None, "unsupported checkpoint version 2.0"),
+        ("version", True, None, "unsupported checkpoint version True"),
+        ("seed", True, "1", "corrupt checkpoint: seed must be"),
+        ("seed", 0.0, "0", "corrupt checkpoint: seed must be"),
+        ("config_hash", 7, None, "corrupt checkpoint: config_hash must be"),
+    ], ids=["version-2.0", "version-true", "seed-true", "seed-0.0", "config_hash-7"])
+    def test_checkpoint_header_of_wrong_type_is_runtime_error(
+        self, cli_space, tmp_path, capsys, key, bad, seed, message
+    ):
+        # each of these once compared equal to the run's value, and the eval went ahead
+        _, cfg_path, out = cli_space
+        doc = json.loads((out / "checkpoint.json").read_text())
+        doc[key] = bad
+        ckpt = tmp_path / "header.json"
+        ckpt.write_text(json.dumps(doc))
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path)] + (["--seed", seed] if seed else []))
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_checkpoint_config_mismatch_is_config_error(self, cli_space, tmp_path, capsys):
         _, cfg_path, out = cli_space
         doc = json.loads(cfg_path.read_text())

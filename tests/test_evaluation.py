@@ -25,7 +25,6 @@ from modbind.evaluation import (
     POOLED_INDEX_ITEMS,
     EvalPlan,
     EvaluationError,
-    PrototypeBank,
     RetrievalIndex,
     aligned_eval_items,
     build_prototypes,
@@ -116,16 +115,11 @@ def peak_bytes(fn) -> int:
             tracemalloc.stop()
 
 
-class TestPrototypeBank:
+class TestRetrievalIndex:
     def test_non_unit_rows_rejected(self, rng):
         rows = unit_rows(3, 4, rng) * 2.0
         with pytest.raises(EvaluationError):
-            PrototypeBank(prototypes=rows, class_ids=np.arange(3))
-
-    def test_id_count_mismatch_rejected(self, rng):
-        rows = unit_rows(3, 4, rng)
-        with pytest.raises(EvaluationError):
-            PrototypeBank(prototypes=rows, class_ids=np.arange(2))
+            RetrievalIndex(rows)
 
 
 class TestBuildPrototypes:
@@ -137,15 +131,15 @@ class TestBuildPrototypes:
         enc = init_encoder(make_archs(w)["alpha"], seed=5)
         bank = build_prototypes(w, "alpha", enc, 1, w.stream("prompts"))
         want, _ = encode(enc, w.observer("alpha").observe(w.class_means))
-        np.testing.assert_allclose(bank.prototypes, want, atol=1e-12)
-        np.testing.assert_array_equal(bank.class_ids, np.arange(3))
+        # row c is class c's prototype
+        np.testing.assert_allclose(bank.embeddings, want, atol=1e-12)
 
     def test_rows_unit_norm(self, world, trained):
         _, state = trained
         bank = build_prototypes(
             world, "beta", state.encoders["beta"], 16, world.stream("prompts")
         )
-        np.testing.assert_allclose(np.linalg.norm(bank.prototypes, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(bank.embeddings, axis=1), 1.0, atol=1e-12)
 
     def test_zero_prompts_rejected(self, world, trained):
         _, state = trained
@@ -155,11 +149,11 @@ class TestBuildPrototypes:
 
 class TestZeroShotClassify:
     def test_prototypes_classify_as_themselves(self, rng):
-        bank = PrototypeBank(prototypes=unit_rows(4, 6, rng), class_ids=np.arange(4))
-        np.testing.assert_array_equal(zero_shot_classify(bank.prototypes, bank), np.arange(4))
+        bank = RetrievalIndex(unit_rows(4, 6, rng))
+        np.testing.assert_array_equal(zero_shot_classify(bank.embeddings, bank), np.arange(4))
 
     def test_positive_rescale_invariance(self, rng):
-        bank = PrototypeBank(prototypes=unit_rows(4, 6, rng), class_ids=np.arange(4))
+        bank = RetrievalIndex(unit_rows(4, 6, rng))
         q = rng.standard_normal((10, 6))
         np.testing.assert_array_equal(
             zero_shot_classify(q, bank), zero_shot_classify(2.5 * q, bank)
@@ -167,7 +161,7 @@ class TestZeroShotClassify:
 
     def test_matches_loop_oracle(self, rng):
         protos = unit_rows(5, 4, rng)
-        bank = PrototypeBank(prototypes=protos, class_ids=np.arange(5))
+        bank = RetrievalIndex(protos)
         q = unit_rows(20, 4, rng)
         pred = zero_shot_classify(q, bank)
         want = [nearest_prototype_loops(row.tolist(), protos.tolist()) for row in q]
@@ -176,11 +170,11 @@ class TestZeroShotClassify:
     def test_tie_goes_to_lowest_class(self, rng):
         row = unit_rows(1, 4, rng)[0]
         protos = np.stack([row, row, -row])
-        bank = PrototypeBank(prototypes=protos, class_ids=np.arange(3))
+        bank = RetrievalIndex(protos)
         assert zero_shot_classify(row[None, :], bank)[0] == 0
 
     def test_dim_mismatch_rejected(self, rng):
-        bank = PrototypeBank(prototypes=unit_rows(3, 4, rng), class_ids=np.arange(3))
+        bank = RetrievalIndex(unit_rows(3, 4, rng))
         with pytest.raises(EvaluationError):
             zero_shot_classify(unit_rows(2, 5, rng), bank)
 
@@ -244,32 +238,28 @@ class TestEmergentZeroShot:
 class TestRecallAtK:
     def test_self_retrieval_is_perfect(self, rng):
         emb = unit_rows(20, 6, rng)
-        index = RetrievalIndex(embeddings=emb, item_ids=np.arange(20))
+        index = RetrievalIndex(emb)
         recalls = cross_modal_recall_at_k(index, emb, np.arange(20), [1])
         assert recalls[1] == 1.0
 
     def test_k_equals_n_is_one(self, rng):
-        index = RetrievalIndex(embeddings=unit_rows(15, 6, rng), item_ids=np.arange(15))
+        index = RetrievalIndex(unit_rows(15, 6, rng))
         recalls = cross_modal_recall_at_k(index, unit_rows(7, 6, rng), np.arange(7), [15])
         assert recalls[15] == 1.0
 
     @pytest.mark.parametrize("k", [0, 16])
     def test_k_out_of_range_rejected(self, rng, k):
-        index = RetrievalIndex(embeddings=unit_rows(15, 6, rng), item_ids=np.arange(15))
+        index = RetrievalIndex(unit_rows(15, 6, rng))
         with pytest.raises(EvaluationError):
             cross_modal_recall_at_k(index, unit_rows(3, 6, rng), np.arange(3), [k])
 
     def test_matches_loop_oracle(self, rng):
         emb = unit_rows(12, 5, rng)
-        ids = np.arange(12)
-        index = RetrievalIndex(embeddings=emb, item_ids=ids)
         queries = unit_rows(8, 5, rng)
         gt = rng.integers(0, 12, 8)
-        recalls = cross_modal_recall_at_k(index, queries, gt, [1, 3, 5])
+        recalls = cross_modal_recall_at_k(RetrievalIndex(emb), queries, gt, [1, 3, 5])
         for k in (1, 3, 5):
-            want = recall_at_k_loops(
-                queries.tolist(), gt.tolist(), emb.tolist(), ids.tolist(), k
-            )
+            want = recall_at_k_loops(queries.tolist(), gt.tolist(), emb.tolist(), k)
             assert abs(recalls[k] - want) <= 1e-12
 
     def test_matches_loop_oracle_with_ties_across_blocks(self, rng):
@@ -277,30 +267,25 @@ class TestRecallAtK:
         n, q = 2048, 40
         assert block_rows(n) < q
         emb = unit_rows(5, 6, rng)[rng.integers(0, 5, n)]
-        ids = rng.permutation(3 * n)[:n]
-        index = RetrievalIndex(embeddings=emb, item_ids=ids)
         queries = unit_rows(q, 6, rng)
-        gt = ids[rng.integers(0, n, q)]
+        gt = rng.integers(0, n, q)
         k_list = [1, 300, 900, 1700, n]
-        recalls = cross_modal_recall_at_k(index, queries, gt, k_list)
+        recalls = cross_modal_recall_at_k(RetrievalIndex(emb), queries, gt, k_list)
         for k in k_list:
-            want = recall_at_k_loops(
-                queries.tolist(), gt.tolist(), emb.tolist(), ids.tolist(), k
-            )
-            assert recalls[k] == want
+            assert recalls[k] == recall_at_k_loops(queries.tolist(), gt.tolist(), emb.tolist(), k)
 
     def test_ties_rank_by_ascending_id(self, rng):
         row = unit_rows(1, 4, rng)[0]
         other = unit_rows(1, 4, rng)[0]
         emb = np.stack([row, other, row])
-        index = RetrievalIndex(embeddings=emb, item_ids=np.array([5, 7, 9]))
+        index = RetrievalIndex(emb)
         q = row[None, :]
-        assert cross_modal_recall_at_k(index, q, [5], [1])[1] == 1.0
-        assert cross_modal_recall_at_k(index, q, [9], [1])[1] == 0.0
-        assert cross_modal_recall_at_k(index, q, [9], [2])[2] == 1.0
+        assert cross_modal_recall_at_k(index, q, [0], [1])[1] == 1.0
+        assert cross_modal_recall_at_k(index, q, [2], [1])[1] == 0.0
+        assert cross_modal_recall_at_k(index, q, [2], [2])[2] == 1.0
 
     def test_monotone_in_k(self, rng):
-        index = RetrievalIndex(embeddings=unit_rows(30, 6, rng), item_ids=np.arange(30))
+        index = RetrievalIndex(unit_rows(30, 6, rng))
         queries = unit_rows(25, 6, rng)
         gt = rng.integers(0, 30, 25)
         recalls = cross_modal_recall_at_k(index, queries, gt, [1, 5, 10, 30])
@@ -308,32 +293,30 @@ class TestRecallAtK:
         assert values == sorted(values)
 
     def test_unknown_ground_truth_rejected(self, rng):
-        index = RetrievalIndex(embeddings=unit_rows(5, 6, rng), item_ids=np.arange(5))
-        with pytest.raises(EvaluationError):
-            cross_modal_recall_at_k(index, unit_rows(1, 6, rng), [99], [1])
+        # a ground truth is an index row: an integer in [0, N); 1.0 and True are not
+        index = RetrievalIndex(unit_rows(5, 6, rng))
+        for gt in ([99], [5], [-1], [1.0], [True], ["0"]):
+            with pytest.raises(EvaluationError, match=r"integer rows in \[0, 5\)"):
+                cross_modal_recall_at_k(index, unit_rows(1, 6, rng), gt, [1])
 
     def test_no_queries_rejected(self, rng):
         # the mean over zero ranks would be NaN
-        index = RetrievalIndex(embeddings=unit_rows(5, 6, rng), item_ids=np.arange(5))
+        index = RetrievalIndex(unit_rows(5, 6, rng))
         with pytest.raises(EvaluationError, match="at least one query"):
             cross_modal_recall_at_k(index, np.zeros((0, 6)), [], [1])
 
     def test_ground_truth_count_mismatch_rejected(self, rng):
-        index = RetrievalIndex(embeddings=unit_rows(5, 6, rng), item_ids=np.arange(5))
+        index = RetrievalIndex(unit_rows(5, 6, rng))
         with pytest.raises(EvaluationError):
             cross_modal_recall_at_k(index, unit_rows(2, 6, rng), [0], [1])
 
     def test_non_finite_queries_rejected(self, rng):
         # a NaN query compares false with every item, so its true item would rank first
-        index = RetrievalIndex(embeddings=unit_rows(5, 6, rng), item_ids=np.arange(5))
+        index = RetrievalIndex(unit_rows(5, 6, rng))
         queries = unit_rows(2, 6, rng)
         queries[1, 0] = np.nan
         with pytest.raises(EvaluationError):
             cross_modal_recall_at_k(index, queries, [0, 1], [1])
-
-    def test_duplicate_index_ids_rejected(self, rng):
-        with pytest.raises(EvaluationError):
-            RetrievalIndex(embeddings=unit_rows(3, 6, rng), item_ids=np.array([0, 1, 1]))
 
 
 class TestTopK:
@@ -391,16 +374,10 @@ class TestSimilarityBlocks:
 
     def test_ranks_match_loop_oracle_with_ties_across_blocks(self, tied):
         items, queries, _ = tied
-        rng = np.random.default_rng(4)
-        ids = rng.permutation(3 * self.N)[: self.N]
-        gt = ids[rng.integers(0, self.N, self.Q)]
-        index = RetrievalIndex(embeddings=items, item_ids=ids)
+        gt = np.random.default_rng(4).integers(0, self.N, self.Q)
         k_list = list(range(1, self.N + 1))
-        recalls = cross_modal_recall_at_k(index, queries, gt, k_list)
-        ranks = [
-            rank_loops(qr, items.tolist(), ids.tolist(), g)
-            for qr, g in zip(queries.tolist(), gt.tolist())
-        ]
+        recalls = cross_modal_recall_at_k(RetrievalIndex(items), queries, gt, k_list)
+        ranks = [rank_loops(qr, items.tolist(), g) for qr, g in zip(queries.tolist(), gt.tolist())]
         assert len(set(ranks)) > 10
         for k in k_list:
             assert recalls[k] == sum(r < k for r in ranks) / self.Q
@@ -429,35 +406,29 @@ class TestSimilarityBlocks:
         near_e5 = np.hstack([0.05 * unit_rows(1000, 4, rng), np.zeros((1000, 1))])
         near_e5[:, 4] = np.sqrt(1.0 - np.sum(near_e5**2, axis=1))
         items = rng.permutation(np.concatenate([palette, near_e5]))
-        ids = rng.permutation(5 * len(items))[: len(items)]
         queries = np.concatenate(
             [unit_rows(64, 5, rng), palette[rng.integers(0, 24, 64)], unit_rows(64, 5, rng)]
         )
         is_palette = np.all(items[:, 4:] == 0.0, axis=1)
-        gt_cols = np.concatenate([
+        gt = np.concatenate([
             rng.integers(0, len(items), 64),
             rng.choice(np.flatnonzero(is_palette), 64),
             rng.integers(0, len(items), 64),
         ])
         assert block_rows(len(items)) == 64
-        return items, ids, queries, ids[gt_cols]
+        return items, queries, gt
 
     def test_recall_with_tied_and_untied_blocks_matches_loop_oracle(self, mixed):
-        items, ids, queries, gt = mixed
-        index = RetrievalIndex(embeddings=items, item_ids=ids)
-        col = {i: j for j, i in enumerate(ids.tolist())}
+        items, queries, gt = mixed
         tied = []
         for rows, s in _similarity_blocks(queries, items):
-            s_gt = s[np.arange(s.shape[0]), [col[g] for g in gt[rows].tolist()]][:, None]
+            s_gt = s[np.arange(s.shape[0]), gt[rows]][:, None]
             tied.append(bool(np.count_nonzero(s == s_gt) > s.shape[0]))
         assert tied == [False, True, False]
-        ranks = [
-            rank_loops(qr, items.tolist(), ids.tolist(), g)
-            for qr, g in zip(queries.tolist(), gt.tolist())
-        ]
+        ranks = [rank_loops(qr, items.tolist(), g) for qr, g in zip(queries.tolist(), gt.tolist())]
         assert len(set(ranks[64:128])) > 3
         k_list = sorted({r + 1 for r in ranks})
-        recalls = cross_modal_recall_at_k(index, queries, gt, k_list)
+        recalls = cross_modal_recall_at_k(RetrievalIndex(items), queries, gt, k_list)
         for k in k_list:
             assert recalls[k] == sum(r < k for r in ranks) / len(ranks)
 
@@ -465,7 +436,7 @@ class TestSimilarityBlocks:
     # 0.5, then continuous values; its K-th value ties for K = 2 to 8 only
     @pytest.mark.parametrize("k, middle_tied", [(1, False), (5, True), (9, False)])
     def test_top_k_with_tied_and_untied_blocks_matches_loop_oracle(self, mixed, k, middle_tied):
-        items, _, queries, _ = mixed
+        items, queries, _ = mixed
         tied = []
         for _, s in _similarity_blocks(queries, items):
             kth = np.sort(s, axis=1)[:, -k, None]
@@ -478,7 +449,7 @@ class TestSimilarityBlocks:
     # one (2000, 2000) float64 similarity matrix is 32 MB
     def test_recall_allocates_no_queries_by_items_matrix(self, rng):
         n = 2000
-        index = RetrievalIndex(embeddings=unit_rows(n, 32, rng), item_ids=np.arange(n))
+        index = RetrievalIndex(unit_rows(n, 32, rng))
         queries = unit_rows(n, 32, rng)
         peak = peak_bytes(lambda: cross_modal_recall_at_k(index, queries, np.arange(n), [1, 10]))
         assert peak < 4 * 2**20

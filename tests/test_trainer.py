@@ -305,7 +305,15 @@ class TestTrainRun:
             clipped.append([g.shape for g in grads])
             return real_clip(grads, max_norm)
 
+        stepped = []
+        real_adamw = trainer_mod.adamw_step
+
+        def adamw_spy(params, grads, moments, lr, betas, weight_decay, step, eps):
+            stepped.append((params.shape, lr, weight_decay))
+            return real_adamw(params, grads, moments, lr, betas, weight_decay, step, eps=eps)
+
         monkeypatch.setattr(trainer_mod, "clip_global_norm", spy)
+        monkeypatch.setattr(trainer_mod, "adamw_step", adamw_spy)
         log_tau_before = init_train_state(tiny_world, archs, cfg).temperatures["alpha"].log_tau
         state, _ = train_run(tiny_world, archs, cfg)
 
@@ -321,6 +329,20 @@ class TestTrainRun:
             [shapes[rec.pair]] + ([] if hub_frozen else [shapes["hub"]]) + ([(1,)] if tau_trains else [])
             for rec in state.loss_history
         ]
+        # AdamW gets the warmed-up rate, min(1, (t+1)/warmup_steps) of it, and decays the
+        # encoders' weights but never the log-temperature
+        warmup_steps = 6
+        assert cfg.warmup_epochs * cfg.steps_per_epoch == warmup_steps and cfg.weight_decay > 0
+        want = []
+        for rec in state.loss_history:
+            lr = cfg.learning_rate * min(1.0, (rec.step + 1) / warmup_steps)
+            want.append((shapes[rec.pair], lr, cfg.weight_decay))
+            if not hub_frozen:
+                want.append((shapes["hub"], lr, cfg.weight_decay))
+            if tau_trains:
+                want.append(((1,), lr, 0.0))
+        assert [(shape, decay) for shape, _, decay in stepped] == [(s, d) for s, _, d in want]
+        assert [lr for _, lr, _ in stepped] == pytest.approx([lr for _, lr, _ in want], rel=1e-12)
 
     def test_supplied_hub_is_not_updated_in_place(self, tiny_world):
         # training updates parameter buffers in place; the caller's hub must not share one
@@ -670,6 +692,14 @@ class TestCheckpointing:
             (("loss_history", 0, 1), 7),
             (("loss_history", 0), [0, "alpha", 1.0]),
             (("tau_moments", "alpha", "m"), [[0.0, 0.0]]),
+            # a run compares seed and config_hash with !=, where true == 1 and 0.0 == 0
+            (("seed",), True),
+            (("seed",), 0.0),
+            (("seed",), -1),
+            (("seed",), 2**32),
+            (("seed",), "0"),
+            (("config_hash",), 0),
+            (("config_hash",), None),
         ],
     )
     def test_malformed_step_history_and_tau_moments_rejected(self, tiny_world, tmp_path, keys, bad):
@@ -699,10 +729,19 @@ class TestCheckpointing:
         path = tmp_path / "ckpt.json"
         save_checkpoint(state, path)
         doc = json.loads(path.read_text())
-        doc["version"] = 999
-        path.write_text(json.dumps(doc))
-        with pytest.raises(TrainerError):
-            load_checkpoint(path)
+        # the version is an exact integer: JSON 2.0 and true compare equal to 2 and 1
+        for version in (999, 2.0, 1.0, True, "2", None):
+            doc["version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(TrainerError, match="unsupported checkpoint version"):
+                load_checkpoint(path)
+
+    def test_header_seed_and_config_hash_land_in_extra(self, tiny_world, tmp_path):
+        state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config(), max_steps=2)
+        path = tmp_path / "ckpt.json"
+        for extra in ({"seed": 0, "config_hash": ""}, {"seed": 2**32 - 1, "config_hash": "beef"}):
+            save_checkpoint(state, path, extra=extra)
+            assert load_checkpoint(path).extra == extra
 
     def test_training_log_is_stable(self, tiny_world, tmp_path):
         state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config())

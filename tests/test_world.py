@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import modbind.world as world_mod
 from modbind.world import (
     ModalityConfig,
     WorldConfig,
@@ -98,6 +99,19 @@ class TestMakeWorld:
             for j in range(i + 1, c):
                 d = np.linalg.norm(world.class_means[i] - world.class_means[j])
                 assert d >= 4 * 0.5
+
+    def test_coincident_class_means_rejected(self, monkeypatch):
+        # standard-normal means never coincide; a class-mean stream that repeats one row does
+        real = world_mod.stream_rng
+
+        class RepeatedRow:
+            def standard_normal(self, shape):
+                return np.tile(real(0, "row").standard_normal(shape[1]), (shape[0], 1))
+
+        monkeypatch.setattr(world_mod, "stream_rng", lambda seed, name: (
+            RepeatedRow() if name == "world/class_means" else real(seed, name)))
+        with pytest.raises(WorldError, match="not pairwise distinct"):
+            make_world(noiseless_config(within_class_scale=0.1), seed=0)
 
     def test_rejects_bad_configs(self):
         good = noiseless_config()
