@@ -6,14 +6,18 @@ Outputs are a long-format CSV (one row per cell metric) and a seed-averaged
 summary; row order is fixed by the suite definition, so reruns are
 byte-identical.
 
-Cells run on the fork pool of `pool.ordered_map`. Results still come back in
-definition order, so the outputs do not depend on the number of workers, and
-no worker outlives the call that started it.
+A run is a pure function of (config, seed), and an axis whose grid holds the
+base value repeats the base run, so cells that resolve to the same config
+hash and seed train once: the first such cell runs, and the others copy its
+row under their own axis and value. Runs go to the fork pool of
+`pool.ordered_map`. Rows still come back in definition order, so the
+outputs do not depend on the number of workers, and no worker outlives the
+call that started it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,14 +73,29 @@ def _cell_result(base_normalized: dict, axis: str, value, seed: int) -> CellResu
     )
 
 
+def _run_key(base_normalized: dict, cell: tuple, index: int):
+    """(config hash, seed) of the run a cell trains; a cell whose config does
+    not parse is its own run (its index), so `run_cell` reports its error."""
+    axis, value, seed = cell
+    try:
+        doc = apply_axis(base_normalized, axis, value)
+        doc["seed"] = seed
+        return parse_experiment_config(doc).hash, seed
+    except Exception:
+        return index
+
+
 def run_ablation_suite(suite: AblationSuiteSpec, progress=None) -> list[CellResult]:
     """All cells in definition order; failures become error-status rows.
 
-    Cells run through `pool.ordered_map`: on min(usable cores, cells) forked
-    workers, or in this process where one core is usable. The pool is shut
-    down before this returns, also when `progress` raises. `progress` sees
-    each cell in definition order. A cell lost with a dead worker becomes an
-    error row naming the broken pool.
+    Cells that resolve to the same (config hash, seed) train once: the first
+    of them is a job, and each later one copies that job's row under its own
+    axis, value and seed. Jobs run through `pool.ordered_map`: on
+    min(usable cores, jobs) forked workers, or in this process where one
+    core is usable. The pool is shut down before this returns, also when
+    `progress` raises. `progress` sees each row in definition order. A job
+    lost with a dead worker makes every row of its run an error row naming
+    the broken pool.
     """
     base = suite.base.normalized
     cells = [
@@ -85,6 +104,10 @@ def run_ablation_suite(suite: AblationSuiteSpec, progress=None) -> list[CellResu
         for value in axis_spec.grid
         for seed in suite.seeds
     ]
+    runs: dict = {}
+    # the index of the first cell of each cell's run; those cells are the jobs
+    first = [runs.setdefault(_run_key(base, cell, i), i) for i, cell in enumerate(cells)]
+    jobs = [cell for i, cell in enumerate(cells) if first[i] == i]
 
     def lost(cell, e):
         axis, value, seed = cell
@@ -92,8 +115,14 @@ def run_ablation_suite(suite: AblationSuiteSpec, progress=None) -> list[CellResu
                           status="error", error=f"{type(e).__name__}: {e}")
 
     results = []
-    with ordered_map(lambda cell: _cell_result(base, *cell), cells, lost=lost) as cell_results:
-        for cell in cell_results:
+    with ordered_map(lambda cell: _cell_result(base, *cell), jobs, lost=lost) as job_results:
+        for i, (axis, value, seed) in enumerate(cells):
+            if first[i] == i:  # jobs are in cell order, so this is the next result
+                cell = next(job_results)
+            else:
+                run = results[first[i]]
+                cell = replace(run, axis=axis, value=format_axis_value(value), seed=seed,
+                               metrics=dict(run.metrics))
             results.append(cell)
             if progress is not None:
                 progress(cell)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .codec import RUN_STATE
 from .numerics import (
+    _NORM_EPS,
     NumericsError,
     block_rows,
     gelu_backward,
@@ -177,6 +178,10 @@ def encode(params: EncoderParams, obs: np.ndarray) -> tuple[np.ndarray, ForwardC
 def embed(params: EncoderParams, obs: np.ndarray) -> np.ndarray:
     """encode(params, obs)[0] without the cache for a backward pass.
 
+    Raises NumericsError where an output row's norm is non-finite (the
+    weights overflow) or below the 1e-12 that normalization clamps at: such
+    a row has no direction, and every cosine against it would read 0.
+
     Runs the rows in blocks of at most block_rows(widest layer) and writes
     each block's embeddings into one output array, so no layer's
     (rows, width) array outlives its block. Every step is per row or a
@@ -193,7 +198,16 @@ def embed(params: EncoderParams, obs: np.ndarray) -> np.ndarray:
     blocks = -(-n // block_rows(max(o for _, o, _ in params.arch.layer_plan())))
     for i in range(blocks):
         rows = slice(i * n // blocks, (i + 1) * n // blocks)
-        out[rows] = l2_normalize_rows(_forward(params, obs[rows]))
+        # an overflow shows in the norms below, whatever the warning filters say
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = _forward(params, obs[rows])
+            norms = row_norms(h)
+        if not np.all((norms >= _NORM_EPS) & (norms < np.inf)):
+            raise NumericsError(
+                "degenerate embeddings: an encoder output has a non-finite norm or a norm "
+                f"below {_NORM_EPS:g} (norms from {np.min(norms):g} to {np.max(norms):g})"
+            )
+        out[rows] = l2_normalize_rows(h, norms)
     return out
 
 

@@ -88,18 +88,24 @@ def timed_train(cfg, world):
     return state, time.perf_counter() - start
 
 
-def seed_runs(name):
-    """Configs and worlds of a bundled config over SEEDS, trained on the shared pool."""
-    base = load_bundled(name)
-    cfgs = [base.with_seed(seed) for seed in SEEDS]
-    worlds = [make_world(cfg.world, cfg.seed) for cfg in cfgs]
-    trained = pool_map(lambda job: timed_train(*job), list(zip(cfgs, worlds)))
-    return cfgs, worlds, trained
+@pytest.fixture(scope="module")
+def seed_runs():
+    """(config, world, trained state, training seconds) over SEEDS, by bundled config.
+
+    desk.json and desk_m1m2.json train their ten runs in one map on the
+    shared pool: five rounds on two workers, where a map per config takes
+    three rounds each.
+    """
+    names = ("desk.json", "desk_m1m2.json")
+    cfgs = [load_bundled(name).with_seed(seed) for name in names for seed in SEEDS]
+    jobs = [(cfg, make_world(cfg.world, cfg.seed)) for cfg in cfgs]
+    trained = pool_map(lambda job: timed_train(*job), jobs)
+    runs = [(*job, *result) for job, result in zip(jobs, trained)]
+    return {name: runs[i * len(SEEDS) : (i + 1) * len(SEEDS)] for i, name in enumerate(names)}
 
 
 @pytest.fixture(scope="module")
-def desk_runs():
-    cfgs, worlds, trained = seed_runs("desk.json")
+def desk_runs(seed_runs):
     return [
         SimpleNamespace(
             cfg=cfg,
@@ -108,16 +114,15 @@ def desk_runs():
             untrained=init_train_state(world, cfg.archs, cfg.train),
             train_seconds=train_seconds,
         )
-        for cfg, world, (state, train_seconds) in zip(cfgs, worlds, trained)
+        for cfg, world, state, train_seconds in seed_runs["desk.json"]
     ]
 
 
 @pytest.fixture(scope="module")
-def m1m2_runs():
-    cfgs, worlds, trained = seed_runs("desk_m1m2.json")
+def m1m2_runs(seed_runs):
     return [
         SimpleNamespace(cfg=cfg, world=world, state=state)
-        for cfg, world, (state, _) in zip(cfgs, worlds, trained)
+        for cfg, world, state, _ in seed_runs["desk_m1m2.json"]
     ]
 
 

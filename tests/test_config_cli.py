@@ -14,9 +14,11 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,8 @@ from modbind.cli import main
 from modbind.config import (
     ABLATION_AXES,
     DEFAULT_GRIDS,
+    AblationSuiteSpec,
+    AxisSpec,
     ConfigError,
     apply_axis,
     parse_ablation_suite,
@@ -597,6 +601,101 @@ class TestAblationPool:
             assert cell.status == "ok" or cell.error.startswith("BrokenProcessPool: ")
         assert multiprocessing.active_children() == []
 
+    @pytest.fixture
+    def run_cell_calls(self, monkeypatch):
+        """(axis, value, seed) of every `run_cell` call made in this process."""
+        calls = []
+        real_run_cell = ablation_mod.run_cell
+
+        def counted(base_normalized, axis, value, seed):
+            calls.append((axis, value, seed))
+            return real_run_cell(base_normalized, axis, value, seed)
+
+        monkeypatch.setattr(ablation_mod, "run_cell", counted)
+        return calls
+
+    @staticmethod
+    def oracle(suite):
+        """Every cell run on its own, with no run shared."""
+        return [
+            ablation_mod._cell_result(suite.base.normalized, spec.axis, value, seed)
+            for spec in suite.axes for value in spec.grid for seed in suite.seeds
+        ]
+
+    # the base config has epochs 2 and batch size 8, so those values repeat its run
+    REPEATING = {"axes": [{"axis": "epochs", "grid": [2, 1]}, {"axis": "batch_size", "grid": [4, 8]}],
+                 "seeds": [0, 1]}
+
+    def test_cells_of_one_run_train_once(self, cores, run_cell_calls):
+        suite = parse_ablation_suite({"base": small_config_document(), **self.REPEATING})
+        want = self.oracle(suite)
+        run_cell_calls.clear()
+        cores(1)
+        got = run_ablation_suite(suite)
+        assert run_cell_calls == [("epochs", 2, 0), ("epochs", 2, 1), ("epochs", 1, 0),
+                                  ("epochs", 1, 1), ("batch_size", 4, 0), ("batch_size", 4, 1)]
+        assert got == want
+        assert [(r.value, r.seed) for r in got[-2:]] == [("8", 0), ("8", 1)]
+        assert got[-1].metrics == got[1].metrics and got[-1].metrics is not got[1].metrics
+        cores(POOL)
+        assert run_ablation_suite(suite) == want
+
+    def test_unparsable_cell_keeps_its_own_error(self, cores, run_cell_calls):
+        # parse_ablation_suite rejects these values, so the suite is built directly
+        base = parse_experiment_config(small_config_document())
+        suite = AblationSuiteSpec(base=base, axes=[AxisSpec("batch_size", [0, 8, -1, 0])], seeds=[0])
+        want = self.oracle(suite)
+        run_cell_calls.clear()
+        cores(1)
+        got = run_ablation_suite(suite)
+        assert len(run_cell_calls) == 4
+        assert got == want
+        assert [r.error for r in got] == [
+            "config.train.pairs[0]: batch_size must be >= 1, got 0", "",
+            "config.train.pairs[0]: batch_size must be >= 1, got -1",
+            "config.train.pairs[0]: batch_size must be >= 1, got 0",
+        ]
+
+    def test_dead_worker_fails_every_cell_of_its_run(self, cores, monkeypatch):
+        cores(POOL)
+        parent = os.getpid()
+        real_run_cell = ablation_mod.run_cell
+
+        def dying(base_normalized, axis, value, seed):
+            if axis == "epochs" and value == 2 and os.getpid() != parent:
+                os._exit(1)
+            return real_run_cell(base_normalized, axis, value, seed)
+
+        monkeypatch.setattr(ablation_mod, "run_cell", dying)
+        suite = parse_ablation_suite({"base": small_config_document(), **self.REPEATING})
+        results = run_ablation_suite(suite)
+        assert [(r.axis, r.value, r.seed) for r in results] == [
+            (spec.axis, format_axis_value(v), seed)
+            for spec in suite.axes for v in spec.grid for seed in suite.seeds
+        ]
+        if POOL == 2:
+            # epochs 2 and batch size 8 are the base run, which the dead worker held
+            for i in (0, 6):
+                assert results[i].status == "error"
+                assert results[i].error.startswith("BrokenProcessPool: ")
+            assert results[6].error == results[0].error
+        for cell in results:
+            assert cell.status == "ok" or cell.error.startswith("BrokenProcessPool: ")
+        assert multiprocessing.active_children() == []
+
+    def test_progress_sees_repeated_cells_in_definition_order(self, cores):
+        cores(POOL)
+        seen = []
+        suite = parse_ablation_suite({"base": small_config_document(), **self.REPEATING})
+        results = run_ablation_suite(suite, progress=seen.append)
+        assert seen == results
+        assert [(r.axis, r.value, r.seed) for r in seen] == [
+            ("epochs", "2", 0), ("epochs", "2", 1), ("epochs", "1", 0), ("epochs", "1", 1),
+            ("batch_size", "4", 0), ("batch_size", "4", 1), ("batch_size", "8", 0),
+            ("batch_size", "8", 1),
+        ]
+        assert all(r.status == "ok" for r in seen)
+
     def test_workers_run_blas_on_one_thread(self, cores, monkeypatch):
         before = pool_mod._openblas_call("get_num_threads")
         if not before or POOL < 2:
@@ -907,6 +1006,26 @@ class TestCliEval:
         assert code == 3
         assert "log_tau must be finite" in capsys.readouterr().err
         assert not (tmp_path / "metrics.json").exists()
+
+    def test_overflowing_weights_are_runtime_error(self, tmp_path, capsys):
+        # finite weights pass load_checkpoint; at 1e300 every spoke1 embedding
+        # overflows, and rows without a direction would score at chance with exit 0
+        assert main(["train", "--config", "desk.json", "--out", str(tmp_path / "desk")]) == 0
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "desk" / "checkpoint.json").read_text())
+        w0 = np.array(doc["encoders"]["spoke1"]["weights"][0])
+        doc["encoders"]["spoke1"]["weights"][0] = (w0 * (1e300 / np.abs(w0).max())).tolist()
+        ckpt = tmp_path / "huge.json"
+        ckpt.write_text(json.dumps(doc))
+        for action in ("error", "ignore"):  # whatever becomes of NumPy's overflow warnings
+            out = tmp_path / action
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                code = main(["eval", "--config", "desk.json", "--checkpoint", str(ckpt),
+                             "--out", str(out)])
+            assert code == 3
+            assert "degenerate embeddings" in capsys.readouterr().err
+            assert not (out / "metrics.json").exists()
 
     def test_checkpoint_not_utf8_is_runtime_error(self, cli_space, tmp_path, capsys):
         _, cfg_path, _ = cli_space

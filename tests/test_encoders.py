@@ -166,7 +166,7 @@ class TestEmbed:
         # BLAS rounds differently; 3079 rows span four blocks
         assert block_rows(64) == 1024
         x = rng.standard_normal((rows, 20))
-        x[0] = 0.0  # a row whose norm is clamped at eps
+        x[0] = 0.0  # a zero input: its embedding comes from the biases alone
         got = embed(params, x)
         assert got.shape == (rows, 32) and got.flags.c_contiguous
         assert np.array_equal(got, encode(params, x)[0])
@@ -179,6 +179,13 @@ class TestEmbed:
 
     def test_no_rows(self, params):
         assert embed(params, np.zeros((0, 20))).shape == (0, 32)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e300])
+    def test_rows_without_a_direction_raise(self, params, rng, scale):
+        # zero weights give zero rows, and huge ones overflow to a non-finite norm
+        params.flat[:] *= scale
+        with pytest.raises(NumericsError, match="degenerate embeddings"):
+            embed(params, rng.standard_normal((5, 20)))
 
     @pytest.mark.parametrize("shape", [(3, 7), (20,), (2, 3, 20)])
     def test_input_dim_mismatch_raises_what_encode_raises(self, params, shape):
