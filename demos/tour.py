@@ -52,7 +52,7 @@ def main():
     section("untrained baseline")
     fresh = init_train_state(world, cfg.archs, cfg.train)
     chance = emergent_zero_shot_accuracy(world, fresh, "spoke1", "textlike", 100)
-    print(f"same measurement with freshly initialized encoders: {chance.accuracy:.0%}")
+    print(f"same measurement with freshly initialized encoders: {chance:.0%}")
 
     section("frozen-hub protocol")
     key = "emergent_zero_shot/spoke1_vs_textlike"

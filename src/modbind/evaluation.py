@@ -7,8 +7,8 @@ ensembling, and the frozen-hub protocol that scores a supplied hub encoder by
 training fresh spokes against it.
 
 A classification or retrieval result between two modalities is "emergent"
-when neither is the hub and the two were never trained as a pair; the
-registry of trained pairs is recovered from the state's temperature table.
+when the two differ and were never trained as a pair; `_emergent` alone
+decides it, from the state's temperature table.
 """
 
 from __future__ import annotations
@@ -65,12 +65,6 @@ class RetrievalIndex:
 
 
 @dataclass
-class EmergentResult:
-    accuracy: float
-    emergent: bool
-
-
-@dataclass
 class EvalPlan:
     """Which measurements to run: emergent pairs, retrieval pairs, probes, demos."""
 
@@ -100,6 +94,18 @@ class EvalPlan:
             raise EvaluationError("every entry of k_list and few_shot_ks must be >= 1")
         if self.arithmetic_queries < 0:
             raise EvaluationError(f"arithmetic_queries must be >= 0, got {self.arithmetic_queries}")
+        # a measurement is named by one field and sized by another; half of one would
+        # be skipped without a word
+        for name, size, sized in (
+            ("few_shot_modality", "few_shot_ks", bool(self.few_shot_ks)),
+            ("arithmetic_pair", "arithmetic_queries", self.arithmetic_queries >= 1),
+            ("ensemble_pair", "ensemble_weights", bool(self.ensemble_weights)),
+        ):
+            if (getattr(self, name) is not None) != sized:
+                raise EvaluationError(
+                    f"{name} and {size} are set together or not at all, got "
+                    f"{name}={getattr(self, name)!r} and {size}={getattr(self, size)!r}"
+                )
         if not all(0.0 <= w <= 1.0 for w in [self.arithmetic_weight, *self.ensemble_weights]):
             raise EvaluationError("arithmetic_weight and ensemble_weights must lie in [0, 1]")
         for k in [*self.k_list, self.retrieval_k]:
@@ -109,15 +115,12 @@ class EvalPlan:
                 )
 
 
-def trained_pair_registry(world: WorldSpec, state: TrainState) -> set[frozenset]:
-    """Modality pairs that were directly trained together in this state."""
-    return {frozenset((world.hub, spoke)) for spoke in state.temperatures}
-
-
 def _emergent(world: WorldSpec, state: TrainState, a: str, b: str) -> bool:
     """Whether a result between modalities a and b is emergent: they differ and
-    were never trained as a pair."""
-    return a != b and frozenset((a, b)) not in trained_pair_registry(world, state)
+    were never trained as a pair. The state trained (hub, spoke) for each
+    spoke of its temperature table, and no other pair."""
+    trained = {frozenset((world.hub, spoke)) for spoke in state.temperatures}
+    return a != b and frozenset((a, b)) not in trained
 
 
 def _encoder(state: TrainState, modality: str) -> EncoderParams:
@@ -167,13 +170,9 @@ def emergent_zero_shot_accuracy(
     n_per_class: int,
     stream: str = "eval/emergent",
     prompts_per_class: int = 16,
-) -> EmergentResult:
-    """Classify fresh data_modality samples against prompt_modality prototypes.
-
-    The result is flagged emergent only if the two modalities were never
-    trained as a pair (and differ); otherwise the accuracy is still reported
-    but carries emergent=False.
-    """
+) -> float:
+    """Accuracy of fresh data_modality samples classified against
+    prompt_modality prototypes."""
     prototypes = build_prototypes(
         world,
         prompt_modality,
@@ -186,10 +185,7 @@ def emergent_zero_shot_accuracy(
     )
     emb = encode(_encoder(state, data_modality), eval_set.obs)
     pred = zero_shot_classify(emb, prototypes)
-    accuracy = float(np.mean(pred == eval_set.labels))
-    return EmergentResult(
-        accuracy=accuracy, emergent=_emergent(world, state, data_modality, prompt_modality)
-    )
+    return float(np.mean(pred == eval_set.labels))
 
 
 def _similarity_blocks(queries: np.ndarray, items: np.ndarray):
@@ -357,8 +353,9 @@ def few_shot_probe(
 def embed_arithmetic(e1: np.ndarray, e2: np.ndarray, w: float = DEFAULT_ARITHMETIC_WEIGHT):
     """Renormalized weighted sum w*e1 + (1-w)*e2 of unit embeddings.
 
-    Accepts single vectors or row-wise batches; errors when a combined vector
-    is degenerate (near-zero norm, e.g. antiparallel inputs at w=0.5).
+    Accepts single vectors or row-wise batches, normalized along the last
+    axis; errors when a combined vector is degenerate (near-zero norm, e.g.
+    antiparallel inputs at w=0.5).
     """
     e1 = np.asarray(e1, dtype=np.float64)
     e2 = np.asarray(e2, dtype=np.float64)
@@ -372,14 +369,9 @@ def embed_arithmetic(e1: np.ndarray, e2: np.ndarray, w: float = DEFAULT_ARITHMET
     if w == 0.0:
         return e2.copy()
     combo = w * e1 + (1.0 - w) * e2
-    if combo.ndim == 1:
-        norm = np.linalg.norm(combo)
-        if norm < _DEGENERATE_NORM:
-            raise EvaluationError("degenerate composition: combined vector has near-zero norm")
-        return combo / norm
-    norms = np.linalg.norm(combo, axis=1, keepdims=True)
+    norms = np.linalg.norm(combo, axis=-1, keepdims=True)
     if np.any(norms < _DEGENERATE_NORM):
-        raise EvaluationError("degenerate composition: a combined row has near-zero norm")
+        raise EvaluationError("degenerate composition: a combined vector has near-zero norm")
     return combo / norms
 
 
@@ -484,13 +476,13 @@ def frozen_hub_eval(
 
 
 def _emergent_group(world, state, plan, data_mod: str, prompt_mod: str):
-    res = emergent_zero_shot_accuracy(
+    accuracy = emergent_zero_shot_accuracy(
         world, state, data_mod, prompt_mod, plan.n_per_class,
         stream=f"{plan.stream}/emergent/{data_mod}_vs_{prompt_mod}",
         prompts_per_class=plan.prompts_per_class,
     )
-    return ({f"emergent_zero_shot/{data_mod}_vs_{prompt_mod}": res.accuracy},
-            {f"emergent/{data_mod}_vs_{prompt_mod}": res.emergent})
+    return ({f"emergent_zero_shot/{data_mod}_vs_{prompt_mod}": accuracy},
+            {f"emergent/{data_mod}_vs_{prompt_mod}": _emergent(world, state, data_mod, prompt_mod)})
 
 
 def _retrieval_group(world, state, plan, query_mod: str, index_mod: str):
@@ -549,30 +541,23 @@ def _ensemble_group(world, state, plan):
 
 
 def _measurement_groups(plan: EvalPlan) -> list[tuple]:
-    """(group function, its extra arguments) for every measurement of the plan, in plan order."""
-    groups = [(_emergent_group, pair) for pair in plan.emergent_pairs]
+    """(group function, its extra arguments) for every measurement of the plan, in the
+    order they start: the few-shot probes (PROBE_ITERATIONS steps), then the groups
+    that rank against an index of retrieval_index_size items, then the emergent pairs,
+    the shortest. Starting the longest first shortens the pool's makespan."""
+    groups = [(_few_shot_group, ())] if plan.few_shot_modality is not None else []
+    groups += [(_ensemble_group, ())] if plan.ensemble_pair is not None else []
+    groups += [(_arithmetic_group, ())] if plan.arithmetic_pair is not None else []
     groups += [(_retrieval_group, pair) for pair in plan.retrieval_pairs]
-    if plan.few_shot_modality and plan.few_shot_ks:
-        groups.append((_few_shot_group, ()))
-    if plan.arithmetic_pair and plan.arithmetic_queries > 0:
-        groups.append((_arithmetic_group, ()))
-    if plan.ensemble_pair and plan.ensemble_weights:
-        groups.append((_ensemble_group, ()))
-    return groups
+    return groups + [(_emergent_group, pair) for pair in plan.emergent_pairs]
 
 
-# The order groups start in: the few-shot probes (PROBE_ITERATIONS steps), then the
-# groups that rank against an index of retrieval_index_size items, then the shortest.
-# Starting the longest first shortens the pool's makespan; results merge in plan order.
 # Groups run on workers only for an index of at least POOLED_INDEX_ITEMS items. Below
 # that every group but the probes takes a few ms, and starting the workers costs more
 # than they save. On 2 cores, desk plans with index N, N queries and N/2 per class
 # took, in-process against on workers: 56-85 against 86-117 ms at N=200, 117-129
 # against 126-133 ms at N=700, 139-170 against 105-128 ms at N=1000.
 POOLED_INDEX_ITEMS = 1000
-_START_ORDER = (
-    _few_shot_group, _ensemble_group, _arithmetic_group, _retrieval_group, _emergent_group
-)
 
 
 def run_eval_plan(
@@ -589,31 +574,26 @@ def run_eval_plan(
     so the groups run through `pool.ordered_map`: on forked workers where
     more than one core is usable and the plan's index holds at least
     POOLED_INDEX_ITEMS items, else in this process. Their metrics and flags
-    are merged in plan order, so the report is the same however many
-    workers run. A group lost with a dead worker raises EvaluationError
-    naming the broken pool.
+    merge in start order; no two groups write the same key, and the report
+    sorts its keys, so it is the same however many workers run. A group
+    lost with a dead worker raises EvaluationError naming the broken pool.
     """
-    groups = _measurement_groups(plan)
-    order = sorted(range(len(groups)), key=lambda i: _START_ORDER.index(groups[i][0]))
 
-    def run(i):
-        group, args = groups[i]
-        return group(world, state, plan, *args)
+    def run(group):
+        fn, args = group
+        return fn(world, state, plan, *args)
 
-    def lost(i, error):
-        name = groups[i][0].__name__.strip("_")
+    def lost(group, error):
+        name = group[0].__name__.strip("_")
         raise EvaluationError(f"evaluation worker lost in {name}: {type(error).__name__}: {error}")
 
-    results = [None] * len(groups)
-    max_workers = None if plan.retrieval_index_size >= POOLED_INDEX_ITEMS else 1
-    with ordered_map(run, order, lost=lost, max_workers=max_workers) as done:
-        for i, result in zip(order, done):
-            results[i] = result
     metrics: dict[str, float] = {}
     flags: dict[str, bool] = {}
-    for group_metrics, group_flags in results:
-        metrics.update(group_metrics)
-        flags.update(group_flags)
+    max_workers = None if plan.retrieval_index_size >= POOLED_INDEX_ITEMS else 1
+    with ordered_map(run, _measurement_groups(plan), lost=lost, max_workers=max_workers) as done:
+        for group_metrics, group_flags in done:
+            metrics.update(group_metrics)
+            flags.update(group_flags)
     report = MetricsReport(metrics=metrics, flags=flags, config_hash=config_hash, seed=seed)
     report.validate()
     return report

@@ -86,6 +86,16 @@ class TrainConfig:
             raise TrainerError("pair spokes must be unique")
         if self.epochs < 0 or self.steps_per_epoch < 1:
             raise TrainerError("epochs must be >= 0 and steps_per_epoch >= 1")
+        # every pair trains the first pair's temperature, so the others must say so
+        if self.shared_temperature:
+            first = self.pairs[0]
+            for pc in self.pairs[1:]:
+                if pc.temperature != first.temperature:
+                    raise TrainerError(
+                        f"shared_temperature needs equal temperatures for every pair, but pair "
+                        f"{pc.spoke!r} has {to_doc(pc.temperature, config=True)} and pair "
+                        f"{first.spoke!r} {to_doc(first.temperature, config=True)}"
+                    )
         for pc in self.pairs:
             # a batch drawn from a smaller pool repeats samples, and InfoNCE would
             # score copies of a positive as its negatives

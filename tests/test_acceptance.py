@@ -78,7 +78,7 @@ def desk_emergent(world, state, plan):
         plan.n_per_class,
         stream="eval/emergent/spoke1_vs_textlike",
         prompts_per_class=plan.prompts_per_class,
-    ).accuracy
+    )
 
 
 def timed_train(cfg, world):
@@ -463,7 +463,7 @@ class TestDeskTrends:
                 store.append(
                     emergent_zero_shot_accuracy(
                         run.world, run.state, "spoke1", "textlike", 100, prompts_per_class=prompts
-                    ).accuracy
+                    )
                 )
         assert float(np.mean(p16)) >= float(np.mean(p1))
 

@@ -279,13 +279,12 @@ class TestExperimentConfigFuzz:
     @given(data=st.data(), kind=st.sampled_from(["list", "object", "string", "number", "null"]))
     @settings(max_examples=150, deadline=None)
     def test_wrong_shape(self, config_fuzz_dir, data, kind):
-        # a node of another JSON kind; a number for a number and null for an
-        # optional field are no change of shape
+        # a node of another JSON kind; a number for a number is no change of shape.
+        # null for an optional measurement leaves its sizes set, which is an error too
         doc = fuzz_base_document()
         replacement = {"list": [], "object": {}, "string": "x", "number": 2, "null": None}[kind]
         nodes = [p for p, v in doc_nodes(doc) if p and not (
             type(v) is type(replacement) or is_number(v) and kind == "number"
-            or kind == "null" and p[-1] in ("few_shot_modality", "arithmetic_pair", "ensemble_pair")
         )]
         set_at(doc, data.draw(st.sampled_from(nodes)), replacement)
         train_rejects(config_fuzz_dir, json.dumps(doc))
@@ -459,6 +458,15 @@ class TestAblationSuite:
             parse_ablation_suite(
                 {"base": small_config_doc, "axes": [{"axis": "batch_size", "grid": [0]}]}
             )
+
+    def test_shared_temperature_base_takes_the_temperature_axis(self, small_config_doc):
+        # the axis sets every pair's temperature alike, so each cell shares one
+        small_config_doc["train"]["shared_temperature"] = True
+        grid = ["learnable", 0.05, 0.2]
+        suite = parse_ablation_suite(
+            {"base": small_config_doc, "axes": [{"axis": "temperature", "grid": grid}]}
+        )
+        assert suite.axes[0].grid == grid
 
     def test_format_axis_value(self):
         assert format_axis_value("learnable") == "learnable"
@@ -1233,6 +1241,34 @@ class TestCliWorldgenAndErrors:
         err = capsys.readouterr().err
         assert "config.train.pairs[1]" in err and "infonce_weight and l2_weight are both 0" in err
         assert not out.exists()
+
+    def test_shared_temperature_over_unequal_pair_temperatures_exits_2(self, tmp_path, capsys):
+        # the checkpoint would hold the first pair's temperature for every pair
+        doc = json.loads(resources.files("modbind").joinpath("configs", "desk.json").read_text())
+        doc["train"]["shared_temperature"] = True
+        doc["train"]["pairs"][1]["temperature"] = {"mode": "fixed", "value": 0.2}
+        cfg_path = tmp_path / "shared.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config.train: shared_temperature needs equal temperatures" in err
+        assert "'spoke1' has {'mode': 'fixed', 'value': 0.2}" in err
+        assert not out.exists()
+
+    def test_half_configured_measurements_exit_2(self, tmp_path, capsys):
+        # each named measurement without its sizes would be left out of metrics.json
+        doc = json.loads(resources.files("modbind").joinpath("configs", "desk.json").read_text())
+        doc["eval"].update(few_shot_ks=[], ensemble_weights=[])
+        del doc["eval"]["arithmetic_queries"]
+        cfg_path = tmp_path / "half.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for command in ("train", "eval"):
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "config.eval: few_shot_modality and few_shot_ks are set together" in err
+            assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3(self, tmp_path, capsys):

@@ -36,10 +36,9 @@ from modbind.evaluation import (
     few_shot_probes,
     frozen_hub_eval,
     run_eval_plan,
-    trained_pair_registry,
     zero_shot_classify,
 )
-from modbind.evaluation import _similarity_blocks, _top_k
+from modbind.evaluation import _emergent, _measurement_groups, _similarity_blocks, _top_k
 from modbind.numerics import block_rows
 from modbind.trainer import PairConfig, TrainConfig, init_train_state, train_run
 from modbind.world import ModalityConfig, WorldConfig, make_world
@@ -179,31 +178,48 @@ class TestZeroShotClassify:
             zero_shot_classify(unit_rows(2, 5, rng), bank)
 
 
+def emergent_oracle(config: TrainConfig, hub: str, a: str, b: str) -> bool:
+    """A result between a and b is emergent unless a is b or the config trains (hub, a or b)."""
+    spokes = [pc.spoke for pc in config.pairs]
+    trained_together = (a == hub and b in spokes) or (b == hub and a in spokes)
+    return a != b and not trained_together
+
+
 class TestEmergentZeroShot:
     def test_spoke_pair_flagged_emergent(self, world, trained):
         _, state = trained
-        res = emergent_zero_shot_accuracy(world, state, "alpha", "beta", 10)
-        assert res.emergent
+        assert _emergent(world, state, "alpha", "beta")
 
     def test_same_modality_not_emergent(self, world, trained):
         # same-modality run doubles as the upper-bound reference score
         _, state = trained
-        res = emergent_zero_shot_accuracy(world, state, "alpha", "alpha", 50)
-        assert not res.emergent
-        assert res.accuracy >= 0.8
+        assert not _emergent(world, state, "alpha", "alpha")
+        assert emergent_zero_shot_accuracy(world, state, "alpha", "alpha", 50) >= 0.8
 
     def test_trained_pair_not_emergent(self, world, trained):
         _, state = trained
-        assert not emergent_zero_shot_accuracy(world, state, "hub", "alpha", 5).emergent
-        assert trained_pair_registry(world, state) == {
-            frozenset(("hub", "alpha")),
-            frozenset(("hub", "beta")),
-        }
+        assert not _emergent(world, state, "hub", "alpha")
+        assert not _emergent(world, state, "beta", "hub")
+
+    @pytest.mark.parametrize("pairs", [("alpha", "beta"), ("alpha",)])
+    def test_report_flags_match_the_trained_pairs_of_the_config(self, world, pairs):
+        # the flags need no training: they follow from which pairs the config trains
+        config = train_config(pairs=pairs)
+        state = init_train_state(world, make_archs(world), config)
+        plan_pairs = [("hub", "alpha"), ("alpha", "beta"), ("alpha", "alpha"), ("hub", "beta")]
+        plan = EvalPlan(emergent_pairs=plan_pairs, retrieval_pairs=plan_pairs, n_per_class=4,
+                        prompts_per_class=2, k_list=[1], retrieval_index_size=12, retrieval_k=1)
+        flags = run_eval_plan(world, state, plan).flags
+        want = {}
+        for a, b in plan_pairs:
+            want[f"emergent/{a}_vs_{b}"] = emergent_oracle(config, "hub", a, b)
+            want[f"emergent/{a}_to_{b}"] = emergent_oracle(config, "hub", a, b)
+        assert flags == want
+        assert flags["emergent/hub_to_beta"] == (pairs == ("alpha",))
 
     def test_trained_spokes_align_without_direct_pairing(self, world, trained):
         _, state = trained
-        res = emergent_zero_shot_accuracy(world, state, "alpha", "beta", 100)
-        assert res.accuracy >= 0.8
+        assert emergent_zero_shot_accuracy(world, state, "alpha", "beta", 100) >= 0.8
 
     def test_untrained_seed_mean_near_chance(self, world):
         # single seeds swing wildly (whole classes land on one prototype);
@@ -212,7 +228,7 @@ class TestEmergentZeroShot:
         vals = []
         for s in range(8):
             state = init_train_state(world, archs, train_config(seed=s))
-            vals.append(emergent_zero_shot_accuracy(world, state, "alpha", "beta", 334).accuracy)
+            vals.append(emergent_zero_shot_accuracy(world, state, "alpha", "beta", 334))
         assert abs(float(np.mean(vals)) - 1.0 / 3.0) < 0.06
 
     def test_prompt_averaging_beats_single_prompt_under_noise(self):
@@ -220,18 +236,14 @@ class TestEmergentZeroShot:
         archs = make_archs(w)
         for s in range(4):
             state, _ = train_run(w, archs, train_config(seed=s))
-            p16 = emergent_zero_shot_accuracy(
-                w, state, "alpha", "beta", 100, prompts_per_class=16
-            ).accuracy
-            p1 = emergent_zero_shot_accuracy(
-                w, state, "alpha", "beta", 100, prompts_per_class=1
-            ).accuracy
+            p16 = emergent_zero_shot_accuracy(w, state, "alpha", "beta", 100, prompts_per_class=16)
+            p1 = emergent_zero_shot_accuracy(w, state, "alpha", "beta", 100, prompts_per_class=1)
             assert p16 >= p1
 
     def test_deterministic(self, world, trained):
         _, state = trained
-        a = emergent_zero_shot_accuracy(world, state, "alpha", "beta", 50).accuracy
-        b = emergent_zero_shot_accuracy(world, state, "alpha", "beta", 50).accuracy
+        a = emergent_zero_shot_accuracy(world, state, "alpha", "beta", 50)
+        b = emergent_zero_shot_accuracy(world, state, "alpha", "beta", 50)
         assert a == b
 
 
@@ -749,6 +761,35 @@ class TestRunEvalPlan:
         run_eval_plan(world, state, plan)
         assert pids == ([] if index_items >= POOLED_INDEX_ITEMS else [os.getpid()])
 
+    def test_groups_write_disjoint_keys(self, world, trained):
+        # no two groups write one key, so the order their results merge in cannot
+        # change the report
+        _, state = trained
+        plan = dataclasses.replace(
+            self.full_plan(), emergent_pairs=[("alpha", "beta"), ("beta", "alpha")],
+            retrieval_pairs=[("alpha", "beta"), ("beta", "hub")],
+        )
+        results = [fn(world, state, plan, *args) for fn, args in _measurement_groups(plan)]
+        assert len(results) == 7
+        for part in (0, 1):  # metrics, then flags
+            keys = [set(result[part]) for result in results]
+            for one, other in itertools.combinations(keys, 2):
+                assert not one & other
+        report = run_eval_plan(world, state, plan)
+        assert set(report.metrics) == set().union(*(set(r[0]) for r in results))
+        assert set(report.flags) == set().union(*(set(r[1]) for r in results))
+
+    def test_groups_start_longest_first(self):
+        plan = dataclasses.replace(
+            self.full_plan(), emergent_pairs=[("alpha", "beta"), ("beta", "alpha")]
+        )
+        groups = _measurement_groups(plan)
+        assert [fn.__name__ for fn, _ in groups] == [
+            "_few_shot_group", "_ensemble_group", "_arithmetic_group", "_retrieval_group",
+            "_emergent_group", "_emergent_group",
+        ]
+        assert [args for _, args in groups[-2:]] == plan.emergent_pairs
+
     def test_deterministic(self, world, trained):
         _, state = trained
         a = run_eval_plan(world, state, self.full_plan())
@@ -766,6 +807,13 @@ class TestRunEvalPlan:
             {"ensemble_weights": [0.5, -0.1]},
             {"n_per_class": 0},
             {"arithmetic_queries": -1},
+            # half of a measurement: the named field without its sizes, or the other way round
+            {"few_shot_modality": None},
+            {"few_shot_ks": []},
+            {"arithmetic_pair": None},
+            {"arithmetic_queries": 0},
+            {"ensemble_pair": None},
+            {"ensemble_weights": []},
         ],
     )
     def test_invalid_plan_rejected(self, change):

@@ -444,6 +444,24 @@ class TestTrainRun:
         state, _ = train_run(tiny_world, tiny_archs(tiny_world), cfg)
         assert state.temperatures["alpha"] is state.temperatures["beta"]
 
+    def test_shared_temperature_over_unequal_temperatures_rejected(self):
+        pairs = [
+            PairConfig(spoke="alpha", batch_size=8),
+            PairConfig(spoke="beta", batch_size=8, temperature=TemperatureParam("fixed", 0.2)),
+        ]
+        with pytest.raises(TrainerError, match="shared_temperature needs equal temperatures"):
+            quick_config(pairs=pairs, shared_temperature=True)
+
+    def test_shared_temperature_over_equal_temperatures_trains_that_temperature(self, tiny_world):
+        pairs = [
+            PairConfig(spoke=s, batch_size=8, temperature=TemperatureParam("fixed", 0.2))
+            for s in ("alpha", "beta")
+        ]
+        cfg = quick_config(pairs=pairs, shared_temperature=True)
+        state, _ = train_run(tiny_world, tiny_archs(tiny_world), cfg)
+        assert state.temperatures["alpha"] is state.temperatures["beta"]
+        assert state.temperatures["alpha"] == TemperatureParam("fixed", 0.2)
+
     def test_mismatched_arch_rejected(self, tiny_world):
         archs = tiny_archs(tiny_world)
         archs["alpha"] = EncoderArch(input_dim=99, hidden_widths=(8,), embed_dim=6)
