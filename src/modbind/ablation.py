@@ -1,15 +1,16 @@
 """Ablation suite execution: vary one config axis at a time over a seed grid.
 
 Each cell (axis value x seed) trains and evaluates a full experiment derived
-from the base config. Cell failures are recorded and the suite keeps going.
+from the base config, whose config is parsed once, before any run starts.
+Cell failures are recorded and the suite keeps going.
 Outputs are a long-format CSV (one row per cell metric) and a seed-averaged
 summary; row order is fixed by the suite definition, so reruns are
 byte-identical.
 
 A run is a pure function of (config, seed), and an axis whose grid holds the
 base value repeats the base run, so cells that resolve to the same config
-hash and seed train once: the first such cell runs, and the others copy its
-row under their own axis and value. Runs go to the fork pool of
+hash and seed train once: the first such cell runs, and the others take its
+outcome under their own axis and value. Runs go to the fork pool of
 `pool.ordered_map`. Rows still come back in definition order, so the
 outputs do not depend on the number of workers, and no worker outlives the
 call that started it.
@@ -17,12 +18,12 @@ call that started it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import AblationSuiteSpec, apply_axis, parse_experiment_config
+from .config import AblationSuiteSpec, ExperimentConfig, apply_axis, parse_experiment_config
 from .evaluation import run_eval_plan
 from .pool import ordered_map
 from .report import canonical_json, render_csv, write_atomic
@@ -48,81 +49,73 @@ class CellResult:
     error: str = ""
 
 
-def run_cell(base_normalized: dict, axis: str, value, seed: int) -> tuple[str, dict[str, float]]:
-    """Train and evaluate one ablation cell; returns (config hash, metrics)."""
-    doc = apply_axis(base_normalized, axis, value)
-    doc["seed"] = seed
-    cfg = parse_experiment_config(doc)
+def run_cell(cfg: ExperimentConfig) -> dict[str, float]:
+    """Train and evaluate one ablation cell's config; returns its metrics."""
     world = make_world(cfg.world, cfg.seed)
     state, _ = train_run(world, cfg.archs, cfg.train)
-    report = run_eval_plan(world, state, cfg.eval_plan, config_hash=cfg.hash, seed=seed)
-    return cfg.hash, dict(report.metrics)
+    report = run_eval_plan(world, state, cfg.eval_plan, config_hash=cfg.hash, seed=cfg.seed)
+    return dict(report.metrics)
 
 
-def _cell_result(base_normalized: dict, axis: str, value, seed: int) -> CellResult:
-    """One cell as a result row; a cell that raises becomes an error row."""
-    value_str = format_axis_value(value)
+def _outcome(cfg: ExperimentConfig) -> tuple[dict | None, str]:
+    """(metrics, "") of one run, or (None, error): a failed run must not end the suite."""
     try:
         # `run_cell` is looked up at call time, so a forked worker runs the
         # same function as the parent, wrapped or replaced ones included.
-        cfg_hash, metrics = run_cell(base_normalized, axis, value, seed)
-    except Exception as e:  # a failed cell must not end the suite
-        return CellResult(axis=axis, value=value_str, seed=seed, status="error", error=str(e))
-    return CellResult(
-        axis=axis, value=value_str, seed=seed, status="ok", config_hash=cfg_hash, metrics=metrics
-    )
-
-
-def _run_key(base_normalized: dict, cell: tuple, index: int):
-    """(config hash, seed) of the run a cell trains; a cell whose config does
-    not parse is its own run (its index), so `run_cell` reports its error."""
-    axis, value, seed = cell
-    try:
-        doc = apply_axis(base_normalized, axis, value)
-        doc["seed"] = seed
-        return parse_experiment_config(doc).hash, seed
-    except Exception:
-        return index
+        return run_cell(cfg), ""
+    except Exception as e:
+        return None, str(e)
 
 
 def run_ablation_suite(suite: AblationSuiteSpec, progress=None) -> list[CellResult]:
     """All cells in definition order; failures become error-status rows.
 
-    Cells that resolve to the same (config hash, seed) train once: the first
-    of them is a job, and each later one copies that job's row under its own
-    axis, value and seed. Jobs run through `pool.ordered_map`: on
-    min(usable cores, jobs) forked workers, or in this process where one
-    core is usable. The pool is shut down before this returns, also when
-    `progress` raises. `progress` sees each row in definition order. A job
-    lost with a dead worker makes every row of its run an error row naming
-    the broken pool.
+    Each cell's config is parsed once, here, before any run starts; a cell
+    whose config does not parse (only a suite built through the library has
+    one) is an error row and trains nothing. Cells that resolve to the same
+    (config hash, seed) share one run, a job that the first of them starts.
+    Jobs run through `pool.ordered_map`: on min(usable cores, jobs) forked
+    workers, or in this process where one core is usable. The pool is shut
+    down before this returns, also when `progress` raises. `progress` sees
+    each row in definition order. A job lost with a dead worker makes every
+    row of its run an error row naming the broken pool.
     """
     base = suite.base.normalized
-    cells = [
-        (axis_spec.axis, value, seed)
-        for axis_spec in suite.axes
-        for value in axis_spec.grid
-        for seed in suite.seeds
-    ]
-    runs: dict = {}
-    # the index of the first cell of each cell's run; those cells are the jobs
-    first = [runs.setdefault(_run_key(base, cell, i), i) for i, cell in enumerate(cells)]
-    jobs = [cell for i, cell in enumerate(cells) if first[i] == i]
+    jobs: list[ExperimentConfig] = []
+    runs: dict[tuple[str, int], int] = {}  # (config hash, seed) -> index of its job
+    cells = []  # (axis, value, seed, config hash, job index or parse outcome)
+    for spec in suite.axes:
+        for value in spec.grid:
+            for seed in suite.seeds:
+                try:
+                    cfg = parse_experiment_config({**apply_axis(base, spec.axis, value), "seed": seed})
+                except Exception as e:
+                    cells.append((spec.axis, value, seed, "", (None, str(e))))
+                    continue
+                key = (cfg.hash, seed)
+                if key not in runs:
+                    runs[key] = len(jobs)
+                    jobs.append(cfg)
+                cells.append((spec.axis, value, seed, key[0], runs[key]))
 
-    def lost(cell, e):
-        axis, value, seed = cell
-        return CellResult(axis=axis, value=format_axis_value(value), seed=seed,
-                          status="error", error=f"{type(e).__name__}: {e}")
+    def lost(cfg, e):
+        return None, f"{type(e).__name__}: {e}"
 
+    outcomes = []  # the outcome of each job that has come back
     results = []
-    with ordered_map(lambda cell: _cell_result(base, *cell), jobs, lost=lost) as job_results:
-        for i, (axis, value, seed) in enumerate(cells):
-            if first[i] == i:  # jobs are in cell order, so this is the next result
-                cell = next(job_results)
-            else:
-                run = results[first[i]]
-                cell = replace(run, axis=axis, value=format_axis_value(value), seed=seed,
-                               metrics=dict(run.metrics))
+    with ordered_map(_outcome, jobs, lost=lost) as job_outcomes:
+        for axis, value, seed, cfg_hash, run in cells:
+            if isinstance(run, int):
+                if run == len(outcomes):  # jobs are in cell order, so this is the next one
+                    outcomes.append(next(job_outcomes))
+                run = outcomes[run]
+            metrics, error = run
+            cell = CellResult(
+                axis=axis, value=format_axis_value(value), seed=seed,
+                status="error" if metrics is None else "ok",
+                config_hash="" if metrics is None else cfg_hash,
+                metrics=dict(metrics or {}), error=error,
+            )
             results.append(cell)
             if progress is not None:
                 progress(cell)
@@ -132,25 +125,15 @@ def run_ablation_suite(suite: AblationSuiteSpec, progress=None) -> list[CellResu
 def summarize(results: list[CellResult]) -> list[dict]:
     """Seed-averaged metric means per (axis, value), in first-seen order."""
     groups: dict[tuple[str, str, str], list[float]] = {}
-    order: list[tuple[str, str, str]] = []
     for cell in results:
         if cell.status != "ok":
             continue
         for name in sorted(cell.metrics):
-            key = (cell.axis, cell.value, name)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(cell.metrics[name])
+            groups.setdefault((cell.axis, cell.value, name), []).append(cell.metrics[name])
     return [
-        {
-            "axis": axis,
-            "value": value,
-            "metric": metric,
-            "seeds": len(groups[(axis, value, metric)]),
-            "mean": float(np.mean(groups[(axis, value, metric)])),
-        }
-        for axis, value, metric in order
+        {"axis": axis, "value": value, "metric": metric, "seeds": len(values),
+         "mean": float(np.mean(values))}
+        for (axis, value, metric), values in groups.items()
     ]
 
 

@@ -58,7 +58,11 @@ class ExperimentConfig:
     train: TrainConfig
     eval_plan: EvalPlan
     output_dir: str
-    seed: int
+
+    @property
+    def seed(self) -> int:
+        """The realization's seed; the training config holds it."""
+        return self.train.seed
 
     @property
     def normalized(self) -> dict:
@@ -124,7 +128,7 @@ def parse_experiment_config(doc, path: str = "config") -> ExperimentConfig:
         raise ConfigError(path, str(e)) from e
     output_dir = decode(str, doc.get("output_dir", "runs/out"), f"{path}.output_dir")
     return ExperimentConfig(
-        world=world, archs=archs, train=train, eval_plan=eval_plan, output_dir=output_dir, seed=seed
+        world=world, archs=archs, train=train, eval_plan=eval_plan, output_dir=output_dir
     )
 
 
@@ -150,10 +154,6 @@ def _grid_value(base: ExperimentConfig, axis: str, value, path: str):
         value = decode(_GRID_TYPES[axis], value, path)
     if axis == "loss_mix":
         value = list(value)
-    if axis == "alignment" and value not in ("aligned", "class_only"):
-        raise ConfigError(path, f"must be one of ['aligned', 'class_only'], got {value!r}")
-    if axis == "noise_strength" and value < 0:
-        raise ConfigError(path, f"must be >= 0, got {value}")
     try:
         parse_experiment_config(apply_axis(base.normalized, axis, value))
     except ConfigError as e:
@@ -209,9 +209,13 @@ def apply_axis(base_normalized: dict, axis: str, value) -> dict:
         hub_name = next(m["name"] for m in doc["world"]["modalities"] if m["hub"])
         doc["archs"][hub_name]["hidden_widths"] = [int(value)]
     elif axis == "noise_strength":
+        if value < 0:
+            raise ConfigError(axis, f"must be >= 0, got {value}")
         for m in doc["world"]["modalities"]:
             m["obs_noise_scale"] = m["obs_noise_scale"] * float(value)
     elif axis == "alignment":
+        if value not in ("aligned", "class_only"):
+            raise ConfigError(axis, f"must be one of ['aligned', 'class_only'], got {value!r}")
         for pair in doc["train"]["pairs"]:
             pair["aligned"] = value == "aligned"
     elif axis == "loss_mix":

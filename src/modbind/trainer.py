@@ -443,8 +443,13 @@ def train_run(
 
 def train_summary(state: TrainState, config: TrainConfig) -> dict:
     """Per-pair loss digest: first/last step and first/last epoch means."""
+
+    def epoch_mean(recs, rec):
+        """Mean loss of the records in the epoch of `rec`."""
+        epoch = rec.step // config.steps_per_epoch
+        return float(np.mean([r.loss for r in recs if r.step // config.steps_per_epoch == epoch]))
+
     per_pair = {}
-    steps_per_pair = max(1, config.steps_per_epoch // len(config.pairs))
     for pc in config.pairs:
         recs = [r for r in state.loss_history if r.pair == pc.spoke]
         if not recs:
@@ -454,8 +459,8 @@ def train_summary(state: TrainState, config: TrainConfig) -> dict:
             "steps": len(recs),
             "first_loss": recs[0].loss,
             "last_loss": recs[-1].loss,
-            "first_epoch_mean_loss": float(np.mean([r.loss for r in recs[:steps_per_pair]])),
-            "last_epoch_mean_loss": float(np.mean([r.loss for r in recs[-steps_per_pair:]])),
+            "first_epoch_mean_loss": epoch_mean(recs, recs[0]),
+            "last_epoch_mean_loss": epoch_mean(recs, recs[-1]),
             "final_tau": recs[-1].tau,
         }
     return {"steps": state.step, "pairs": per_pair}

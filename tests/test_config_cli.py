@@ -5,6 +5,7 @@ training run they need is shared through a module-scoped fixture.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -28,6 +29,7 @@ import modbind.ablation as ablation_mod
 import modbind.evaluation as evaluation_mod
 import modbind.pool as pool_mod
 from modbind.ablation import (
+    CellResult,
     format_axis_value,
     run_ablation_suite,
     summarize,
@@ -74,13 +76,13 @@ def cores(monkeypatch):
 
 @pytest.fixture
 def flaky_run_cell(monkeypatch):
-    """A `run_cell` that raises for the value 1 and trains every other cell."""
+    """A `run_cell` that raises for a config of 1 epoch and trains every other one."""
     real_run_cell = ablation_mod.run_cell
 
-    def flaky(base_normalized, axis, value, seed):
-        if value == 1:
+    def flaky(cfg):
+        if cfg.train.epochs == 1:
             raise ValueError("boom")
-        return real_run_cell(base_normalized, axis, value, seed)
+        return real_run_cell(cfg)
 
     monkeypatch.setattr(ablation_mod, "run_cell", flaky)
 
@@ -333,6 +335,13 @@ class TestConfigHash:
         assert reseeded.hash == cfg.hash
         assert reseeded.seed == 99
         assert reseeded.train.seed == 99
+
+    def test_one_seed_per_config(self, small_config_doc):
+        # the seed is the training config's, so a config cannot be given a second one
+        cfg = parse_experiment_config(small_config_doc)
+        assert cfg.seed == cfg.train.seed == 3
+        with pytest.raises(TypeError):
+            dataclasses.replace(cfg, seed=5)
 
     def test_output_dir_excluded_from_hash(self, small_config_doc):
         a = parse_experiment_config(small_config_doc)
@@ -595,10 +604,10 @@ class TestAblationPool:
         parent = os.getpid()
         real_run_cell = ablation_mod.run_cell
 
-        def dying(base_normalized, axis, value, seed):
-            if value == 1 and os.getpid() != parent:
+        def dying(cfg):
+            if cfg.train.epochs == 1 and os.getpid() != parent:
                 os._exit(1)
-            return real_run_cell(base_normalized, axis, value, seed)
+            return real_run_cell(cfg)
 
         monkeypatch.setattr(ablation_mod, "run_cell", dying)
         results = run_ablation_suite(epochs_suite([1, 2]))
@@ -611,24 +620,35 @@ class TestAblationPool:
 
     @pytest.fixture
     def run_cell_calls(self, monkeypatch):
-        """(axis, value, seed) of every `run_cell` call made in this process."""
+        """(epochs, batch size, seed) of every `run_cell` call made in this process."""
         calls = []
         real_run_cell = ablation_mod.run_cell
 
-        def counted(base_normalized, axis, value, seed):
-            calls.append((axis, value, seed))
-            return real_run_cell(base_normalized, axis, value, seed)
+        def counted(cfg):
+            calls.append((cfg.train.epochs, cfg.train.pairs[0].batch_size, cfg.seed))
+            return real_run_cell(cfg)
 
         monkeypatch.setattr(ablation_mod, "run_cell", counted)
         return calls
 
     @staticmethod
     def oracle(suite):
-        """Every cell run on its own, with no run shared."""
-        return [
-            ablation_mod._cell_result(suite.base.normalized, spec.axis, value, seed)
-            for spec in suite.axes for value in spec.grid for seed in suite.seeds
-        ]
+        """Every cell parsed and run on its own, with no run shared."""
+        rows = []
+        for spec in suite.axes:
+            for value in spec.grid:
+                for seed in suite.seeds:
+                    row = CellResult(spec.axis, format_axis_value(value), seed, "error")
+                    try:
+                        doc = apply_axis(suite.base.normalized, spec.axis, value)
+                        cfg = parse_experiment_config({**doc, "seed": seed})
+                    except ConfigError as e:
+                        row.error = str(e)
+                    else:
+                        row.status, row.config_hash = "ok", cfg.hash
+                        row.metrics = ablation_mod.run_cell(cfg)
+                    rows.append(row)
+        return rows
 
     # the base config has epochs 2 and batch size 8, so those values repeat its run
     REPEATING = {"axes": [{"axis": "epochs", "grid": [2, 1]}, {"axis": "batch_size", "grid": [4, 8]}],
@@ -640,8 +660,8 @@ class TestAblationPool:
         run_cell_calls.clear()
         cores(1)
         got = run_ablation_suite(suite)
-        assert run_cell_calls == [("epochs", 2, 0), ("epochs", 2, 1), ("epochs", 1, 0),
-                                  ("epochs", 1, 1), ("batch_size", 4, 0), ("batch_size", 4, 1)]
+        # epochs 2 then 1, then batch size 4; batch size 8 repeats the base run
+        assert run_cell_calls == [(2, 8, 0), (2, 8, 1), (1, 8, 0), (1, 8, 1), (2, 4, 0), (2, 4, 1)]
         assert got == want
         assert [(r.value, r.seed) for r in got[-2:]] == [("8", 0), ("8", 1)]
         assert got[-1].metrics == got[1].metrics and got[-1].metrics is not got[1].metrics
@@ -656,7 +676,8 @@ class TestAblationPool:
         run_cell_calls.clear()
         cores(1)
         got = run_ablation_suite(suite)
-        assert len(run_cell_calls) == 4
+        # only the cell that parses trains; the others take their rows from the parse
+        assert run_cell_calls == [(2, 8, 0)]
         assert got == want
         assert [r.error for r in got] == [
             "config.train.pairs[0]: batch_size must be >= 1, got 0", "",
@@ -664,15 +685,55 @@ class TestAblationPool:
             "config.train.pairs[0]: batch_size must be >= 1, got 0",
         ]
 
+    def test_each_cell_is_parsed_once_in_this_process(self, cores, monkeypatch, tmp_path):
+        calls = tmp_path / "calls"
+        parent = os.getpid()
+
+        def logged(real, name):
+            def call(*args, **kwargs):
+                with open(calls, "a") as f:
+                    f.write(f"{name} in {'parent' if os.getpid() == parent else 'worker'}\n")
+                return real(*args, **kwargs)
+
+            return call
+
+        for name in ("apply_axis", "parse_experiment_config"):
+            monkeypatch.setattr(ablation_mod, name, logged(getattr(ablation_mod, name), name))
+        suite = parse_ablation_suite({"base": small_config_document(), **self.REPEATING})
+        for n in (1, POOL):
+            cores(n)
+            calls.write_text("")
+            assert all(r.status == "ok" for r in run_ablation_suite(suite))
+            # 8 cells, of which 2 repeat the base run; no worker parses a config
+            assert sorted(calls.read_text().splitlines()) == (
+                ["apply_axis in parent"] * 8 + ["parse_experiment_config in parent"] * 8
+            )
+
+    @pytest.mark.parametrize("axis, value, noise, message", [
+        ("alignment", "sideways", 0.05, "must be one of ['aligned', 'class_only'], got 'sideways'"),
+        # -1.0 times a zero noise scale is a valid world, so the sign rule is all that stops it
+        ("noise_strength", -1.0, 0.0, "must be >= 0, got -1.0"),
+    ])
+    def test_library_suite_meets_the_axis_rules(self, run_cell_calls, axis, value, noise, message):
+        doc = small_config_document()
+        for m in doc["world"]["modalities"]:
+            m["obs_noise_scale"] = noise
+        suite = AblationSuiteSpec(base=parse_experiment_config(doc), axes=[AxisSpec(axis, [value])],
+                                  seeds=[0])
+        [row] = run_ablation_suite(suite)
+        assert (row.status, row.error) == ("error", f"{axis}: {message}")
+        assert run_cell_calls == []
+
     def test_dead_worker_fails_every_cell_of_its_run(self, cores, monkeypatch):
         cores(POOL)
         parent = os.getpid()
         real_run_cell = ablation_mod.run_cell
 
-        def dying(base_normalized, axis, value, seed):
-            if axis == "epochs" and value == 2 and os.getpid() != parent:
+        def dying(cfg):
+            # the base run: epochs 2 at batch size 8
+            if (cfg.train.epochs, cfg.train.pairs[0].batch_size) == (2, 8) and os.getpid() != parent:
                 os._exit(1)
-            return real_run_cell(base_normalized, axis, value, seed)
+            return real_run_cell(cfg)
 
         monkeypatch.setattr(ablation_mod, "run_cell", dying)
         suite = parse_ablation_suite({"base": small_config_document(), **self.REPEATING})
@@ -710,8 +771,8 @@ class TestAblationPool:
             pytest.skip("needs OpenBLAS and two usable cores")
         cores(POOL)
 
-        def blas_threads(base_normalized, axis, value, seed):
-            return "", {"blas_threads": float(pool_mod._openblas_call("get_num_threads")[0])}
+        def blas_threads(cfg):
+            return {"blas_threads": float(pool_mod._openblas_call("get_num_threads")[0])}
 
         monkeypatch.setattr(ablation_mod, "run_cell", blas_threads)
         pool_mod._openblas_call("set_num_threads", 2)  # as if OPENBLAS_NUM_THREADS were unset
@@ -824,11 +885,11 @@ class TestEvalPool:
         parent = os.getpid()
         real_run_cell = ablation_mod.run_cell
 
-        def counting_forks(*args):
+        def counting_forks(cfg):
             forks = []
             os.register_at_fork(before=lambda: forks.append(1))
-            real_run_cell(*args)
-            return "", {"forks": float(len(forks)), "in_worker": float(os.getpid() != parent)}
+            real_run_cell(cfg)
+            return {"forks": float(len(forks)), "in_worker": float(os.getpid() != parent)}
 
         monkeypatch.setattr(ablation_mod, "run_cell", counting_forks)
         base = small_config_document()
@@ -1302,6 +1363,21 @@ class TestCliWorldgenAndErrors:
         assert manifest["cells"] == 2
         assert manifest["failures"] == 0
 
+
+    @pytest.mark.parametrize("axis, value, message", [
+        ("alignment", "sideways", "alignment: must be one of ['aligned', 'class_only'], got 'sideways'"),
+        ("noise_strength", -1.0, "noise_strength: must be >= 0, got -1.0"),
+    ])
+    def test_ablate_value_outside_the_axis_exits_2(self, tmp_path, capsys, axis, value, message):
+        suite_doc = {"base": small_config_document(), "axes": [{"axis": axis, "grid": [value]}]}
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps(suite_doc))
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", str(suite_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"suite.axes[0].grid[0]: {message}" in captured.err
+        assert not out.exists()
 
     def test_ablate_negative_seed_exits_2_before_any_cell(self, tmp_path, capsys):
         suite_doc = {"base": small_config_document(), "axes": [{"axis": "epochs", "grid": [1, 2]}]}

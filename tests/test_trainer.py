@@ -784,6 +784,23 @@ class TestSummary:
         same = train_summary(state, cfg)
         assert same == summary
 
+    def test_epoch_means_follow_the_epochs_when_pairs_split_them_unevenly(self):
+        # 5 steps per epoch over 2 pairs: alpha trains steps 0, 2, 4 of epoch 0, beta 1, 3
+        doc = small_config_document()
+        doc["train"].update(steps_per_epoch=5, epochs=3)
+        cfg = parse_experiment_config(doc)
+        state, summary = train_run(make_world(cfg.world, cfg.seed), cfg.archs, cfg.train)
+        for pair in ("alpha", "beta"):
+            by_epoch = {}
+            for r in state.loss_history:
+                if r.pair == pair:
+                    by_epoch.setdefault(r.step // 5, []).append(r.loss)
+            first, last = by_epoch[min(by_epoch)], by_epoch[max(by_epoch)]
+            assert len(first) == (3 if pair == "alpha" else 2)
+            info = summary["pairs"][pair]
+            assert info["first_epoch_mean_loss"] == pytest.approx(math.fsum(first) / len(first), rel=1e-12)
+            assert info["last_epoch_mean_loss"] == pytest.approx(math.fsum(last) / len(last), rel=1e-12)
+
 
 # -- load_checkpoint under corrupted input -----------------------------------
 
