@@ -57,6 +57,11 @@ def run_cell(cfg: ExperimentConfig) -> dict[str, float]:
     return dict(report.metrics)
 
 
+def _failed(e: BaseException) -> tuple[None, str]:
+    """The outcome of a run that raised `e`: its type name, then ": " and its message if any."""
+    return None, f"{type(e).__name__}: {e}" if str(e) else type(e).__name__
+
+
 def _outcome(cfg: ExperimentConfig) -> tuple[dict | None, str]:
     """(metrics, "") of one run, or (None, error): a failed run must not end the suite."""
     try:
@@ -64,7 +69,7 @@ def _outcome(cfg: ExperimentConfig) -> tuple[dict | None, str]:
         # same function as the parent, wrapped or replaced ones included.
         return run_cell(cfg), ""
     except Exception as e:
-        return None, str(e)
+        return _failed(e)
 
 
 def run_ablation_suite(suite: AblationSuiteSpec, progress=None) -> list[CellResult]:
@@ -77,8 +82,9 @@ def run_ablation_suite(suite: AblationSuiteSpec, progress=None) -> list[CellResu
     Jobs run through `pool.ordered_map`: on min(usable cores, jobs) forked
     workers, or in this process where one core is usable. The pool is shut
     down before this returns, also when `progress` raises. `progress` sees
-    each row in definition order. A job lost with a dead worker makes every
-    row of its run an error row naming the broken pool.
+    each row in definition order. A run that raises, or a job lost with a
+    dead worker, makes every row of its run an error row that names the
+    exception's type (`BrokenProcessPool` for the lost job).
     """
     base = suite.base.normalized
     jobs: list[ExperimentConfig] = []
@@ -98,12 +104,9 @@ def run_ablation_suite(suite: AblationSuiteSpec, progress=None) -> list[CellResu
                     jobs.append(cfg)
                 cells.append((spec.axis, value, seed, key[0], runs[key]))
 
-    def lost(cfg, e):
-        return None, f"{type(e).__name__}: {e}"
-
     outcomes = []  # the outcome of each job that has come back
     results = []
-    with ordered_map(_outcome, jobs, lost=lost) as job_outcomes:
+    with ordered_map(_outcome, jobs, lost=lambda cfg, e: _failed(e)) as job_outcomes:
         for axis, value, seed, cfg_hash, run in cells:
             if isinstance(run, int):
                 if run == len(outcomes):  # jobs are in cell order, so this is the next one

@@ -4,7 +4,8 @@
 dataclass carries serialization code of its own. Decoding checks only the
 JSON shape: unknown and missing keys, JSON types (a bool is never a number,
 and in a config document neither is the NaN or Infinity that Python's json
-module reads), list lengths of fixed tuples. Every range and choice rule
+module reads), list lengths of fixed tuples. A config document's -0.0 reads
+as 0.0; a checkpoint's floats keep their bits. Every range and choice rule
 lives in the constructor of the dataclass that owns it; its error comes
 back as a ConfigError naming the object's path.
 
@@ -134,7 +135,8 @@ def decode(tp, value, path: str, config: bool = False):
             raise ConfigError(path, f"expected a number, got {value!r}")
         if config and not math.isfinite(value):
             raise ConfigError(path, f"expected a finite number, got {value!r}")
-        return float(value)
+        # -0.0 == 0.0, so a config that says either is one experiment, with one hash
+        return 0.0 if config and value == 0 else float(value)
     if tp is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     if tp is str and not isinstance(value, str):

@@ -1,9 +1,10 @@
 """Round-robin contrastive training over (hub, spoke) modality pairs.
 
-One optimizer step trains one pair: encode both sides, take symmetric InfoNCE
-(optionally mixed with an L2 regression term), backprop by hand, clip the
-global gradient norm, and apply AdamW to the spoke encoder, the hub encoder
-(unless frozen), and the log-temperature (when learnable and InfoNCE is on).
+One optimizer step, `_train_step`, trains one pair: encode both sides, take
+symmetric InfoNCE (optionally mixed with an L2 regression term), backprop by
+hand, clip the global gradient norm, and apply AdamW to the spoke encoder,
+the hub encoder (unless frozen), and the log-temperature (when learnable and
+InfoNCE is on). `train_run` schedules the steps: pair, batch, learning rate.
 
 Small pairs are balanced by sample replication: each pair draws its batches
 from a fixed pre-generated pool sized so the pool cycles replication_factor
@@ -290,27 +291,44 @@ def init_train_state(
         for name, enc in encoders.items()
     }
 
-    temperatures: dict[str, TemperatureParam] = {}
-    if config.shared_temperature:
-        shared = dataclasses.replace(config.pairs[0].temperature)
-        for pc in config.pairs:
-            temperatures[pc.spoke] = shared
-    else:
-        for pc in config.pairs:
-            temperatures[pc.spoke] = dataclasses.replace(pc.temperature)
+    temperatures = {pc.spoke: dataclasses.replace(pc.temperature) for pc in config.pairs}
     tau_moments = {key: AdamMoments(m=[np.zeros(1)], v=[np.zeros(1)]) for key in _tau_keys(config)}
+    _share_temperature(temperatures, config)
     return TrainState(
         encoders=encoders, moments=moments, temperatures=temperatures, tau_moments=tau_moments
     )
 
 
-def check_resume(state: TrainState, archs: dict[str, EncoderArch]) -> None:
-    """A state continues a run only if it holds an encoder of every arch, unchanged."""
+def _share_temperature(temperatures: dict[str, TemperatureParam], config: TrainConfig) -> None:
+    """Under shared_temperature, make every pair hold the first pair's temperature object."""
+    if config.shared_temperature:
+        shared = temperatures[config.pairs[0].spoke]
+        temperatures.update((pc.spoke, shared) for pc in config.pairs)
+
+
+def check_resume(state: TrainState, archs: dict[str, EncoderArch], config: TrainConfig) -> None:
+    """Raise unless `state` may continue the run: an encoder of every arch, unchanged;
+    every pair's temperature and temperature moments; no frozen spoke (the step skips
+    only a frozen hub); and, under shared_temperature, equal temperatures."""
     for name, arch in archs.items():
         if name not in state.encoders:
             raise TrainerError(f"checkpoint is missing encoder {name!r}")
         if state.encoders[name].arch != arch:
             raise TrainerError(f"checkpoint arch mismatch for encoder {name!r}")
+    for what, have, want in (
+        ("temperature", state.temperatures, [pc.spoke for pc in config.pairs]),
+        ("temperature moments", state.tau_moments, _tau_keys(config)),
+    ):
+        missing = [key for key in want if key not in have]
+        if missing:
+            raise TrainerError(f"checkpoint has no {what} for {missing}")
+    frozen = [pc.spoke for pc in config.pairs if state.encoders[pc.spoke].frozen]
+    if frozen:
+        raise TrainerError(f"only the hub can be frozen, got frozen spokes {frozen}")
+    if config.shared_temperature:
+        shared, *rest = [state.temperatures[pc.spoke] for pc in config.pairs]
+        if any(t != shared for t in rest):
+            raise TrainerError("shared_temperature needs equal temperatures for every pair")
 
 
 def pool_size(config: TrainConfig, pc: PairConfig) -> int:
@@ -345,37 +363,17 @@ def train_run(
     if state is None:
         state = init_train_state(world, archs, config)
     else:
-        check_resume(state, archs)
-        for what, have, want in (
-            ("temperature", state.temperatures, [pc.spoke for pc in config.pairs]),
-            ("temperature moments", state.tau_moments, _tau_keys(config)),
-        ):
-            missing = [key for key in want if key not in have]
-            if missing:
-                raise TrainerError(f"checkpoint has no {what} for {missing}")
-        # the step skips the backward pass and update of a frozen hub only
-        frozen = [pc.spoke for pc in config.pairs if state.encoders[pc.spoke].frozen]
-        if frozen:
-            raise TrainerError(f"only the hub can be frozen, got frozen spokes {frozen}")
-        if config.shared_temperature:
-            # a loaded state holds one object per pair; the run trains one
-            shared, *rest = [state.temperatures[pc.spoke] for pc in config.pairs]
-            if any(t != shared for t in rest):
-                raise TrainerError("shared_temperature needs equal temperatures for every pair")
-            for pc in config.pairs:
-                state.temperatures[pc.spoke] = shared
+        check_resume(state, archs, config)
+        _share_temperature(state.temperatures, config)  # a loaded state holds one per pair
     num_pairs = len(config.pairs)
     total_steps = config.epochs * config.steps_per_epoch
     target = total_steps if max_steps is None else min(total_steps, state.step + max_steps)
     pools = _build_pools(world, config)
     warmup_steps = int(round(config.warmup_epochs * config.steps_per_epoch))
-    hub_name = world.hub
     # one gradient buffer per encoder of the pairs, in the encoder's own type and
     # layout; every step overwrites it
-    grads = {
-        name: dataclasses.replace(state.encoders[name])
-        for name in [hub_name] + [pc.spoke for pc in config.pairs]
-    }
+    names = [world.hub] + [pc.spoke for pc in config.pairs]
+    grads = {name: dataclasses.replace(state.encoders[name]) for name in names}
 
     while state.step < target:
         t = state.step
@@ -387,58 +385,59 @@ def train_run(
             idx = slice(start, start + pc.batch_size)
         else:
             idx = np.arange(start, start + pc.batch_size) % pool_n
-        hub_enc = state.encoders[hub_name]
-        spoke_enc = state.encoders[pc.spoke]
-        q, q_cache = encode(hub_enc, pool.hub_obs[idx])
-        k, k_cache = encode(spoke_enc, pool.spoke_obs[idx])
-
-        temp = state.temperatures[pc.spoke]
-        if pc.infonce_weight != 0:
-            out = symmetric_info_nce(q, k, temp)
-            loss = pc.infonce_weight * out.loss
-            grad_q, grad_k = out.grad_q, out.grad_k  # fresh arrays, scaled in place
-            grad_q *= pc.infonce_weight
-            grad_k *= pc.infonce_weight
-            grad_log_tau = pc.infonce_weight * out.grad_log_tau
-        else:
-            loss, grad_q, grad_k, grad_log_tau = 0.0, np.zeros_like(q), np.zeros_like(k), 0.0
-        if pc.l2_weight != 0:
-            reg = l2_regression_loss(q, k)
-            loss += pc.l2_weight * reg.loss
-            grad_q += pc.l2_weight * reg.grad_q
-            grad_k += pc.l2_weight * reg.grad_k
-        if not math.isfinite(loss):
-            raise TrainerError(
-                f"training diverged: non-finite loss at step {t} (pair {pc.spoke})"
-            )
-
-        # what the step trains, in update order: (params, flat grads, moments, weight decay).
-        # A frozen hub gets no backward pass, no share of the clip norm and no update;
-        # weight decay never applies to the temperature.
-        spoke_grads = encode_backward(spoke_enc, k_cache, grad_k, grads[pc.spoke]).flat
-        trained = [(spoke_enc.flat, spoke_grads, state.moments[pc.spoke], config.weight_decay)]
-        if not hub_enc.frozen:
-            hub_grads = encode_backward(hub_enc, q_cache, grad_q, grads[hub_name]).flat
-            trained.append((hub_enc.flat, hub_grads, state.moments[hub_name], config.weight_decay))
-        log_tau = np.array([temp.log_tau])
-        if temp.learnable and pc.infonce_weight != 0:
-            tau_key = _SHARED_TAU_KEY if config.shared_temperature else pc.spoke
-            trained.append((log_tau, np.array([grad_log_tau]), state.tau_moments[tau_key], 0.0))
-        clip_global_norm([g for _, g, _, _ in trained], config.grad_clip_norm)
-
         scale = min(1.0, (t + 1) / warmup_steps) if warmup_steps > 0 else 1.0
-        lr = config.learning_rate * scale
-        for params, g, mom, decay in trained:
-            adamw_step(params, g, mom, lr, config.betas, decay, mom.t + 1, eps=config.adam_eps)
-        if temp.learnable:  # a log_tau the step did not train comes back unchanged
-            temp.apply_update(float(log_tau[0]))
-
-        state.loss_history.append(
-            LossRecord(step=t, pair=pc.spoke, loss=float(loss), tau=temp.tau)
-        )
-        state.step = t + 1
+        _train_step(state, config, world.hub, pc, pool.hub_obs[idx], pool.spoke_obs[idx],
+                    config.learning_rate * scale, grads)
 
     return state, train_summary(state, config)
+
+
+def _train_step(state: TrainState, config: TrainConfig, hub: str, pc: PairConfig,
+                hub_obs: np.ndarray, spoke_obs: np.ndarray, lr: float, grads: dict) -> None:
+    """The one training step of pair `pc` on one batch: appends its LossRecord and advances
+    `state.step`. `grads` holds a gradient buffer per encoder of the pairs, overwritten here."""
+    hub_enc = state.encoders[hub]
+    spoke_enc = state.encoders[pc.spoke]
+    q, q_cache = encode(hub_enc, hub_obs)
+    k, k_cache = encode(spoke_enc, spoke_obs)
+    temp = state.temperatures[pc.spoke]
+    if pc.infonce_weight != 0:
+        out = symmetric_info_nce(q, k, temp)
+        loss = pc.infonce_weight * out.loss
+        grad_q, grad_k = out.grad_q, out.grad_k  # fresh arrays, scaled in place
+        grad_q *= pc.infonce_weight
+        grad_k *= pc.infonce_weight
+        grad_log_tau = pc.infonce_weight * out.grad_log_tau
+    else:
+        loss, grad_q, grad_k, grad_log_tau = 0.0, np.zeros_like(q), np.zeros_like(k), 0.0
+    if pc.l2_weight != 0:
+        reg = l2_regression_loss(q, k)
+        loss += pc.l2_weight * reg.loss
+        grad_q += pc.l2_weight * reg.grad_q
+        grad_k += pc.l2_weight * reg.grad_k
+    if not math.isfinite(loss):
+        raise TrainerError(f"training diverged: non-finite loss at step {state.step} (pair {pc.spoke})")
+
+    # what the step trains, in update order: (params, flat grads, moments, weight decay).
+    # A frozen hub gets no backward pass, no share of the clip norm and no update;
+    # weight decay never applies to the temperature.
+    spoke_grads = encode_backward(spoke_enc, k_cache, grad_k, grads[pc.spoke]).flat
+    trained = [(spoke_enc.flat, spoke_grads, state.moments[pc.spoke], config.weight_decay)]
+    if not hub_enc.frozen:
+        hub_grads = encode_backward(hub_enc, q_cache, grad_q, grads[hub]).flat
+        trained.append((hub_enc.flat, hub_grads, state.moments[hub], config.weight_decay))
+    log_tau = np.array([temp.log_tau])
+    if temp.learnable and pc.infonce_weight != 0:
+        tau_key = _SHARED_TAU_KEY if config.shared_temperature else pc.spoke
+        trained.append((log_tau, np.array([grad_log_tau]), state.tau_moments[tau_key], 0.0))
+    clip_global_norm([g for _, g, _, _ in trained], config.grad_clip_norm)
+    for params, g, mom, decay in trained:
+        adamw_step(params, g, mom, lr, config.betas, decay, mom.t + 1, eps=config.adam_eps)
+    if temp.learnable:  # a log_tau the step did not train comes back unchanged
+        temp.apply_update(float(log_tau[0]))
+
+    state.loss_history.append(LossRecord(state.step, pc.spoke, float(loss), temp.tau))
+    state.step += 1
 
 
 def train_summary(state: TrainState, config: TrainConfig) -> dict:

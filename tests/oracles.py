@@ -104,6 +104,64 @@ def l2_regression_loss_loops(q, k):
     return total / n
 
 
+def l2_regression_grads_loops(q, k):
+    """Loss and gradients of mean_i ||q_i - k_i||^2: dL/dq_i = 2 (q_i - k_i) / n = -dL/dk_i."""
+    n = len(q)
+    grad_q = [[2.0 * (float(a) - float(b)) / n for a, b in zip(qi, ki)] for qi, ki in zip(q, k)]
+    return l2_regression_loss_loops(q, k), grad_q, [[-g for g in row] for row in grad_q]
+
+
+def gelu_grad_loops(v):
+    """dGELU/dx of the tanh approximation at the scalar v, by the product rule."""
+    c = math.sqrt(2.0 / math.pi)
+    t = math.tanh(c * (v + 0.044715 * v**3))
+    return 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * c * (1.0 + 3.0 * 0.044715 * v * v)
+
+
+def encoder_forward_loops(layers, x):
+    """Rows of x through affine layers, then onto the unit sphere, by loops.
+
+    `layers` is a list of (W, b, gelu): W as rows of outputs, b a list, and
+    gelu whether the tanh-approximation GELU follows the layer. Returns
+    (embeddings, cache); the cache holds each layer's input and
+    pre-activation, and the last output before normalization.
+    """
+    h = [[float(v) for v in row] for row in x]
+    inputs = []
+    for W, b, gelu in layers:
+        pre = [[dot(row, w) + float(bias) for w, bias in zip(W, b)] for row in h]
+        inputs.append((h, pre))
+        h = gelu_power_loops(pre) if gelu else pre
+    return normalize_rows_loops(h), (inputs, h)
+
+
+def encoder_backward_loops(layers, cache, grad_embeddings):
+    """Gradient of sum(grad_embeddings * embeddings) for every parameter, by loops.
+
+    The embeddings are y_i = h_i / |h_i|, whose backward pass is
+    dh_i = (g_i - y_i (y_i . g_i)) / |h_i|. Returns one flat list laid out
+    as W0 (row by row), b0, W1, b1, ...
+    """
+    inputs, out = cache
+    g = []
+    for row, g_row in zip(out, grad_embeddings):
+        norm = math.sqrt(dot(row, row))
+        y = [v / norm for v in row]
+        yg = dot(y, g_row)
+        g.append([(float(gv) - yv * yg) / norm for gv, yv in zip(g_row, y)])
+    grads = []
+    for (W, _, gelu), (h, pre) in reversed(list(zip(layers, inputs))):
+        if gelu:
+            g = [[gv * gelu_grad_loops(pv) for gv, pv in zip(g_row, p_row)]
+                 for g_row, p_row in zip(g, pre)]
+        rows, n_out, n_in = range(len(h)), range(len(W)), range(len(h[0]))
+        d_w = [sum(g[r][o] * h[r][j] for r in rows) for o in n_out for j in n_in]
+        d_b = [sum(g[r][o] for r in rows) for o in n_out]
+        grads = d_w + d_b + grads
+        g = [[sum(g[r][o] * float(W[o][j]) for o in n_out) for j in n_in] for r in rows]
+    return grads
+
+
 def nearest_prototype_loops(query, prototypes):
     """Index of the most-similar prototype row; ties go to the lowest index."""
     best_idx = 0
@@ -168,16 +226,21 @@ def few_shot_probe_reference(train_embeddings, train_labels, eval_embeddings, ev
     return weights, bias, float(np.mean(pred == eval_labels))
 
 
+def adamw_scalar_step_loops(p, m, v, t, g, lr, beta1, beta2, weight_decay, eps=1e-8):
+    """Update t (1-based) of the scalar AdamW recurrence; returns the new (p, m, v)."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return p * (1.0 - lr * weight_decay) - lr * m_hat / (math.sqrt(v_hat) + eps), m, v
+
+
 def adamw_scalar_loops(p, grads, lr, beta1, beta2, weight_decay, eps=1e-8):
     """Scalar AdamW recurrence applied over a list of gradients."""
     m = 0.0
     v = 0.0
     for t, g in enumerate(grads, start=1):
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p = p * (1.0 - lr * weight_decay) - lr * m_hat / (math.sqrt(v_hat) + eps)
+        p, m, v = adamw_scalar_step_loops(p, m, v, t, g, lr, beta1, beta2, weight_decay, eps)
     return p
 
 

@@ -1,5 +1,6 @@
 """Tests for the dataclass codec behind configs and checkpoints."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,3 +115,10 @@ def test_arrays_take_only_numbers(value, path, message):
         decode(np.ndarray, value, "w")
     assert err.value.path == path
     assert message in str(err.value)
+
+
+def test_negative_zero_reads_as_zero_in_a_config_document_only():
+    # a config that says -0.0 says 0.0, and must hash as it; checkpoint floats keep their bits
+    assert math.copysign(1.0, decode(float, -0.0, "x", config=True)) == 1.0
+    assert math.copysign(1.0, decode(list[float], [-0.0], "x", config=True)[0]) == 1.0
+    assert math.copysign(1.0, decode(float, -0.0, "x")) == -1.0

@@ -53,9 +53,10 @@ from modbind.evaluation import (
     EvaluationError,
     aligned_eval_items,
     embed_arithmetic,
+    run_eval_plan,
 )
 from modbind.pool import usable_cores
-from modbind.trainer import load_checkpoint
+from modbind.trainer import init_train_state, load_checkpoint
 from modbind.world import make_world
 
 from .conftest import doc_nodes, is_number, node_at, resize, set_at, small_config_document
@@ -364,6 +365,30 @@ class TestConfigHash:
         else:
             assert parse_experiment_config(doc).hash == want
 
+    @pytest.mark.parametrize("path", [
+        ("world", "modalities", 1, "obs_noise_scale"),
+        ("train", "weight_decay"),
+        ("train", "pairs", 0, "l2_weight"),
+    ], ids=lambda path: path[-1])
+    def test_negative_zero_hashes_as_zero(self, path):
+        # -0.0 == 0.0, so both name one experiment
+        doc = json.loads(resources.files("modbind").joinpath("configs", "desk.json").read_text())
+        hashes = []
+        for value in (0.0, -0.0):
+            set_at(doc, path, value)
+            cfg = parse_experiment_config(doc)
+            hashes.append(cfg.hash)
+            assert math.copysign(1.0, node_at(cfg.normalized, path)) == 1.0
+        assert hashes[0] == hashes[1]
+
+    def test_negative_zero_ensemble_weight_reports_as_zero(self, small_config_doc):
+        small_config_doc["eval"].update(ensemble_pair=["alpha", "beta"], ensemble_weights=[-0.0])
+        cfg = parse_experiment_config(small_config_doc)
+        world = make_world(cfg.world, cfg.seed)
+        report = run_eval_plan(world, init_train_state(world, cfg.archs, cfg.train), cfg.eval_plan)
+        ensemble = [m for m in report.metrics if m.startswith("ensemble")]
+        assert ensemble == ["ensemble_recall_at_5/w=0"]
+
     def test_material_change_alters_hash(self, small_config_doc):
         a = parse_experiment_config(small_config_doc)
         small_config_doc["train"]["epochs"] = 3
@@ -667,6 +692,32 @@ class TestAblationPool:
         assert got[-1].metrics == got[1].metrics and got[-1].metrics is not got[1].metrics
         cores(POOL)
         assert run_ablation_suite(suite) == want
+
+    @pytest.mark.parametrize("error, text", [
+        (KeyError("beta"), "KeyError: 'beta'"),
+        (RuntimeError(), "RuntimeError"),
+    ], ids=["KeyError", "bare-RuntimeError"])
+    def test_error_row_names_the_exception_type(self, cores, monkeypatch, error, text):
+        # str(KeyError('beta')) is "'beta'" and str(RuntimeError()) is empty
+        def raising(cfg):
+            raise error
+
+        monkeypatch.setattr(ablation_mod, "run_cell", raising)
+        for n in (1, POOL):
+            cores(n)
+            results = run_ablation_suite(epochs_suite([1, 2]))
+            assert [(r.status, r.error) for r in results] == [("error", text)] * 2
+
+    def test_negative_zero_noise_strength_repeats_the_zero_run(self, cores, run_cell_calls):
+        doc = small_config_document()
+        suite = parse_ablation_suite({"base": doc, "axes": [{"axis": "noise_strength",
+                                                             "grid": [0.0, -0.0]}], "seeds": [0]})
+        cores(1)
+        results = run_ablation_suite(suite)
+        assert len(run_cell_calls) == 1
+        assert [r.status for r in results] == ["ok", "ok"]
+        assert results[0].config_hash == results[1].config_hash
+        assert results[0].metrics == results[1].metrics
 
     def test_unparsable_cell_keeps_its_own_error(self, cores, run_cell_calls):
         # parse_ablation_suite rejects these values, so the suite is built directly
@@ -1140,6 +1191,45 @@ class TestCliEval:
         )
         assert code == 2
         assert "config_hash does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "retrieve"])
+    @pytest.mark.parametrize("edit, message", [
+        ("frozen spoke", "only the hub can be frozen, got frozen spokes ['alpha']"),
+        ("no temperature", "checkpoint has no temperature for ['alpha']"),
+    ])
+    def test_checkpoint_that_could_not_continue_its_run_is_config_error(
+        self, cli_space, tmp_path, capsys, command, edit, message
+    ):
+        # train_run would refuse to resume from either; eval and retrieve apply its rules
+        _, cfg_path, out = cli_space
+        doc = json.loads((out / "checkpoint.json").read_text())
+        if edit == "frozen spoke":
+            doc["encoders"]["alpha"]["frozen"] = True
+        else:
+            del doc["temperatures"]["alpha"], doc["tau_moments"]["alpha"]
+        ckpt = tmp_path / "edited.json"
+        ckpt.write_text(json.dumps(doc))
+        rest = {"eval": ["--out", str(tmp_path / "out")],
+                "retrieve": ["--index-modality", "hub", "--query-modality", "alpha"]}[command]
+        code = main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt), *rest])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"config error: checkpoint: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_of_a_frozen_hub_run_is_read(self, tmp_path):
+        doc = small_config_document()
+        doc["train"]["hub_frozen"] = True
+        cfg_path = tmp_path / "frozen_hub.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert load_checkpoint(out / "checkpoint.json").encoders["hub"].frozen
+        ckpt = str(out / "checkpoint.json")
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", ckpt, "--out", str(out)]) == 0
+        assert main(["retrieve", "--config", str(cfg_path), "--checkpoint", ckpt,
+                     "--index-modality", "hub", "--query-modality", "alpha"]) == 0
 
 
 class TestCliRetrieve:

@@ -29,10 +29,17 @@ from modbind.trainer import (
     train_summary,
     write_training_log,
 )
-from modbind.world import make_world
+from modbind.world import make_world, sample_training_batch
 
 from .conftest import doc_nodes, is_number, node_at, resize, set_at, small_config_document
-from .oracles import adamw_scalar_loops
+from .oracles import (
+    adamw_scalar_loops,
+    adamw_scalar_step_loops,
+    encoder_backward_loops,
+    encoder_forward_loops,
+    l2_regression_grads_loops,
+    symmetric_info_nce_grads_loops,
+)
 
 
 def tiny_archs(world, embed_dim=6, hidden=(8,)):
@@ -480,6 +487,143 @@ class TestTrainRun:
         )
         with pytest.raises(TrainerError):
             init_train_state(tiny_world, archs, quick_config())
+
+
+# -- one training step against a loop oracle ---------------------------------
+
+
+def encoder_layers(arch, flat):
+    """(W, b, gelu) of every layer of `arch`, sliced from a flat parameter list."""
+    layers, pos = [], 0
+    for in_dim, out_dim, act in arch.layer_plan():
+        weights = [flat[pos + o * in_dim : pos + (o + 1) * in_dim] for o in range(out_dim)]
+        pos += out_dim * in_dim
+        layers.append((weights, flat[pos : pos + out_dim], act is not None))
+        pos += out_dim
+    return layers
+
+
+def reference_state(state, cfg):
+    """Plain-list copies of what a step updates: {"p", "m", "v", "t"} per encoder and per
+    temperature key, the log-temperature as a one-element "p"."""
+    def entry(params, mom):
+        return {"p": list(map(float, params)), "m": mom.m_flat.tolist(), "v": mom.v_flat.tolist(),
+                "t": mom.t}
+
+    keys = ["__shared__"] if cfg.shared_temperature else [pc.spoke for pc in cfg.pairs]
+    return {
+        "enc": {name: entry(enc.flat, state.moments[name]) for name, enc in state.encoders.items()},
+        "tau": {key: entry([state.temperatures[pc.spoke].log_tau], state.tau_moments[key])
+                for key, pc in zip(keys, cfg.pairs)},
+    }
+
+
+def oracle_step(ref, cfg, archs, pc, hub_obs, spoke_obs, lr):
+    """One training step of pair `pc` on `ref`, by loops; returns (loss, tau, pre-clip norm)."""
+    hub, spoke = ref["enc"]["hub"], ref["enc"][pc.spoke]
+    hub_layers = encoder_layers(archs["hub"], hub["p"])
+    spoke_layers = encoder_layers(archs[pc.spoke], spoke["p"])
+    q, q_cache = encoder_forward_loops(hub_layers, hub_obs)
+    k, k_cache = encoder_forward_loops(spoke_layers, spoke_obs)
+    temp = ref["tau"]["__shared__" if cfg.shared_temperature else pc.spoke]
+    learnable = pc.temperature.mode == "learnable"
+    tau = math.exp(temp["p"][0]) if learnable else pc.temperature.value
+
+    loss, grad_log_tau = 0.0, 0.0
+    grad_q = [[0.0] * len(q[0]) for _ in q]
+    grad_k = [[0.0] * len(k[0]) for _ in k]
+    terms = []
+    if pc.infonce_weight:
+        l, gq, gk, gt = symmetric_info_nce_grads_loops(q, k, tau)
+        terms.append((pc.infonce_weight, l, gq, gk))
+        grad_log_tau = pc.infonce_weight * gt
+    if pc.l2_weight:
+        terms.append((pc.l2_weight, *l2_regression_grads_loops(q, k)))
+    for w, l, gq, gk in terms:
+        loss += w * l
+        grad_q = [[a + w * b for a, b in zip(ra, rb)] for ra, rb in zip(grad_q, gq)]
+        grad_k = [[a + w * b for a, b in zip(ra, rb)] for ra, rb in zip(grad_k, gk)]
+
+    # what the step trains: the spoke, the hub unless frozen, the log-temperature when it
+    # has a gradient; one clip over all of them; weight decay on the encoders only
+    parts = [(spoke, encoder_backward_loops(spoke_layers, k_cache, grad_k), cfg.weight_decay)]
+    if not cfg.hub_frozen:
+        parts.append((hub, encoder_backward_loops(hub_layers, q_cache, grad_q), cfg.weight_decay))
+    if learnable and pc.infonce_weight:
+        parts.append((temp, [grad_log_tau], 0.0))
+    norm = math.sqrt(sum(g * g for _, grads, _ in parts for g in grads))
+    scale = min(1.0, cfg.grad_clip_norm / norm)
+    for entry, grads, decay in parts:
+        entry["t"] += 1
+        for i, g in enumerate(grads):
+            entry["p"][i], entry["m"][i], entry["v"][i] = adamw_scalar_step_loops(
+                entry["p"][i], entry["m"][i], entry["v"][i], entry["t"], g * scale, lr,
+                cfg.betas[0], cfg.betas[1], decay, cfg.adam_eps,
+            )
+    if learnable:
+        bounds = math.log(pc.temperature.clamp_min), math.log(pc.temperature.clamp_max)
+        temp["p"][0] = min(max(temp["p"][0], bounds[0]), bounds[1])
+        tau = math.exp(temp["p"][0])
+    return loss, tau, norm
+
+
+def assert_matches_reference(state, ref, cfg):
+    """Parameters, both moments and the update count of every encoder and temperature."""
+    got = [(enc.flat, state.moments[name], ref["enc"][name]) for name, enc in state.encoders.items()]
+    for key, want in ref["tau"].items():
+        spoke = cfg.pairs[0].spoke if key == "__shared__" else key
+        got.append((np.array([state.temperatures[spoke].log_tau]), state.tau_moments[key], want))
+    for params, mom, want in got:
+        np.testing.assert_allclose(params, want["p"], rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(mom.m_flat, want["m"], rtol=1e-8, atol=1e-15)
+        np.testing.assert_allclose(mom.v_flat, want["v"], rtol=1e-8, atol=1e-18)
+        assert mom.t == want["t"]
+
+
+LOSS_WEIGHTS = {"infonce": (1.0, 0.0), "l2_only": (0.0, 1.0), "both": (0.8, 0.5)}
+STEP_CASES = [
+    pytest.param(hub_frozen, tau_mode, LOSS_WEIGHTS[loss], False,
+                 id=f"{'hub_frozen' if hub_frozen else 'hub_trains'}-{tau_mode}-{loss}")
+    for hub_frozen in (False, True) for tau_mode in ("fixed", "learnable") for loss in LOSS_WEIGHTS
+] + [pytest.param(False, "learnable", LOSS_WEIGHTS["infonce"], True, id="shared_temperature")]
+
+
+class TestTrainStep:
+    @pytest.mark.parametrize("hub_frozen, tau_mode, weights, shared", STEP_CASES)
+    def test_step_writes_what_the_oracle_computes(self, tiny_world, hub_frozen, tau_mode, weights,
+                                                  shared):
+        # three steps, alpha, beta, alpha, at the warming-up rates of the first three steps and
+        # a clip norm every step exceeds; a wrongly scaled clip moves the parameters little
+        # (Adam's first update is lr*g/(|g| + eps)), but shows in m and v
+        pairs = [
+            PairConfig(spoke=s, batch_size=8, temperature=TemperatureParam(mode=tau_mode),
+                       infonce_weight=weights[0], l2_weight=weights[1])
+            for s in ("alpha", "beta")
+        ]
+        cfg = quick_config(pairs=pairs, hub_frozen=hub_frozen, shared_temperature=shared,
+                           grad_clip_norm=0.05)
+        archs = tiny_archs(tiny_world)
+        state = init_train_state(tiny_world, archs, cfg)
+        ref = reference_state(state, cfg)
+        grads = {name: dataclasses.replace(enc) for name, enc in state.encoders.items()}
+        warmup_steps = cfg.warmup_epochs * cfg.steps_per_epoch
+        for t, pc in enumerate([pairs[0], pairs[1], pairs[0]]):
+            rng = tiny_world.stream(f"test/step/{t}")
+            batch = sample_training_batch(tiny_world, pc.spoke, 8, rng)
+            lr = cfg.learning_rate * (t + 1) / warmup_steps
+            loss, tau, norm = oracle_step(ref, cfg, archs, pc, batch.hub_obs, batch.spoke_obs, lr)
+            assert norm > cfg.grad_clip_norm
+            trainer_mod._train_step(state, cfg, "hub", pc, batch.hub_obs, batch.spoke_obs, lr,
+                                    grads)
+            assert state.step == t + 1
+            rec = state.loss_history[-1]
+            assert (rec.step, rec.pair) == (t, pc.spoke)
+            assert rec.loss == pytest.approx(loss, rel=1e-10)
+            assert rec.tau == pytest.approx(tau, rel=1e-12)
+            assert_matches_reference(state, ref, cfg)
+        assert len(state.loss_history) == 3
+        if shared:
+            assert state.temperatures["alpha"] is state.temperatures["beta"]
 
 
 def assert_resume_matches(world, tmp_path, cfg, rewrite=None):
