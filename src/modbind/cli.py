@@ -26,7 +26,6 @@ from .evaluation import (
     EvaluationError,
     _similarity_blocks,
     _top_k,
-    aligned_eval_items,
     embed_arithmetic,
     run_eval_plan,
 )
@@ -41,7 +40,7 @@ from .trainer import (
     train_run,
     write_training_log,
 )
-from .world import WorldError, make_world
+from .world import WorldError, make_world, observe, round_robin
 
 
 def _load_json_doc(path_str: str):
@@ -191,35 +190,26 @@ def cmd_retrieve(args) -> int:
     if not (0.0 <= args.compose_weight <= 1.0):
         raise ConfigError("--compose-weight", "must lie in [0, 1]")
 
-    compose = None
     if args.compose:
         parts = args.compose.split("+")
         if len(parts) != 2:
             raise ConfigError("--compose", "expected the form modalityA+modalityB")
-        compose = (parts[0], parts[1])
-        names = [args.index_modality, *parts]
     elif args.query_modality:
-        names = [args.index_modality, args.query_modality]
+        parts = [args.query_modality]
     else:
         raise ConfigError("--query-modality", "required unless --compose is given")
-    mods = list(dict.fromkeys(names))
+    mods = list(dict.fromkeys([args.index_modality, *parts]))
     for name in mods:
         if name not in state.encoders:
             raise ConfigError("--index-modality/--query-modality/--compose", f"unknown modality {name!r}")
 
-    obs, _ = aligned_eval_items(world, mods, n_items, world.stream("eval/retrieve"))
-    index_emb = embed(state.encoders[args.index_modality], obs[args.index_modality])
-    # every query view is embedded in one batch of all items, as the index is and as
-    # `bind eval` does, and its similarities come from the same block of rows as there
-    if compose:
-        queries = embed_arithmetic(
-            embed(state.encoders[compose[0]], obs[compose[0]]),
-            embed(state.encoders[compose[1]], obs[compose[1]]),
-            args.compose_weight,
-        )
-    else:
-        queries = embed(state.encoders[args.query_modality], obs[args.query_modality])
-    for rows, block in _similarity_blocks(queries, index_emb):
+    obs = observe(world, mods, round_robin(world, n_items), world.stream("eval/retrieve"))
+    # every view is embedded in one batch of all items, as `bind eval` does, and the
+    # query's similarities come from the same block of rows as there
+    emb = {name: embed(state.encoders[name], view) for name, view in obs.items()}
+    views = [emb[name] for name in parts]  # the query's view, or the two it composes
+    queries = embed_arithmetic(*views, args.compose_weight) if args.compose else views[0]
+    for rows, block in _similarity_blocks(queries, emb[args.index_modality]):
         if args.query_id < rows.stop:
             sims = block[args.query_id - rows.start]
             break

@@ -4,7 +4,8 @@ Everything here is read-only with respect to training state: zero-shot
 classification against an index of class prototypes, cross-modal retrieval,
 few-shot linear probes on frozen embeddings, embedding arithmetic, modality
 ensembling, and the frozen-hub protocol that scores a supplied hub encoder by
-training fresh spokes against it.
+training fresh spokes against it. Each measurement draws, then scores: its draw
+step reads the world's streams, and its score step only encodes and ranks.
 
 A classification or retrieval result between two modalities is "emergent"
 when the two differ and were never trained as a pair; `_emergent` alone
@@ -23,7 +24,7 @@ from .numerics import NumericsError, block_rows, softmax_rows
 from .pool import ordered_map
 from .report import MetricsReport
 from .trainer import TrainConfig, TrainState, init_train_state, train_run
-from .world import WorldSpec, _class_latents, class_prototypes, make_eval_set
+from .world import WorldSpec, class_prototypes, make_eval_set, observe, round_robin
 
 DEFAULT_ARITHMETIC_WEIGHT = 0.5
 # the few-shot probe: full-batch gradient descent steps and their step size
@@ -130,19 +131,15 @@ def _encoder(state: TrainState, modality: str) -> EncoderParams:
         raise EvaluationError(f"state has no encoder for modality {modality!r}") from None
 
 
-def build_prototypes(
-    world: WorldSpec,
-    modality: str,
-    encoder: EncoderParams,
-    prompts_per_class: int,
-    rng: np.random.Generator,
-) -> RetrievalIndex:
-    """Encode C*P prompt observations, average per class, renormalize: row c is class c's."""
-    obs, labels = class_prototypes(world, modality, prompts_per_class, rng)
+def build_prototypes(encoder: EncoderParams, obs: np.ndarray, labels: np.ndarray,
+                     num_classes: int) -> RetrievalIndex:
+    """Encode prompt observations (`world.class_prototypes`), average per class,
+    renormalize: row c is class c's."""
     emb = encode(encoder, obs)
-    c = world.num_classes
-    prototypes = np.zeros((c, emb.shape[1]))
-    for cls_id in range(c):
+    prototypes = np.zeros((num_classes, emb.shape[1]))
+    for cls_id in range(num_classes):
+        if not np.any(labels == cls_id):
+            raise EvaluationError(f"no prompt observation of class {cls_id}")
         mean = emb[labels == cls_id].mean(axis=0)
         norm = np.linalg.norm(mean)
         if norm < _DEGENERATE_NORM:
@@ -171,21 +168,25 @@ def emergent_zero_shot_accuracy(
     stream: str = "eval/emergent",
     prompts_per_class: int = 16,
 ) -> float:
-    """Accuracy of fresh data_modality samples classified against
-    prompt_modality prototypes."""
-    prototypes = build_prototypes(
-        world,
-        prompt_modality,
-        _encoder(state, prompt_modality),
-        prompts_per_class,
-        world.stream(f"{stream}/prompts/{prompt_modality}"),
-    )
-    eval_set = make_eval_set(
-        world, data_modality, n_per_class, world.stream(f"{stream}/data/{data_modality}")
-    )
-    emb = encode(_encoder(state, data_modality), eval_set.obs)
-    pred = zero_shot_classify(emb, prototypes)
-    return float(np.mean(pred == eval_set.labels))
+    """Accuracy of fresh data_modality samples classified against prompt_modality prototypes."""
+    drawn = _zero_shot_draw(world, data_modality, prompt_modality, n_per_class, stream,
+                            prompts_per_class)
+    return _zero_shot_score(world, state, data_modality, prompt_modality, drawn)
+
+
+def _zero_shot_draw(world, data_mod, prompt_mod, n_per_class, stream, prompts_per_class):
+    """The prompt bank (obs, labels), then the labeled data set."""
+    prompts = class_prototypes(world, prompt_mod, prompts_per_class,
+                               world.stream(f"{stream}/prompts/{prompt_mod}"))
+    data = make_eval_set(world, data_mod, n_per_class, world.stream(f"{stream}/data/{data_mod}"))
+    return prompts, data
+
+
+def _zero_shot_score(world, state, data_mod, prompt_mod, drawn) -> float:
+    (obs, labels), data = drawn
+    prototypes = build_prototypes(_encoder(state, prompt_mod), obs, labels, world.num_classes)
+    pred = zero_shot_classify(encode(_encoder(state, data_mod), data.obs), prototypes)
+    return float(np.mean(pred == data.labels))
 
 
 def _similarity_blocks(queries: np.ndarray, items: np.ndarray):
@@ -375,20 +376,6 @@ def embed_arithmetic(e1: np.ndarray, e2: np.ndarray, w: float = DEFAULT_ARITHMET
     return combo / norms
 
 
-def aligned_eval_items(
-    world: WorldSpec, modalities: list[str], n_items: int, rng: np.random.Generator
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """The same n latent items observed through several modalities.
-
-    Returns ({modality: obs}, labels); item i is identical across modalities,
-    so row i of one modality's index is the true item of row i of another's.
-    """
-    labels = np.arange(n_items) % world.num_classes
-    latents = _class_latents(world, labels, world.within_class_scale, rng)
-    obs = {name: world.observer(name).observe(latents, rng) for name in modalities}
-    return obs, labels
-
-
 def _draw_members(labels: np.ndarray, classes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """For each entry of `classes`, a uniformly drawn index of `labels` with that class.
 
@@ -418,36 +405,45 @@ def composed_retrieval_stats(
     the (class-a, class-b) target pairs, so it shares every artifact of the
     retrieval except the semantic pairing.
     """
+    drawn = _composed_draw(world, modality_a, modality_b, n_queries, k, index_size, stream)
+    return _composed_score(world, state, modality_a, modality_b, weight, k, drawn)
+
+
+def _composed_draw(world, modality_a, modality_b, n_queries, k, index_size, stream):
+    """Hub index, pools, then each query's classes and pool rows, and the baseline's permutation."""
     if not 1 <= k <= index_size:
         raise EvaluationError(f"K={k} outside [1, {index_size}]")
     if n_queries < 1:
         raise EvaluationError(f"n_queries must be >= 1, got {n_queries}")
-    hub = world.hub
-    rng = world.stream(f"{stream}/index")
-    idx_obs, idx_labels = aligned_eval_items(world, [hub], index_size, rng)
-    hub_emb = encode(_encoder(state, hub), idx_obs[hub])
-
-    per_class = max(4, n_queries // world.num_classes + 1)
+    hub, c = world.hub, world.num_classes
+    idx_labels = round_robin(world, index_size)
+    idx_obs = observe(world, [hub], idx_labels, world.stream(f"{stream}/index"))[hub]
+    per_class = max(4, n_queries // c + 1)
     pool_a = make_eval_set(world, modality_a, per_class, world.stream(f"{stream}/pool/{modality_a}"))
     pool_b = make_eval_set(world, modality_b, per_class, world.stream(f"{stream}/pool/{modality_b}"))
-    emb_a = encode(_encoder(state, modality_a), pool_a.obs)
-    emb_b = encode(_encoder(state, modality_b), pool_b.obs)
-
     qrng = world.stream(f"{stream}/queries")
-    class_a = qrng.integers(0, world.num_classes, n_queries)
-    class_b = (class_a + 1 + qrng.integers(0, world.num_classes - 1, n_queries)) % world.num_classes
+    class_a = qrng.integers(0, c, n_queries)
+    class_b = (class_a + 1 + qrng.integers(0, c - 1, n_queries)) % c
     pick_a = _draw_members(pool_a.labels, class_a, qrng)
     pick_b = _draw_members(pool_b.labels, class_b, qrng)
-    composed = embed_arithmetic(emb_a[pick_a], emb_b[pick_b], weight)
+    perm = qrng.permutation(n_queries)
+    return idx_obs, idx_labels, pool_a.obs, pool_b.obs, class_a, class_b, pick_a, pick_b, perm
 
-    top = np.empty((n_queries, k), dtype=np.int64)
+
+def _composed_score(world, state, modality_a, modality_b, weight, k, drawn):
+    idx_obs, idx_labels, obs_a, obs_b, class_a, class_b, pick_a, pick_b, perm = drawn
+    hub_emb = encode(_encoder(state, world.hub), idx_obs)
+    # each pool is encoded whole, then its drawn rows are taken
+    emb_a = encode(_encoder(state, modality_a), obs_a)
+    emb_b = encode(_encoder(state, modality_b), obs_b)
+    composed = embed_arithmetic(emb_a[pick_a], emb_b[pick_b], weight)
+    rows = np.arange(len(composed))
+    top = np.empty((len(rows), k), dtype=np.int64)
     for block, s in _similarity_blocks(composed, hub_emb):
         top[block] = _top_k(s, k)
-    rows = np.arange(n_queries)
-    covered = np.zeros((n_queries, world.num_classes), dtype=bool)
+    covered = np.zeros((len(rows), world.num_classes), dtype=bool)
     covered[rows[:, None], idx_labels[top]] = True
     hits = covered[rows, class_a] & covered[rows, class_b]
-    perm = qrng.permutation(n_queries)
     permuted_hits = covered[rows, class_a[perm]] & covered[rows, class_b[perm]]
     return float(hits.mean()), float(permuted_hits.mean())
 
@@ -475,81 +471,89 @@ def frozen_hub_eval(
     return run_eval_plan(world, state, plan, config_hash=config_hash, seed=config.seed)
 
 
-def _emergent_group(world, state, plan, data_mod: str, prompt_mod: str):
-    accuracy = emergent_zero_shot_accuracy(
-        world, state, data_mod, prompt_mod, plan.n_per_class,
-        stream=f"{plan.stream}/emergent/{data_mod}_vs_{prompt_mod}",
-        prompts_per_class=plan.prompts_per_class,
-    )
-    return ({f"emergent_zero_shot/{data_mod}_vs_{prompt_mod}": accuracy},
-            {f"emergent/{data_mod}_vs_{prompt_mod}": _emergent(world, state, data_mod, prompt_mod)})
+def _emergent_draw(world, plan, data_mod: str, prompt_mod: str):
+    stream = f"{plan.stream}/emergent/{data_mod}_vs_{prompt_mod}"
+    return _zero_shot_draw(world, data_mod, prompt_mod, plan.n_per_class, stream,
+                           plan.prompts_per_class)
 
 
-def _retrieval_group(world, state, plan, query_mod: str, index_mod: str):
+def _emergent_score(world, state, plan, drawn, data_mod: str, prompt_mod: str):
+    accuracy = _zero_shot_score(world, state, data_mod, prompt_mod, drawn)
+    return {f"emergent_zero_shot/{data_mod}_vs_{prompt_mod}": accuracy}
+
+
+def _retrieval_draw(world, plan, query_mod: str, index_mod: str):
     rng = world.stream(f"{plan.stream}/retrieval/{query_mod}_to_{index_mod}")
-    obs, _ = aligned_eval_items(world, [query_mod, index_mod], plan.retrieval_index_size, rng)
-    index_emb = encode(_encoder(state, index_mod), obs[index_mod])
-    query_emb = encode(_encoder(state, query_mod), obs[query_mod])
+    return observe(world, [query_mod, index_mod], round_robin(world, plan.retrieval_index_size),
+                   rng)
+
+
+def _retrieval_score(world, state, plan, obs, query_mod: str, index_mod: str):
+    emb = {name: encode(_encoder(state, name), view) for name, view in obs.items()}
     rows = np.arange(plan.retrieval_index_size)
-    recalls = cross_modal_recall_at_k(RetrievalIndex(index_emb), query_emb, rows, plan.k_list)
-    return ({f"recall_at_{k}/{query_mod}_to_{index_mod}": v for k, v in recalls.items()},
-            {f"emergent/{query_mod}_to_{index_mod}": _emergent(world, state, query_mod, index_mod)})
+    index = RetrievalIndex(emb[index_mod])
+    recalls = cross_modal_recall_at_k(index, emb[query_mod], rows, plan.k_list)
+    return {f"recall_at_{k}/{query_mod}_to_{index_mod}": v for k, v in recalls.items()}
 
 
-def _few_shot_group(world, state, plan):
-    mod = plan.few_shot_modality
+def _few_shot_draw(world, plan):
+    mod, stream = plan.few_shot_modality, f"{plan.stream}/few_shot"
+    eval_set = make_eval_set(world, mod, plan.n_per_class, world.stream(f"{stream}/eval/{mod}"))
+    return eval_set, [make_eval_set(world, mod, k, world.stream(f"{stream}/shots/{mod}/k={k}"))
+                      for k in plan.few_shot_ks]
+
+
+def _few_shot_score(world, state, plan, drawn):
+    (eval_set, shot_sets), mod = drawn, plan.few_shot_modality
     encoder = _encoder(state, mod)
-    eval_set = make_eval_set(
-        world, mod, plan.n_per_class, world.stream(f"{plan.stream}/few_shot/eval/{mod}")
-    )
-    shots = []
-    for k in plan.few_shot_ks:
-        shot_set = make_eval_set(
-            world, mod, k, world.stream(f"{plan.stream}/few_shot/shots/{mod}/k={k}")
-        )
-        shots.append((encode(encoder, shot_set.obs), shot_set.labels))
+    shots = [(encode(encoder, shot_set.obs), shot_set.labels) for shot_set in shot_sets]
     probes = few_shot_probes(shots, encode(encoder, eval_set.obs), eval_set.labels)
-    return {f"few_shot_k{k}/{mod}": p.accuracy for k, p in zip(plan.few_shot_ks, probes)}, {}
+    return {f"few_shot_k{k}/{mod}": p.accuracy for k, p in zip(plan.few_shot_ks, probes)}
 
 
-def _arithmetic_group(world, state, plan):
-    mod_a, mod_b = plan.arithmetic_pair
-    both, permuted = composed_retrieval_stats(
-        world, state, mod_a, mod_b, plan.arithmetic_queries, plan.arithmetic_weight,
-        plan.retrieval_k, plan.retrieval_index_size, f"{plan.stream}/arithmetic",
-    )
-    return {"arithmetic/both_class_fraction": both, "arithmetic/permuted_baseline": permuted}, {}
+def _arithmetic_draw(world, plan):
+    return _composed_draw(world, *plan.arithmetic_pair, plan.arithmetic_queries, plan.retrieval_k,
+                          plan.retrieval_index_size, f"{plan.stream}/arithmetic")
 
 
-def _ensemble_group(world, state, plan):
+def _arithmetic_score(world, state, plan, drawn):
+    both, permuted = _composed_score(world, state, *plan.arithmetic_pair, plan.arithmetic_weight,
+                                     plan.retrieval_k, drawn)
+    return {"arithmetic/both_class_fraction": both, "arithmetic/permuted_baseline": permuted}
+
+
+def _ensemble_draw(world, plan):
+    a, b = plan.ensemble_pair
+    rng = world.stream(f"{plan.stream}/ensemble/{a}_{b}")
+    return observe(world, [world.hub, a, b], round_robin(world, plan.retrieval_index_size), rng)
+
+
+def _ensemble_score(world, state, plan, obs):
     mod_a, mod_b = plan.ensemble_pair
-    hub = world.hub
-    rng = world.stream(f"{plan.stream}/ensemble/{mod_a}_{mod_b}")
-    obs, _ = aligned_eval_items(world, [hub, mod_a, mod_b], plan.retrieval_index_size, rng)
-    hub_emb = encode(_encoder(state, hub), obs[hub])
-    emb_a = encode(_encoder(state, mod_a), obs[mod_a])
-    emb_b = encode(_encoder(state, mod_b), obs[mod_b])
+    emb = {name: encode(_encoder(state, name), view) for name, view in obs.items()}
+    index, k = RetrievalIndex(emb[world.hub]), plan.retrieval_k
     rows = np.arange(plan.retrieval_index_size)
-    index = RetrievalIndex(hub_emb)
-    k = plan.retrieval_k
     metrics = {}
     for w in plan.ensemble_weights:
-        combined = embed_arithmetic(emb_a, emb_b, w)
+        combined = embed_arithmetic(emb[mod_a], emb[mod_b], w)
         recall = cross_modal_recall_at_k(index, combined, rows, [k])
         metrics[f"ensemble_recall_at_{k}/w={w:g}"] = recall[k]
-    return metrics, {}
+    return metrics
 
 
 def _measurement_groups(plan: EvalPlan) -> list[tuple]:
-    """(group function, its extra arguments) for every measurement of the plan, in the
-    order they start: the few-shot probes (PROBE_ITERATIONS steps), then the groups
-    that rank against an index of retrieval_index_size items, then the emergent pairs,
-    the shortest. Starting the longest first shortens the pool's makespan."""
-    groups = [(_few_shot_group, ())] if plan.few_shot_modality is not None else []
-    groups += [(_ensemble_group, ())] if plan.ensemble_pair is not None else []
-    groups += [(_arithmetic_group, ())] if plan.arithmetic_pair is not None else []
-    groups += [(_retrieval_group, pair) for pair in plan.retrieval_pairs]
-    return groups + [(_emergent_group, pair) for pair in plan.emergent_pairs]
+    """(draw, score, extra arguments) of every measurement group: draw(world, plan, *args)
+    reads every stream of the group, and score(world, state, plan, drawn, *args) only
+    encodes, classifies and ranks what was drawn, and returns its metrics. The groups
+    start longest first, which shortens the pool's makespan: the few-shot probes
+    (PROBE_ITERATIONS steps), the groups that rank an index of retrieval_index_size
+    items, then the emergent pairs."""
+    groups = [(draw, score, ()) for draw, score, setting in (
+        (_few_shot_draw, _few_shot_score, plan.few_shot_modality),
+        (_ensemble_draw, _ensemble_score, plan.ensemble_pair),
+        (_arithmetic_draw, _arithmetic_score, plan.arithmetic_pair)) if setting is not None]
+    groups += [(_retrieval_draw, _retrieval_score, pair) for pair in plan.retrieval_pairs]
+    return groups + [(_emergent_draw, _emergent_score, pair) for pair in plan.emergent_pairs]
 
 
 # Groups run on workers only for an index of at least POOLED_INDEX_ITEMS items. Below
@@ -570,30 +574,31 @@ def run_eval_plan(
     """Execute every configured measurement and collect one flat report.
 
     Each measurement group (an emergent pair, a retrieval pair, the few-shot
-    probes, the arithmetic, the ensemble) draws from its own named streams,
-    so the groups run through `pool.ordered_map`: on forked workers where
-    more than one core is usable and the plan's index holds at least
-    POOLED_INDEX_ITEMS items, else in this process. Their metrics and flags
-    merge in start order; no two groups write the same key, and the report
-    sorts its keys, so it is the same however many workers run. A group
-    lost with a dead worker raises EvaluationError naming the broken pool.
+    probes, the arithmetic, the ensemble) draws from its own named streams and
+    then scores what it drew, in one job of `pool.ordered_map`: on forked workers
+    where more than one core is usable and the plan's index holds at least
+    POOLED_INDEX_ITEMS items, else in this process. Their metrics merge in start
+    order; no two groups write the same key, and the report sorts its keys, so it
+    is the same however many workers run. A group lost with a dead worker raises
+    EvaluationError naming the broken pool. The emergent flags are read off the state.
     """
 
     def run(group):
-        fn, args = group
-        return fn(world, state, plan, *args)
+        draw, score, args = group
+        return score(world, state, plan, draw(world, plan, *args), *args)
 
     def lost(group, error):
-        name = group[0].__name__.strip("_")
+        name = group[1].__name__.strip("_").removesuffix("_score")
         raise EvaluationError(f"evaluation worker lost in {name}: {type(error).__name__}: {error}")
 
     metrics: dict[str, float] = {}
-    flags: dict[str, bool] = {}
     max_workers = None if plan.retrieval_index_size >= POOLED_INDEX_ITEMS else 1
     with ordered_map(run, _measurement_groups(plan), lost=lost, max_workers=max_workers) as done:
-        for group_metrics, group_flags in done:
+        for group_metrics in done:
             metrics.update(group_metrics)
-            flags.update(group_flags)
+    pairs = [(a, "vs", b) for a, b in plan.emergent_pairs]
+    pairs += [(a, "to", b) for a, b in plan.retrieval_pairs]
+    flags = {f"emergent/{a}_{how}_{b}": _emergent(world, state, a, b) for a, how, b in pairs}
     report = MetricsReport(metrics=metrics, flags=flags, config_hash=config_hash, seed=seed)
     report.validate()
     return report

@@ -362,7 +362,8 @@ def train_run(
     """
     if state is None:
         state = init_train_state(world, archs, config)
-    else:
+    else:  # the layout rules a fresh state meets in init_train_state, then the resume rules
+        check_layout({m.name: m.obs_dim for m in world.modalities}, world.hub, archs, config)
         check_resume(state, archs, config)
         _share_temperature(state.temperatures, config)  # a loaded state holds one per pair
     num_pairs = len(config.pairs)

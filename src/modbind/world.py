@@ -6,9 +6,9 @@ other modality ("spoke") is only ever paired with the hub during training.
 Because every observation derives from a recorded latent, emergent alignment
 between never-paired spokes is directly checkable.
 
-All sampling is a pure function of (world seed, stream name, draw counter):
-distinct stream names give independent, replayable streams, which is how
-train/eval disjointness is enforced ("train/..." vs "eval/..." namespaces).
+`observe` is the one sampler, and each draw is a pure function of (world seed,
+stream name, draw counter): distinct stream names give independent, replayable
+streams, which is how train/eval disjointness is enforced ("train/", "eval/").
 """
 
 from __future__ import annotations
@@ -239,9 +239,23 @@ def make_world(config: WorldConfig, seed: int) -> WorldSpec:
     )
 
 
-def _class_latents(world: WorldSpec, labels: np.ndarray, scale: float, rng: np.random.Generator):
-    """One latent per label: its class mean plus Gaussian noise of the given scale."""
-    return world.class_means[labels] + scale * rng.standard_normal((len(labels), world.latent_dim))
+def round_robin(world: WorldSpec, n: int) -> np.ndarray:
+    """n labels of round-robin classes: row i is of class i % num_classes."""
+    return np.arange(n) % world.num_classes
+
+
+def observe(world: WorldSpec, modalities: list[str], labels: np.ndarray,
+            rng: np.random.Generator, scale: float | None = None) -> dict[str, np.ndarray]:
+    """The one label -> latent -> observe rule: {modality: obs}, row i from label i. One
+    latent per label, its class mean plus Gaussian noise of `scale` (default
+    within_class_scale), is observed through each named modality in the order given,
+    each adding its own noise from the same rng."""
+    if len(labels) < 1:
+        raise WorldError("a draw needs at least one row")
+    scale = world.within_class_scale if scale is None else scale
+    noise = rng.standard_normal((len(labels), world.latent_dim))
+    latents = world.class_means[labels] + scale * noise
+    return {name: world.observer(name).observe(latents, rng) for name in modalities}
 
 
 def sample_training_batch(
@@ -257,17 +271,12 @@ def sample_training_batch(
     an independent latent of the same class instead of the shared one (the
     spatial/temporal-alignment ablation knob); hub_obs is unchanged.
     """
-    if n < 1:
-        raise WorldError("batch size must be >= 1")
-    spoke_obs_model = world.observer(spoke)
     if spoke == world.hub:
         raise WorldError("spoke must differ from the hub modality")
-    labels = np.arange(n) % world.num_classes
-    latents = _class_latents(world, labels, world.within_class_scale, rng)
-    hub_obs = world.observer(world.hub).observe(latents, rng)
-    if not aligned:
-        latents = _class_latents(world, labels, world.within_class_scale, rng)
-    return TrainingPair(hub_obs=hub_obs, spoke_obs=spoke_obs_model.observe(latents, rng))
+    labels = round_robin(world, n)
+    views = [[world.hub, spoke]] if aligned else [[world.hub], [spoke]]  # one latent per view
+    obs = {name: o for names in views for name, o in observe(world, names, labels, rng).items()}
+    return TrainingPair(hub_obs=obs[world.hub], spoke_obs=obs[spoke])
 
 
 def class_prototypes(
@@ -279,21 +288,14 @@ def class_prototypes(
     ([0]*P, [1]*P, ...) and prompt latents use noise scale
     within_class_scale / 4.
     """
-    if prompts_per_class < 1:
-        raise WorldError("prompts_per_class must be >= 1")
-    obs_model = world.observer(modality)
-    labels = np.repeat(np.arange(world.num_classes), prompts_per_class)
-    latents = _class_latents(world, labels, world.within_class_scale / PROTOTYPE_NOISE_DIVISOR, rng)
-    return obs_model.observe(latents, rng), labels
+    labels = np.arange(world.num_classes * prompts_per_class) // prompts_per_class
+    scale = world.within_class_scale / PROTOTYPE_NOISE_DIVISOR
+    return observe(world, [modality], labels, rng, scale)[modality], labels
 
 
 def make_eval_set(
     world: WorldSpec, modality: str, n_per_class: int, rng: np.random.Generator
 ) -> LabeledEvalSet:
     """Balanced labeled observation set for evaluation (round-robin classes)."""
-    if n_per_class < 1:
-        raise WorldError("n_per_class must be >= 1")
-    obs_model = world.observer(modality)
-    labels = np.arange(n_per_class * world.num_classes) % world.num_classes
-    latents = _class_latents(world, labels, world.within_class_scale, rng)
-    return LabeledEvalSet(obs=obs_model.observe(latents, rng), labels=labels)
+    labels = round_robin(world, n_per_class * world.num_classes)
+    return LabeledEvalSet(obs=observe(world, [modality], labels, rng)[modality], labels=labels)

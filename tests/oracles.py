@@ -4,9 +4,12 @@ Everything here is written with explicit Python loops over lists and
 math.exp/math.log, sharing no code with the package. Slow and simple on
 purpose: these are the ground truth the vectorized implementations must
 match. `finite_difference_check` checks hand-derived gradients against
-central finite differences of the loss. `few_shot_probe_reference` is the
+central finite differences of the loss. `few_shot_probe_reference` is an
 exception: the one-probe NumPy loop that the stacked probe fit must equal
 bit for bit, so it keeps NumPy's operations in their original order.
+`latents_replay` and `observations_replay` are the other: they spell out the
+world's draws on NumPy's generator, in the order the samplers take them,
+since the values the samplers must equal are that generator's.
 """
 
 import math
@@ -224,6 +227,23 @@ def few_shot_probe_reference(train_embeddings, train_labels, eval_embeddings, ev
         bias -= learning_rate * g.sum(axis=0)
     pred = np.argmax(np.asarray(eval_embeddings, dtype=np.float64) @ weights.T + bias, axis=1)
     return weights, bias, float(np.mean(pred == eval_labels))
+
+
+def latents_replay(world, labels, scale, rng):
+    """One latent per label: its class mean plus `scale` times standard normal noise."""
+    noise = rng.standard_normal((len(labels), world.latent_dim))
+    return np.asarray(world.class_means)[np.asarray(labels)] + scale * noise
+
+
+def observations_replay(world, modalities, labels, scale, rng):
+    """{modality: obs} of every sampler of the world, written out: `latents_replay`, then
+    each named modality observes those latents and adds its own noise, in the order
+    named, from the same generator."""
+    latents = latents_replay(world, labels, scale, rng)
+    out = {}
+    for name in modalities:
+        out[name] = world.observer(name).observe(latents, rng)
+    return out
 
 
 def adamw_scalar_step_loops(p, m, v, t, g, lr, beta1, beta2, weight_decay, eps=1e-8):

@@ -6,8 +6,9 @@ Criteria 1-3 are exact-math checks against the loop oracles. Criteria 4-7 and
 repeats a whole pipeline to the byte. Every test appends a PASS/FAIL line
 (with its tolerance and the measured values) that the terminal summary prints
 even when the run is green. TestDeskTrends at the bottom adds two slower
-seed-averaged trend checks that reuse the same trained runs; they carry no
-verdict lines.
+seed-averaged trend checks that reuse the same trained runs, and
+TestDrawThenScore scores one draw of the desk plan against two of them; they
+carry no verdict lines.
 """
 
 import csv
@@ -27,7 +28,7 @@ from modbind.encoders import EncoderArch, encode, encode_backward, init_encoder
 from modbind.evaluation import (
     EvalPlan,
     RetrievalIndex,
-    aligned_eval_items,
+    _measurement_groups,
     composed_retrieval_stats,
     cross_modal_recall_at_k,
     emergent_zero_shot_accuracy,
@@ -36,7 +37,7 @@ from modbind.evaluation import (
     run_eval_plan,
 )
 from modbind.trainer import init_train_state, train_run
-from modbind.world import make_eval_set, make_world
+from modbind.world import WorldSpec, make_eval_set, make_world, observe, round_robin
 
 from .conftest import encoder_from_vec, pool_map
 from .oracles import finite_difference_check, info_nce_loss_loops
@@ -257,7 +258,7 @@ def test_criterion_05_never_paired_retrieval(verdicts, m1m2_runs):
     shuffled = []
     for i, run in enumerate(m1m2_runs):
         rng = run.world.stream("eval/retrieval/spoke1_to_spoke2")
-        obs, _ = aligned_eval_items(run.world, ["spoke1", "spoke2"], n_items, rng)
+        obs = observe(run.world, ["spoke1", "spoke2"], round_robin(run.world, n_items), rng)
         index_emb, _ = encode(run.state.encoders["spoke2"], obs["spoke2"])
         query_emb, _ = encode(run.state.encoders["spoke1"], obs["spoke1"])
         rows = np.arange(n_items)
@@ -479,3 +480,30 @@ class TestDeskTrends:
         accs = pool_map(frozen, [(run, which) for which in ("state", "untrained") for run in desk_runs])
         good, rand = accs[: len(desk_runs)], accs[len(desk_runs) :]
         assert float(np.mean(good)) > float(np.mean(rand)) + 0.05
+
+
+class TestDrawThenScore:
+    def test_one_draw_scores_each_state_as_its_report(self, desk_runs, monkeypatch):
+        # every group of the desk plan draws once; its score step then only encodes,
+        # classifies and ranks, so with every stream read raising it gives each state's
+        # run_eval_plan metrics, bit for bit
+        run = desk_runs[0]
+        plan = run.cfg.eval_plan
+        groups = _measurement_groups(plan)
+        assert len(groups) == 5  # few-shot, ensemble, arithmetic, one retrieval, one emergent
+        states = (run.state, run.untrained)
+        reports = [run_eval_plan(run.world, state, plan) for state in states]
+        drawn = [draw(run.world, plan, *args) for draw, _, args in groups]
+
+        def no_stream(self, name):
+            raise AssertionError(f"a score step read the stream {name!r}")
+
+        monkeypatch.setattr(WorldSpec, "stream", no_stream)
+        for state, report in zip(states, reports):
+            metrics = {}
+            for (_, score, args), group_drawn in zip(groups, drawn):
+                metrics.update(score(run.world, state, plan, group_drawn, *args))
+            assert {k: v.hex() for k, v in metrics.items()} == {
+                k: v.hex() for k, v in report.metrics.items()
+            }
+        assert reports[0].metrics != reports[1].metrics

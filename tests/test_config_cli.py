@@ -51,7 +51,6 @@ from modbind.encoders import embed
 from modbind.evaluation import (
     POOLED_INDEX_ITEMS,
     EvaluationError,
-    aligned_eval_items,
     embed_arithmetic,
     run_eval_plan,
 )
@@ -60,6 +59,7 @@ from modbind.trainer import init_train_state, load_checkpoint
 from modbind.world import make_world
 
 from .conftest import doc_nodes, is_number, node_at, resize, set_at, small_config_document
+from .oracles import observations_replay
 
 # pool tests run two workers, or one where the process may use one core only
 POOL = min(2, usable_cores())
@@ -789,19 +789,25 @@ class TestAblationPool:
         monkeypatch.setattr(ablation_mod, "run_cell", dying)
         suite = parse_ablation_suite({"base": small_config_document(), **self.REPEATING})
         results = run_ablation_suite(suite)
+
+        def rows():
+            """Every row and the live child processes: what a failure here needs to show."""
+            lines = [f"{r.axis}={r.value} seed {r.seed}: {r.status} {r.error!r}" for r in results]
+            return "\n".join([*lines, f"active children: {multiprocessing.active_children()}"])
+
         assert [(r.axis, r.value, r.seed) for r in results] == [
             (spec.axis, format_axis_value(v), seed)
             for spec in suite.axes for v in spec.grid for seed in suite.seeds
-        ]
+        ], rows()
         if POOL == 2:
             # epochs 2 and batch size 8 are the base run, which the dead worker held
             for i in (0, 6):
-                assert results[i].status == "error"
-                assert results[i].error.startswith("BrokenProcessPool: ")
-            assert results[6].error == results[0].error
+                assert results[i].status == "error", rows()
+                assert results[i].error.startswith("BrokenProcessPool: "), rows()
+            assert results[6].error == results[0].error, rows()
         for cell in results:
-            assert cell.status == "ok" or cell.error.startswith("BrokenProcessPool: ")
-        assert multiprocessing.active_children() == []
+            assert cell.status == "ok" or cell.error.startswith("BrokenProcessPool: "), rows()
+        assert multiprocessing.active_children() == [], rows()
 
     def test_progress_sees_repeated_cells_in_definition_order(self, cores):
         cores(POOL)
@@ -914,14 +920,14 @@ class TestEvalPool:
                                                         tmp_path, capsys):
         cores(2)
         parent = os.getpid()
-        real = evaluation_mod.composed_retrieval_stats
+        real = evaluation_mod._arithmetic_score
 
         def dying(*args):
             if os.getpid() != parent:
                 os._exit(1)
             return real(*args)
 
-        monkeypatch.setattr(evaluation_mod, "composed_retrieval_stats", dying)
+        monkeypatch.setattr(evaluation_mod, "_arithmetic_score", dying)
         assert main(["eval", "--config", full_config, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: evaluation worker lost in ")
@@ -1268,7 +1274,9 @@ class TestCliRetrieve:
                   "--index-modality", "hub", "--k", str(n)]
         for query, mods in ((["--query-modality", "alpha"], ["hub", "alpha"]),
                             (["--compose", "alpha+beta"], ["hub", "alpha", "beta"])):
-            obs, _ = aligned_eval_items(world, mods, n, world.stream("eval/retrieve"))
+            # the draw from eval/retrieve, as the sampler oracle replays it
+            obs = observations_replay(world, mods, np.arange(n) % world.num_classes,
+                                      world.within_class_scale, world.stream("eval/retrieve"))
             emb = {m: embed(encoders[m], obs[m]) for m in mods}
             queries = emb["alpha"] if len(mods) == 2 else embed_arithmetic(emb["alpha"], emb["beta"])
             batch = queries @ emb["hub"].T

@@ -26,7 +26,6 @@ from modbind.evaluation import (
     EvalPlan,
     EvaluationError,
     RetrievalIndex,
-    aligned_eval_items,
     build_prototypes,
     composed_retrieval_stats,
     cross_modal_recall_at_k,
@@ -41,7 +40,7 @@ from modbind.evaluation import (
 from modbind.evaluation import _emergent, _measurement_groups, _similarity_blocks, _top_k
 from modbind.numerics import block_rows
 from modbind.trainer import PairConfig, TrainConfig, init_train_state, train_run
-from modbind.world import ModalityConfig, WorldConfig, make_world
+from modbind.world import ModalityConfig, WorldConfig, WorldError, class_prototypes, make_world
 
 from .conftest import unit_rows
 from .oracles import (
@@ -128,22 +127,26 @@ class TestBuildPrototypes:
             m.obs_noise_scale = 0.0
         w = make_world(cfg, seed=3)
         enc = init_encoder(make_archs(w)["alpha"], seed=5)
-        bank = build_prototypes(w, "alpha", enc, 1, w.stream("prompts"))
+        bank = build_prototypes(enc, *class_prototypes(w, "alpha", 1, w.stream("prompts")), 3)
         want, _ = encode(enc, w.observer("alpha").observe(w.class_means))
         # row c is class c's prototype
         np.testing.assert_allclose(bank.embeddings, want, atol=1e-12)
 
     def test_rows_unit_norm(self, world, trained):
         _, state = trained
-        bank = build_prototypes(
-            world, "beta", state.encoders["beta"], 16, world.stream("prompts")
-        )
+        obs, labels = class_prototypes(world, "beta", 16, world.stream("prompts"))
+        bank = build_prototypes(state.encoders["beta"], obs, labels, world.num_classes)
         np.testing.assert_allclose(np.linalg.norm(bank.embeddings, axis=1), 1.0, atol=1e-12)
 
     def test_zero_prompts_rejected(self, world, trained):
         _, state = trained
-        with pytest.raises(Exception):
-            build_prototypes(world, "beta", state.encoders["beta"], 0, world.stream("p"))
+        with pytest.raises(WorldError):
+            class_prototypes(world, "beta", 0, world.stream("p"))
+        # the index takes drawn prompts, and needs one of every class
+        obs, labels = class_prototypes(world, "beta", 2, world.stream("p"))
+        for keep in (labels != 2, labels < 0):
+            with pytest.raises(EvaluationError, match="no prompt observation of class"):
+                build_prototypes(state.encoders["beta"], obs[keep], labels[keep], world.num_classes)
 
 
 class TestZeroShotClassify:
@@ -581,21 +584,6 @@ class TestEmbedArithmetic:
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
 
-class TestAlignedEvalItems:
-    def test_shapes_and_labels(self, world):
-        obs, labels = aligned_eval_items(world, ["hub", "alpha"], 10, world.stream("x"))
-        assert set(obs) == {"hub", "alpha"}
-        assert obs["hub"].shape == (10, 6)
-        assert obs["alpha"].shape == (10, 5)
-        np.testing.assert_array_equal(labels, np.arange(10) % 3)
-
-    def test_modality_prefix_replays_identically(self, world):
-        # retrieval with and without an extra view must see the same items
-        obs_one, _ = aligned_eval_items(world, ["hub"], 10, world.stream("x"))
-        obs_two, _ = aligned_eval_items(world, ["hub", "alpha"], 10, world.stream("x"))
-        np.testing.assert_array_equal(obs_one["hub"], obs_two["hub"])
-
-
 class TestComposedRetrievalStats:
     def test_fractions_and_determinism(self, world, trained):
         _, state = trained
@@ -750,13 +738,13 @@ class TestRunEvalPlan:
         _, state = trained
         monkeypatch.setattr(pool_mod, "usable_cores", lambda: 2)
         pids = []  # a worker appends to its own copy, which this process never sees
-        real = evaluation_mod.emergent_zero_shot_accuracy
+        real = evaluation_mod._emergent_score
 
         def spy(*args, **kwargs):
             pids.append(os.getpid())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(evaluation_mod, "emergent_zero_shot_accuracy", spy)
+        monkeypatch.setattr(evaluation_mod, "_emergent_score", spy)
         plan = dataclasses.replace(self.full_plan(), retrieval_index_size=index_items)
         run_eval_plan(world, state, plan)
         assert pids == ([] if index_items >= POOLED_INDEX_ITEMS else [os.getpid()])
@@ -769,26 +757,28 @@ class TestRunEvalPlan:
             self.full_plan(), emergent_pairs=[("alpha", "beta"), ("beta", "alpha")],
             retrieval_pairs=[("alpha", "beta"), ("beta", "hub")],
         )
-        results = [fn(world, state, plan, *args) for fn, args in _measurement_groups(plan)]
+        results = [score(world, state, plan, draw(world, plan, *args), *args)
+                   for draw, score, args in _measurement_groups(plan)]
         assert len(results) == 7
-        for part in (0, 1):  # metrics, then flags
-            keys = [set(result[part]) for result in results]
-            for one, other in itertools.combinations(keys, 2):
-                assert not one & other
+        for one, other in itertools.combinations([set(result) for result in results], 2):
+            assert not one & other
         report = run_eval_plan(world, state, plan)
-        assert set(report.metrics) == set().union(*(set(r[0]) for r in results))
-        assert set(report.flags) == set().union(*(set(r[1]) for r in results))
+        assert set(report.metrics) == set().union(*(set(r) for r in results))
+        # one flag per emergent pair and per retrieval pair, read off the state
+        assert set(report.flags) == {
+            "emergent/alpha_vs_beta", "emergent/beta_vs_alpha", "emergent/alpha_to_beta",
+            "emergent/beta_to_hub",
+        }
 
     def test_groups_start_longest_first(self):
         plan = dataclasses.replace(
             self.full_plan(), emergent_pairs=[("alpha", "beta"), ("beta", "alpha")]
         )
         groups = _measurement_groups(plan)
-        assert [fn.__name__ for fn, _ in groups] == [
-            "_few_shot_group", "_ensemble_group", "_arithmetic_group", "_retrieval_group",
-            "_emergent_group", "_emergent_group",
-        ]
-        assert [args for _, args in groups[-2:]] == plan.emergent_pairs
+        names = ["few_shot", "ensemble", "arithmetic", "retrieval", "emergent", "emergent"]
+        assert [draw.__name__ for draw, _, _ in groups] == [f"_{n}_draw" for n in names]
+        assert [score.__name__ for _, score, _ in groups] == [f"_{n}_score" for n in names]
+        assert [args for _, _, args in groups[-2:]] == plan.emergent_pairs
 
     def test_deterministic(self, world, trained):
         _, state = trained

@@ -793,6 +793,17 @@ class TestCheckpointing:
         with pytest.raises(TrainerError, match=f"checkpoint has no temperature.*'{key}'"):
             train_run(world, cfg.archs, cfg.train, state=load_checkpoint(path))
 
+    def test_resume_with_a_pair_spoke_missing_from_the_archs_names_it(self):
+        # a library resume meets the layout rules a fresh state meets in init_train_state,
+        # so a pair whose spoke has no arch is a TrainerError, not a KeyError of the step
+        cfg = parse_experiment_config(small_config_document())
+        world = make_world(cfg.world, cfg.seed)
+        state = init_train_state(world, cfg.archs, cfg.train)
+        del state.encoders["beta"], state.moments["beta"]
+        archs = {name: arch for name, arch in cfg.archs.items() if name != "beta"}
+        with pytest.raises(TrainerError, match="missing arch for modality 'beta'"):
+            train_run(world, archs, cfg.train, state=state)
+
     @pytest.mark.parametrize("edit", ["drop beta", "drop hub", "add gamma"])
     def test_moments_must_cover_exactly_the_encoders(self, tiny_world, tmp_path, edit):
         archs = tiny_archs(tiny_world)

@@ -10,15 +10,15 @@ from modbind.world import (
     ModalityConfig,
     WorldConfig,
     WorldError,
-    _class_latents,
     class_prototypes,
     make_eval_set,
     make_world,
+    observe,
     sample_training_batch,
     stream_rng,
 )
 
-from .oracles import gelu_power_loops
+from .oracles import gelu_power_loops, latents_replay, observations_replay
 
 
 def noiseless_config(within_class_scale=0.0):
@@ -184,7 +184,7 @@ def round_robin_labels(world, n):
 def replayed_latents(world, n, stream):
     """The shared latents of a pair batch, redrawn from the start of the same stream."""
     labels = round_robin_labels(world, n)
-    return _class_latents(world, labels, world.within_class_scale, world.stream(stream))
+    return latents_replay(world, labels, world.within_class_scale, world.stream(stream))
 
 
 class TestPairSampling:
@@ -269,6 +269,74 @@ class TestPrototypes:
     def test_rejects_zero_prompts(self, tiny_world):
         with pytest.raises(WorldError):
             class_prototypes(tiny_world, "alpha", 0, tiny_world.stream("p"))
+
+
+class TestSamplerReplay:
+    """Every sampler's output equals, array for array, the draw written out by
+    `observations_replay` on the same stream: the order of draws that pinned
+    artifacts depend on."""
+
+    def test_eval_set(self, tiny_world):
+        es = make_eval_set(tiny_world, "beta", 4, tiny_world.stream("e"))
+        labels = round_robin_labels(tiny_world, 12)
+        want = observations_replay(tiny_world, ["beta"], labels, tiny_world.within_class_scale,
+                                   tiny_world.stream("e"))
+        np.testing.assert_array_equal(es.obs, want["beta"])
+        np.testing.assert_array_equal(es.labels, labels)
+
+    def test_prototypes(self, tiny_world):
+        obs, labels = class_prototypes(tiny_world, "alpha", 5, tiny_world.stream("p"))
+        want_labels = np.repeat(np.arange(tiny_world.num_classes), 5)
+        want = observations_replay(tiny_world, ["alpha"], want_labels,
+                                   tiny_world.within_class_scale / 4, tiny_world.stream("p"))
+        np.testing.assert_array_equal(obs, want["alpha"])
+        np.testing.assert_array_equal(labels, want_labels)
+
+    def test_aligned_training_batch(self, tiny_world):
+        batch = sample_training_batch(tiny_world, "alpha", 7, tiny_world.stream("t"))
+        want = observations_replay(tiny_world, ["hub", "alpha"], round_robin_labels(tiny_world, 7),
+                                   tiny_world.within_class_scale, tiny_world.stream("t"))
+        np.testing.assert_array_equal(batch.hub_obs, want["hub"])
+        np.testing.assert_array_equal(batch.spoke_obs, want["alpha"])
+
+    def test_class_only_training_batch(self, tiny_world):
+        # the hub's latents and observations, then the spoke's own latents and observations
+        batch = sample_training_batch(tiny_world, "alpha", 7, tiny_world.stream("t"), aligned=False)
+        labels, rng = round_robin_labels(tiny_world, 7), tiny_world.stream("t")
+        scale = tiny_world.within_class_scale
+        hub = observations_replay(tiny_world, ["hub"], labels, scale, rng)["hub"]
+        spoke = observations_replay(tiny_world, ["alpha"], labels, scale, rng)["alpha"]
+        np.testing.assert_array_equal(batch.hub_obs, hub)
+        np.testing.assert_array_equal(batch.spoke_obs, spoke)
+
+
+class TestObserve:
+    def test_shapes_and_labels(self, tiny_world):
+        labels = round_robin_labels(tiny_world, 10)
+        obs = observe(tiny_world, ["hub", "alpha"], labels, tiny_world.stream("x"))
+        assert list(obs) == ["hub", "alpha"]
+        assert obs["hub"].shape == (10, 6)
+        assert obs["alpha"].shape == (10, 5)
+
+    def test_modality_prefix_replays_identically(self, tiny_world):
+        # retrieval with and without an extra view must see the same items
+        labels = round_robin_labels(tiny_world, 10)
+        obs_one = observe(tiny_world, ["hub"], labels, tiny_world.stream("x"))
+        obs_two = observe(tiny_world, ["hub", "alpha"], labels, tiny_world.stream("x"))
+        np.testing.assert_array_equal(obs_one["hub"], obs_two["hub"])
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_empty_draw_rejected(self, tiny_world, n):
+        # every sampler reaches this one check, and it consumes nothing from the stream
+        rng = tiny_world.stream("x")
+        with pytest.raises(WorldError, match="at least one row"):
+            observe(tiny_world, ["hub"], round_robin_labels(tiny_world, n), rng)
+        for sample in (lambda: class_prototypes(tiny_world, "alpha", n, rng),
+                       lambda: make_eval_set(tiny_world, "alpha", n, rng),
+                       lambda: sample_training_batch(tiny_world, "alpha", n, rng)):
+            with pytest.raises(WorldError, match="at least one row"):
+                sample()
+        np.testing.assert_array_equal(rng.standard_normal(3), tiny_world.stream("x").standard_normal(3))
 
 
 class TestEvalSet:
