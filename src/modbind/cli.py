@@ -103,7 +103,7 @@ def _load_state_for(cfg: ExperimentConfig, world, checkpoint: str | None):
                 f"checkpoint {key} does not match the run: {state.extra[key]!r} != {want!r}",
             )
     try:
-        check_resume(state, cfg.archs, cfg.train)
+        check_resume(state, world, cfg.archs, cfg.train)
     except TrainerError as e:
         raise ConfigError("checkpoint", str(e)) from e
     return state

@@ -122,6 +122,9 @@ def parse_experiment_config(doc, path: str = "config") -> ExperimentConfig:
                 "ensemble_pair"):
         _check_names(getattr(eval_plan, key), f"{path}.eval.{key}", names)
     hub = next(m.name for m in world.modalities if m.hub)
+    if eval_plan.ensemble_pair is not None and hub in eval_plan.ensemble_pair:
+        # the ensemble ranks the hub's index; a query of the hub's own view finds itself
+        raise ConfigError(f"{path}.eval.ensemble_pair", f"must not name the hub {hub!r}")
     try:
         check_layout(obs_dims, hub, archs, train)
     except TrainerError as e:

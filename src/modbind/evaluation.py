@@ -107,6 +107,12 @@ class EvalPlan:
                     f"{name} and {size} are set together or not at all, got "
                     f"{name}={getattr(self, name)!r} and {size}={getattr(self, size)!r}"
                 )
+        # a view ranked against itself finds itself, at recall 1.0 on any state
+        for i, (query, index) in enumerate(self.retrieval_pairs):
+            if query == index:
+                raise EvaluationError(f"retrieval_pairs[{i}] ranks {query!r} against itself")
+        if self.ensemble_pair is not None and self.ensemble_pair[0] == self.ensemble_pair[1]:
+            raise EvaluationError(f"ensemble_pair names {self.ensemble_pair[0]!r} twice")
         if not all(0.0 <= w <= 1.0 for w in [self.arithmetic_weight, *self.ensemble_weights]):
             raise EvaluationError("arithmetic_weight and ensemble_weights must lie in [0, 1]")
         for k in [*self.k_list, self.retrieval_k]:
@@ -462,9 +468,10 @@ def frozen_hub_eval(
     """Score a supplied hub encoder: train fresh spokes against it, frozen,
     then measure emergent zero-shot accuracy between the requested pairs."""
     archs = {**archs, world.hub: hub_params.arch}
+    config = dataclasses.replace(config, hub_frozen=True)
     state = init_train_state(world, archs, config)
     # replace packs a fresh buffer, so training never writes to the caller's hub
-    state.encoders[world.hub] = dataclasses.replace(hub_params, frozen=True)
+    state.encoders[world.hub] = dataclasses.replace(hub_params, frozen=config.hub_frozen)
     state, _ = train_run(world, archs, config, state=state)
     plan = EvalPlan(emergent_pairs=emergent_pairs, n_per_class=n_per_class,
                     prompts_per_class=prompts_per_class, stream=stream)

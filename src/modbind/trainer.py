@@ -10,7 +10,9 @@ Small pairs are balanced by sample replication: each pair draws its batches
 from a fixed pre-generated pool sized so the pool cycles replication_factor
 times per epoch. Batching is pure pool indexing driven by the global step
 counter, so a run resumed from a checkpoint is step-identical to an
-uninterrupted one.
+uninterrupted one. `init_train_state` is the one definition of a run's state:
+`check_resume` lets a state continue a run only if it is laid out as the state
+`init_train_state` builds for that run, whatever its trained values.
 """
 
 from __future__ import annotations
@@ -164,11 +166,6 @@ class TrainState:
 _SHARED_TAU_KEY = "__shared__"
 
 
-def _tau_keys(config: TrainConfig) -> list[str]:
-    """Keys of the temperature moments: one per spoke, or the one shared key."""
-    return [_SHARED_TAU_KEY] if config.shared_temperature else [pc.spoke for pc in config.pairs]
-
-
 def adamw_step(
     params: np.ndarray,
     grads: np.ndarray,
@@ -292,7 +289,8 @@ def init_train_state(
     }
 
     temperatures = {pc.spoke: dataclasses.replace(pc.temperature) for pc in config.pairs}
-    tau_moments = {key: AdamMoments(m=[np.zeros(1)], v=[np.zeros(1)]) for key in _tau_keys(config)}
+    tau_keys = [_SHARED_TAU_KEY] if config.shared_temperature else list(temperatures)
+    tau_moments = {key: AdamMoments(m=[np.zeros(1)], v=[np.zeros(1)]) for key in tau_keys}
     _share_temperature(temperatures, config)
     return TrainState(
         encoders=encoders, moments=moments, temperatures=temperatures, tau_moments=tau_moments
@@ -306,25 +304,26 @@ def _share_temperature(temperatures: dict[str, TemperatureParam], config: TrainC
         temperatures.update((pc.spoke, shared) for pc in config.pairs)
 
 
-def check_resume(state: TrainState, archs: dict[str, EncoderArch], config: TrainConfig) -> None:
-    """Raise unless `state` may continue the run: an encoder of every arch, unchanged;
-    every pair's temperature and temperature moments; no frozen spoke (the step skips
-    only a frozen hub); and, under shared_temperature, equal temperatures."""
-    for name, arch in archs.items():
-        if name not in state.encoders:
-            raise TrainerError(f"checkpoint is missing encoder {name!r}")
-        if state.encoders[name].arch != arch:
-            raise TrainerError(f"checkpoint arch mismatch for encoder {name!r}")
-    for what, have, want in (
-        ("temperature", state.temperatures, [pc.spoke for pc in config.pairs]),
-        ("temperature moments", state.tau_moments, _tau_keys(config)),
-    ):
-        missing = [key for key in want if key not in have]
-        if missing:
-            raise TrainerError(f"checkpoint has no {what} for {missing}")
-    frozen = [pc.spoke for pc in config.pairs if state.encoders[pc.spoke].frozen]
-    if frozen:
-        raise TrainerError(f"only the hub can be frozen, got frozen spokes {frozen}")
+def check_resume(
+    state: TrainState, world: WorldSpec, archs: dict[str, EncoderArch], config: TrainConfig
+) -> None:
+    """Raise unless `state` may continue the run: whatever values training gave it, it is
+    laid out as the state `init_train_state` builds for (world, archs, config), and under
+    shared_temperature every pair's temperature is equal."""
+    def layout(s):  # each encoder's arch and frozen flag, each temperature's settings, all keys
+        return {"encoders": {n: {"arch": e.arch, "frozen": e.frozen}
+                             for n, e in s.encoders.items()},
+                "moments": dict.fromkeys(s.moments, "present"),
+                "temperatures": {k: to_doc(t, config=True) for k, t in s.temperatures.items()},
+                "temperature moments": dict.fromkeys(s.tau_moments, "present")}
+
+    have, want = layout(state), layout(init_train_state(world, archs, config))
+    for part, run in want.items():
+        diffs = [f"{k!r}: {have[part].get(k, 'missing')} in the state, {run.get(k, 'missing')} "
+                 f"in the run" for k in sorted(have[part].keys() | run.keys())
+                 if have[part].get(k) != run.get(k)]
+        if diffs:
+            raise TrainerError(f"state does not fit the run: {part} " + "; ".join(diffs))
     if config.shared_temperature:
         shared, *rest = [state.temperatures[pc.spoke] for pc in config.pairs]
         if any(t != shared for t in rest):
@@ -362,9 +361,8 @@ def train_run(
     """
     if state is None:
         state = init_train_state(world, archs, config)
-    else:  # the layout rules a fresh state meets in init_train_state, then the resume rules
-        check_layout({m.name: m.obs_dim for m in world.modalities}, world.hub, archs, config)
-        check_resume(state, archs, config)
+    else:
+        check_resume(state, world, archs, config)
         _share_temperature(state.temperatures, config)  # a loaded state holds one per pair
     num_pairs = len(config.pairs)
     total_steps = config.epochs * config.steps_per_epoch

@@ -249,9 +249,12 @@ def observe(world: WorldSpec, modalities: list[str], labels: np.ndarray,
     """The one label -> latent -> observe rule: {modality: obs}, row i from label i. One
     latent per label, its class mean plus Gaussian noise of `scale` (default
     within_class_scale), is observed through each named modality in the order given,
-    each adding its own noise from the same rng."""
+    each adding its own noise from the same rng. A modality is named once: two views of
+    it would be one array."""
     if len(labels) < 1:
         raise WorldError("a draw needs at least one row")
+    if len(set(modalities)) != len(modalities):
+        raise WorldError(f"a draw names each modality once, got {modalities}")
     scale = world.within_class_scale if scale is None else scale
     noise = rng.standard_normal((len(labels), world.latent_dim))
     latents = world.class_means[labels] + scale * noise

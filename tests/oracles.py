@@ -10,6 +10,8 @@ bit for bit, so it keeps NumPy's operations in their original order.
 `latents_replay` and `observations_replay` are the other: they spell out the
 world's draws on NumPy's generator, in the order the samplers take them,
 since the values the samplers must equal are that generator's.
+`resume_mismatches_loops` writes out, from a TrainConfig alone, what a state
+must hold to continue a run.
 """
 
 import math
@@ -243,6 +245,36 @@ def observations_replay(world, modalities, labels, scale, rng):
     out = {}
     for name in modalities:
         out[name] = world.observer(name).observe(latents, rng)
+    return out
+
+
+def resume_mismatches_loops(state, hub, archs, config):
+    """(part, key) of every entry where `state` differs from what a run of (hub, archs,
+    config) holds, trained values aside, written out from the TrainConfig: each encoder
+    has its arch and is frozen only as the hub of a hub_frozen run; the moments have a
+    key per encoder; each pair's temperature has its config's mode, value and clamps; the
+    temperature moments have a key per pair, or the one "__shared__" under
+    shared_temperature. Parts in that order, keys sorted within a part."""
+    want = {"encoders": {}, "moments": {}, "temperatures": {}, "temperature moments": {}}
+    for name, arch in archs.items():
+        want["encoders"][name] = (arch, name == hub and config.hub_frozen)
+        want["moments"][name] = True
+    for pc in config.pairs:
+        t = pc.temperature
+        want["temperatures"][pc.spoke] = (t.mode, t.value, t.clamp_min, t.clamp_max)
+        want["temperature moments"]["__shared__" if config.shared_temperature else pc.spoke] = True
+    have = {
+        "encoders": {name: (e.arch, e.frozen) for name, e in state.encoders.items()},
+        "moments": {name: True for name in state.moments},
+        "temperatures": {k: (t.mode, t.value, t.clamp_min, t.clamp_max)
+                         for k, t in state.temperatures.items()},
+        "temperature moments": {key: True for key in state.tau_moments},
+    }
+    out = []
+    for part in want:
+        for key in sorted(set(want[part]) | set(have[part])):
+            if want[part].get(key) != have[part].get(key):
+                out.append((part, key))
     return out
 
 

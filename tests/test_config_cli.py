@@ -1198,11 +1198,17 @@ class TestCliEval:
         assert code == 2
         assert "config_hash does not match" in capsys.readouterr().err
 
+    # the cli_space checkpoint's alpha arch, as the error prints it
+    ALPHA_ARCH = repr(parse_experiment_config(small_config_document()).archs["alpha"])
+
     @pytest.mark.parametrize("command", ["eval", "retrieve"])
     @pytest.mark.parametrize("edit, message", [
-        ("frozen spoke", "only the hub can be frozen, got frozen spokes ['alpha']"),
-        ("no temperature", "checkpoint has no temperature for ['alpha']"),
-    ])
+        ("frozen spoke", "state does not fit the run: encoders 'alpha': "
+         f"{{'arch': {ALPHA_ARCH}, 'frozen': True}} in the state, "
+         f"{{'arch': {ALPHA_ARCH}, 'frozen': False}} in the run"),
+        ("no temperature", "state does not fit the run: temperatures 'alpha': missing in the "
+         "state, {'mode': 'learnable', 'value': 0.07} in the run"),
+    ], ids=["frozen spoke", "no temperature"])
     def test_checkpoint_that_could_not_continue_its_run_is_config_error(
         self, cli_space, tmp_path, capsys, command, edit, message
     ):
@@ -1222,6 +1228,32 @@ class TestCliEval:
         assert code == 2
         assert captured.err == f"config error: checkpoint: {message}\n"
         assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_without_a_hash_under_other_temperatures_is_config_error(
+        self, cli_space, tmp_path, capsys
+    ):
+        # with no config_hash to compare, the layout check keeps a learnable temperature's
+        # state from being read under a fixed-temperature config
+        _, _, out = cli_space
+        ckpt_doc = json.loads((out / "checkpoint.json").read_text())
+        del ckpt_doc["config_hash"]
+        ckpt = tmp_path / "no_hash.json"
+        ckpt.write_text(json.dumps(ckpt_doc))
+        doc = small_config_document()
+        for pair in doc["train"]["pairs"]:
+            pair["temperature"] = {"mode": "fixed", "value": 0.5}
+        cfg_path = tmp_path / "fixed_tau.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "out")])
+        learnable, fixed = "{'mode': 'learnable', 'value': 0.07}", "{'mode': 'fixed', 'value': 0.5}"
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: checkpoint: state does not fit the run: temperatures 'alpha': "
+            f"{learnable} in the state, {fixed} in the run; 'beta': {learnable} in the state, "
+            f"{fixed} in the run\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_checkpoint_of_a_frozen_hub_run_is_read(self, tmp_path):
@@ -1413,6 +1445,32 @@ class TestCliWorldgenAndErrors:
         err = capsys.readouterr().err
         assert "config.train: shared_temperature needs equal temperatures" in err
         assert "'spoke1' has {'mode': 'fixed', 'value': 0.2}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eval_keys, message", [
+        ({"retrieval_pairs": [["alpha", "beta"], ["alpha", "alpha"]]},
+         "config.eval: retrieval_pairs[1] ranks 'alpha' against itself"),
+        ({"retrieval_pairs": [["hub", "hub"]]},
+         "config.eval: retrieval_pairs[0] ranks 'hub' against itself"),
+        ({"ensemble_pair": ["beta", "beta"], "ensemble_weights": [0.5]},
+         "config.eval: ensemble_pair names 'beta' twice"),
+        ({"ensemble_pair": ["hub", "alpha"], "ensemble_weights": [1.0]},
+         "config.eval.ensemble_pair: must not name the hub 'hub'"),
+        ({"ensemble_pair": ["alpha", "hub"], "ensemble_weights": [0.0]},
+         "config.eval.ensemble_pair: must not name the hub 'hub'"),
+    ], ids=["retrieval alpha to alpha", "retrieval hub to hub", "ensemble beta twice",
+            "ensemble hub first", "ensemble hub second"])
+    def test_measurement_that_ranks_a_view_against_itself_exits_2(
+        self, tmp_path, capsys, eval_keys, message
+    ):
+        # the query would find itself in the index: recall 1.0 on an untrained state
+        doc = small_config_document()
+        doc["eval"].update(eval_keys)
+        cfg_path = tmp_path / "self.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     def test_half_configured_measurements_exit_2(self, tmp_path, capsys):

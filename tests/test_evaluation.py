@@ -210,12 +210,13 @@ class TestEmergentZeroShot:
         config = train_config(pairs=pairs)
         state = init_train_state(world, make_archs(world), config)
         plan_pairs = [("hub", "alpha"), ("alpha", "beta"), ("alpha", "alpha"), ("hub", "beta")]
-        plan = EvalPlan(emergent_pairs=plan_pairs, retrieval_pairs=plan_pairs, n_per_class=4,
+        # a retrieval pair never ranks a modality against itself
+        retrieval_pairs = [(a, b) for a, b in plan_pairs if a != b]
+        plan = EvalPlan(emergent_pairs=plan_pairs, retrieval_pairs=retrieval_pairs, n_per_class=4,
                         prompts_per_class=2, k_list=[1], retrieval_index_size=12, retrieval_k=1)
         flags = run_eval_plan(world, state, plan).flags
-        want = {}
-        for a, b in plan_pairs:
-            want[f"emergent/{a}_vs_{b}"] = emergent_oracle(config, "hub", a, b)
+        want = {f"emergent/{a}_vs_{b}": emergent_oracle(config, "hub", a, b) for a, b in plan_pairs}
+        for a, b in retrieval_pairs:
             want[f"emergent/{a}_to_{b}"] = emergent_oracle(config, "hub", a, b)
         assert flags == want
         assert flags["emergent/hub_to_beta"] == (pairs == ("alpha",))
@@ -804,11 +805,22 @@ class TestRunEvalPlan:
             {"arithmetic_queries": 0},
             {"ensemble_pair": None},
             {"ensemble_weights": []},
+            # a view ranked against itself
+            {"retrieval_pairs": [("alpha", "beta"), ("beta", "beta")]},
+            {"ensemble_pair": ("alpha", "alpha")},
         ],
     )
     def test_invalid_plan_rejected(self, change):
         with pytest.raises(EvaluationError):
             dataclasses.replace(self.full_plan(), **change)
+
+    def test_ensemble_with_the_hub_is_not_drawn(self, world, trained):
+        # only a config knows the hub; without one, the draw refuses the hub's second view
+        _, state = trained
+        plan = EvalPlan(ensemble_pair=("hub", "alpha"), ensemble_weights=[1.0], retrieval_k=5,
+                        retrieval_index_size=40)
+        with pytest.raises(WorldError, match="names each modality once"):
+            run_eval_plan(world, state, plan)
 
     def test_plan_round_trips_through_dict(self):
         plan = self.full_plan()

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,14 @@ import modbind.trainer as trainer_mod
 from modbind.codec import from_doc, to_doc
 from modbind.config import parse_experiment_config
 from modbind.contrastive import LossOutput, TemperatureParam
-from modbind.encoders import EncoderArch
+from modbind.encoders import EncoderArch, init_encoder
 from modbind.trainer import (
     AdamMoments,
     PairConfig,
     TrainConfig,
     TrainerError,
     adamw_step,
+    check_resume,
     clip_global_norm,
     init_train_state,
     load_checkpoint,
@@ -38,6 +40,7 @@ from .oracles import (
     encoder_backward_loops,
     encoder_forward_loops,
     l2_regression_grads_loops,
+    resume_mismatches_loops,
     symmetric_info_nce_grads_loops,
 )
 
@@ -368,7 +371,8 @@ class TestTrainRun:
         archs = tiny_archs(tiny_world)
         state = init_train_state(tiny_world, archs, quick_config())
         state.encoders["beta"] = dataclasses.replace(state.encoders["beta"], frozen=True)
-        with pytest.raises(TrainerError, match=r"frozen spokes \['beta'\]"):
+        with pytest.raises(TrainerError, match=r"encoders 'beta': \{.*'frozen': True\} in the "
+                           r"state, \{.*'frozen': False\} in the run$"):
             train_run(tiny_world, archs, quick_config(), state=state)
 
     def test_trainer_never_sees_labels(self, tiny_world, monkeypatch):
@@ -790,7 +794,8 @@ class TestCheckpointing:
         ckpt = json.loads(path.read_text())
         del ckpt[part][key]
         path.write_text(json.dumps(ckpt))
-        with pytest.raises(TrainerError, match=f"checkpoint has no temperature.*'{key}'"):
+        part = {"temperatures": "temperatures", "tau_moments": "temperature moments"}[part]
+        with pytest.raises(TrainerError, match=f"run: {part} '{key}': missing in the state"):
             train_run(world, cfg.archs, cfg.train, state=load_checkpoint(path))
 
     def test_resume_with_a_pair_spoke_missing_from_the_archs_names_it(self):
@@ -926,6 +931,131 @@ class TestCheckpointing:
         text = a.read_text()
         assert text.startswith("# config_hash=beef\n")
         assert "step,pair,loss,tau" in text
+
+
+def _set_temperature(doc, i, **temperature):
+    doc["train"]["pairs"][i]["temperature"] = temperature
+
+
+def _freeze(name):
+    def mutate(state):
+        state.encoders[name] = dataclasses.replace(state.encoders[name], frozen=True)
+    return mutate
+
+
+def _retemper(**settings):
+    def mutate(state):
+        state.temperatures["alpha"] = dataclasses.replace(state.temperatures["alpha"], **settings)
+    return mutate
+
+
+def _shared_moments(state):
+    state.tau_moments = {"__shared__": state.tau_moments["alpha"]}
+
+
+# (id, edit of the run's config document, edit of a fresh state of small_config_document(),
+# the (part, key) pairs where that state then differs from the run, worked out by hand)
+RESUME_CASES = [
+    ("drop encoder", None, lambda s: s.encoders.pop("beta"), [("encoders", "beta")]),
+    ("add encoder", None, lambda s: s.encoders.update(gamma=s.encoders["alpha"]),
+     [("encoders", "gamma")]),
+    ("change arch", None,
+     lambda s: s.encoders.update(alpha=init_encoder(EncoderArch(5, (16,), 6), 0)),
+     [("encoders", "alpha")]),
+    ("freeze spoke", None, _freeze("alpha"), [("encoders", "alpha")]),
+    ("frozen hub, trained-hub run", None, _freeze("hub"), [("encoders", "hub")]),
+    ("trained hub, frozen-hub run", lambda d: d["train"].update(hub_frozen=True), None,
+     [("encoders", "hub")]),
+    ("drop moments", None, lambda s: s.moments.pop("hub"), [("moments", "hub")]),
+    ("temperature mode", None, _retemper(mode="fixed"), [("temperatures", "alpha")]),
+    ("temperature value", lambda d: _set_temperature(d, 0, mode="learnable", value=0.5), None,
+     [("temperatures", "alpha")]),
+    ("fixed temperature of a learnable run",
+     lambda d: _set_temperature(d, 1, mode="fixed", value=0.5), None, [("temperatures", "beta")]),
+    ("temperature clamp", None, _retemper(clamp_min=0.02), [("temperatures", "alpha")]),
+    ("drop temperature", None, lambda s: s.temperatures.pop("beta"), [("temperatures", "beta")]),
+    ("drop tau moments", None, lambda s: s.tau_moments.pop("alpha"),
+     [("temperature moments", "alpha")]),
+    ("pair the run does not train", lambda d: d["train"]["pairs"].pop(), None,
+     [("temperatures", "beta"), ("temperature moments", "beta")]),
+    ("per-pair moments, shared run", lambda d: d["train"].update(shared_temperature=True), None,
+     [("temperature moments", "__shared__"), ("temperature moments", "alpha"),
+      ("temperature moments", "beta")]),
+    ("shared moments, per-pair run", None, _shared_moments,
+     [("temperature moments", "__shared__"), ("temperature moments", "alpha"),
+      ("temperature moments", "beta")]),
+]
+
+
+class TestCheckResume:
+    """check_resume against `resume_mismatches_loops`, which writes out from the TrainConfig
+    alone what a state must hold to continue a run."""
+
+    @staticmethod
+    def run_of(edit=None):
+        doc = small_config_document()
+        if edit is not None:
+            edit(doc)
+        cfg = parse_experiment_config(doc)
+        return make_world(cfg.world, cfg.seed), cfg
+
+    @pytest.mark.parametrize("edit_run, mutate, want", [c[1:] for c in RESUME_CASES],
+                             ids=[c[0] for c in RESUME_CASES])
+    def test_state_that_differs_from_the_run_names_each_part_and_key(self, edit_run, mutate, want):
+        world, cfg = self.run_of()
+        state = init_train_state(world, cfg.archs, cfg.train)
+        if mutate is not None:
+            mutate(state)
+        _, run = self.run_of(edit_run)
+        assert resume_mismatches_loops(state, world.hub, run.archs, run.train) == want
+        with pytest.raises(TrainerError) as err:
+            check_resume(state, world, run.archs, run.train)
+        # the message names the first part that differs, then each differing key of it
+        part = want[0][0]
+        prefix = f"state does not fit the run: {part} "
+        message = str(err.value)
+        assert message.startswith(prefix)
+        keys = re.findall(r"(?:^|; )'(\w+)': ", message.removeprefix(prefix))
+        assert keys == [key for p, key in want if p == part]
+
+    @pytest.mark.parametrize("edit_run", [
+        None,
+        lambda d: d["train"].update(hub_frozen=True),
+        lambda d: d["train"].update(shared_temperature=True),
+        lambda d: _set_temperature(d, 0, mode="fixed", value=0.5, clamp_min=0.02),
+    ], ids=["base", "hub_frozen", "shared_temperature", "fixed clamped tau"])
+    def test_fresh_and_reloaded_states_continue_their_run(self, tmp_path, edit_run):
+        world, cfg = self.run_of(edit_run)
+        fresh = init_train_state(world, cfg.archs, cfg.train)
+        trained, _ = train_run(world, cfg.archs, cfg.train, max_steps=3)
+        save_checkpoint(trained, tmp_path / "ckpt.json")
+        for state in (fresh, load_checkpoint(tmp_path / "ckpt.json")):
+            assert resume_mismatches_loops(state, world.hub, cfg.archs, cfg.train) == []
+            check_resume(state, world, cfg.archs, cfg.train)
+
+    def test_unequal_shared_temperatures_rejected(self):
+        world, cfg = self.run_of(lambda d: d["train"].update(shared_temperature=True))
+        state = init_train_state(world, cfg.archs, cfg.train)
+        beta = state.temperatures["beta"]
+        state.temperatures["beta"] = dataclasses.replace(beta, log_tau=beta.log_tau + 0.125)
+        # the settings agree, so only the value rule speaks
+        assert resume_mismatches_loops(state, world.hub, cfg.archs, cfg.train) == []
+        with pytest.raises(TrainerError, match="shared_temperature needs equal temperatures"):
+            check_resume(state, world, cfg.archs, cfg.train)
+
+    @pytest.mark.parametrize("first, then, part", [
+        (None, lambda d: d["train"].update(hub_frozen=True), "encoders 'hub'"),
+        (lambda d: d["train"].update(hub_frozen=True), None, "encoders 'hub'"),
+        (None, lambda d: _set_temperature(d, 0, mode="fixed", value=0.5), "temperatures 'alpha'"),
+    ], ids=["freeze a trained hub", "thaw a frozen hub", "fix a learnable tau"])
+    def test_library_resume_under_another_config_rejected(self, first, then, part):
+        # train_run resumes through check_resume; each of these once trained on silently
+        world, cfg = self.run_of(first)
+        state, _ = train_run(world, cfg.archs, cfg.train, max_steps=2)
+        _, run = self.run_of(then)
+        with pytest.raises(TrainerError, match=f"fit the run: {part}: "):
+            train_run(world, run.archs, run.train, state=state)
+        assert state.step == 2
 
 
 class TestSummary:

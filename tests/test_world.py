@@ -325,6 +325,13 @@ class TestObserve:
         obs_two = observe(tiny_world, ["hub", "alpha"], labels, tiny_world.stream("x"))
         np.testing.assert_array_equal(obs_one["hub"], obs_two["hub"])
 
+    @pytest.mark.parametrize("modalities", [["alpha", "alpha"], ["hub", "alpha", "hub"]])
+    def test_repeated_modality_rejected(self, tiny_world, modalities):
+        # two views of one modality would come back as one array, the last one drawn
+        with pytest.raises(WorldError, match="names each modality once"):
+            observe(tiny_world, modalities, round_robin_labels(tiny_world, 4),
+                    tiny_world.stream("x"))
+
     @pytest.mark.parametrize("n", [0, -2])
     def test_empty_draw_rejected(self, tiny_world, n):
         # every sampler reaches this one check, and it consumes nothing from the stream
