@@ -21,14 +21,7 @@ from .config import (
     parse_ablation_suite,
     parse_experiment_config,
 )
-from .encoders import embed
-from .evaluation import (
-    EvaluationError,
-    _similarity_blocks,
-    _top_k,
-    embed_arithmetic,
-    run_eval_plan,
-)
+from .evaluation import EvaluationError, ranked_items, run_eval_plan
 from .numerics import NumericsError
 from .report import ReportError, write_atomic
 from .trainer import (
@@ -40,7 +33,7 @@ from .trainer import (
     train_run,
     write_training_log,
 )
-from .world import WorldError, make_world, observe, round_robin
+from .world import WorldError, make_world
 
 
 def _load_json_doc(path_str: str):
@@ -62,10 +55,10 @@ def _load_json_doc(path_str: str):
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = parse_experiment_config(_load_json_doc(args.config))
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.with_seed(args.seed)
-    return cfg
+    doc = _load_json_doc(args.config)
+    if getattr(args, "seed", None) is not None and isinstance(doc, dict):
+        doc["seed"] = args.seed  # replaces the file's seed, checked in the one parse
+    return parse_experiment_config(doc)
 
 
 def _out_dir(args, default: str) -> Path:
@@ -89,19 +82,15 @@ def _write_manifest(out: Path, name: str, command: str, cfg_hash: str, seed: int
 
 
 def _load_state_for(cfg: ExperimentConfig, world, checkpoint: str | None):
-    """Checkpointed state when given (validated against the config and seed), else fresh init.
-
-    A checkpoint without a config_hash or seed key is not checked on that key.
+    """Checkpointed state when given (validated against the config, `check_resume` holding
+    the seed rule), else fresh init. A checkpoint without a config_hash is not checked on it.
     """
     if checkpoint is None:
         return init_train_state(world, cfg.archs, cfg.train)
     state = load_checkpoint(checkpoint)
-    for key, want in (("config_hash", cfg.hash), ("seed", cfg.seed)):
-        if state.extra.get(key, want) != want:
-            raise ConfigError(
-                "checkpoint",
-                f"checkpoint {key} does not match the run: {state.extra[key]!r} != {want!r}",
-            )
+    if state.extra.get("config_hash", cfg.hash) != cfg.hash:
+        raise ConfigError("checkpoint", "checkpoint config_hash does not match the run: "
+                          f"{state.extra['config_hash']!r} != {cfg.hash!r}")
     try:
         check_resume(state, world, cfg.archs, cfg.train)
     except TrainerError as e:
@@ -192,30 +181,21 @@ def cmd_retrieve(args) -> int:
 
     if args.compose:
         parts = args.compose.split("+")
-        if len(parts) != 2:
-            raise ConfigError("--compose", "expected the form modalityA+modalityB")
+        if len(parts) != 2 or len({args.index_modality, *parts}) != 3:
+            raise ConfigError("--compose", "expected modalityA+modalityB, neither --index-modality")
     elif args.query_modality:
         parts = [args.query_modality]
     else:
         raise ConfigError("--query-modality", "required unless --compose is given")
-    mods = list(dict.fromkeys([args.index_modality, *parts]))
-    for name in mods:
+    for name in dict.fromkeys([args.index_modality, *parts]):
         if name not in state.encoders:
             raise ConfigError("--index-modality/--query-modality/--compose", f"unknown modality {name!r}")
 
-    obs = observe(world, mods, round_robin(world, n_items), world.stream("eval/retrieve"))
-    # every view is embedded in one batch of all items, as `bind eval` does, and the
-    # query's similarities come from the same block of rows as there
-    emb = {name: embed(state.encoders[name], view) for name, view in obs.items()}
-    views = [emb[name] for name in parts]  # the query's view, or the two it composes
-    queries = embed_arithmetic(*views, args.compose_weight) if args.compose else views[0]
-    for rows, block in _similarity_blocks(queries, emb[args.index_modality]):
-        if args.query_id < rows.stop:
-            sims = block[args.query_id - rows.start]
-            break
+    items = ranked_items(world, state, cfg.eval_plan, args.index_modality, tuple(parts),
+                         args.compose_weight, args.query_id, args.k)
     print("rank,id,similarity")
-    for rank, j in enumerate(_top_k(sims[None, :], args.k)[0], start=1):
-        print(f"{rank},{j},{float(sims[j])!r}")
+    for rank, (j, similarity) in enumerate(items, start=1):
+        print(f"{rank},{j},{similarity!r}")
     return 0
 
 

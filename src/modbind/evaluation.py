@@ -489,18 +489,53 @@ def _emergent_score(world, state, plan, drawn, data_mod: str, prompt_mod: str):
     return {f"emergent_zero_shot/{data_mod}_vs_{prompt_mod}": accuracy}
 
 
-def _retrieval_draw(world, plan, query_mod: str, index_mod: str):
-    rng = world.stream(f"{plan.stream}/retrieval/{query_mod}_to_{index_mod}")
-    return observe(world, [query_mod, index_mod], round_robin(world, plan.retrieval_index_size),
-                   rng)
+def _ranked_draw(world, plan, index_mod: str, query_mods: tuple):
+    """The items a retrieval pair (one query view) or the ensemble (two) ranks: item i is
+    row i, of class i % num_classes. A query of the index's modality draws it once; the
+    ensemble's views are drawn as named, so `observe` refuses a pair naming the index."""
+    if len(query_mods) == 1:
+        name = f"retrieval/{query_mods[0]}_to_{index_mod}"
+        views = list(dict.fromkeys([*query_mods, index_mod]))
+    else:
+        name, views = f"ensemble/{'_'.join(query_mods)}", [index_mod, *query_mods]
+    labels = round_robin(world, plan.retrieval_index_size)
+    return observe(world, views, labels, world.stream(f"{plan.stream}/{name}"))
 
 
-def _retrieval_score(world, state, plan, obs, query_mod: str, index_mod: str):
+def _ranked_views(state, obs, index_mod: str, query_mods: tuple):
     emb = {name: encode(_encoder(state, name), view) for name, view in obs.items()}
-    rows = np.arange(plan.retrieval_index_size)
-    index = RetrievalIndex(emb[index_mod])
-    recalls = cross_modal_recall_at_k(index, emb[query_mod], rows, plan.k_list)
-    return {f"recall_at_{k}/{query_mod}_to_{index_mod}": v for k, v in recalls.items()}
+    return RetrievalIndex(emb[index_mod]), [emb[name] for name in query_mods]
+
+
+def _retrieval_score(world, state, plan, obs, index_mod: str, query_mods: tuple):
+    index, (queries,) = _ranked_views(state, obs, index_mod, query_mods)
+    recalls = cross_modal_recall_at_k(index, queries, np.arange(len(queries)), plan.k_list)
+    return {f"recall_at_{k}/{query_mods[0]}_to_{index_mod}": v for k, v in recalls.items()}
+
+
+def _ensemble_score(world, state, plan, obs, index_mod: str, query_mods: tuple):
+    index, views = _ranked_views(state, obs, index_mod, query_mods)
+    k, rows = plan.retrieval_k, np.arange(plan.retrieval_index_size)
+    return {f"ensemble_recall_at_{k}/w={w:g}":
+            cross_modal_recall_at_k(index, embed_arithmetic(*views, w), rows, [k])[k]
+            for w in plan.ensemble_weights}
+
+
+def ranked_items(world: WorldSpec, state: TrainState, plan: EvalPlan, index_mod: str,
+                 query_mods: tuple, weight: float, query_id: int, k: int) -> list[tuple]:
+    """(id, similarity) of the K items that rank highest against item query_id, in rank
+    order, drawn and scored as `run_eval_plan` does: one query view ranks the items of
+    recall_at_K/<query>_to_<index>, and two, composed at `weight`, those of
+    ensemble_recall_at_K/w=<weight> when the index is the hub."""
+    if not (0 <= query_id < plan.retrieval_index_size and 1 <= k <= plan.retrieval_index_size):
+        raise EvaluationError(f"query id {query_id} or K={k} outside the index")
+    index, views = _ranked_views(state, _ranked_draw(world, plan, index_mod, query_mods),
+                                 index_mod, query_mods)
+    queries = embed_arithmetic(*views, weight) if len(views) == 2 else views[0]
+    rows, sims = next(b for b in _similarity_blocks(queries, index.embeddings)
+                      if query_id < b[0].stop)
+    row = sims[query_id - rows.start]
+    return [(int(j), float(row[j])) for j in _top_k(row[None, :], k)[0]]
 
 
 def _few_shot_draw(world, plan):
@@ -529,37 +564,18 @@ def _arithmetic_score(world, state, plan, drawn):
     return {"arithmetic/both_class_fraction": both, "arithmetic/permuted_baseline": permuted}
 
 
-def _ensemble_draw(world, plan):
-    a, b = plan.ensemble_pair
-    rng = world.stream(f"{plan.stream}/ensemble/{a}_{b}")
-    return observe(world, [world.hub, a, b], round_robin(world, plan.retrieval_index_size), rng)
-
-
-def _ensemble_score(world, state, plan, obs):
-    mod_a, mod_b = plan.ensemble_pair
-    emb = {name: encode(_encoder(state, name), view) for name, view in obs.items()}
-    index, k = RetrievalIndex(emb[world.hub]), plan.retrieval_k
-    rows = np.arange(plan.retrieval_index_size)
-    metrics = {}
-    for w in plan.ensemble_weights:
-        combined = embed_arithmetic(emb[mod_a], emb[mod_b], w)
-        recall = cross_modal_recall_at_k(index, combined, rows, [k])
-        metrics[f"ensemble_recall_at_{k}/w={w:g}"] = recall[k]
-    return metrics
-
-
-def _measurement_groups(plan: EvalPlan) -> list[tuple]:
+def _measurement_groups(world: WorldSpec, plan: EvalPlan) -> list[tuple]:
     """(draw, score, extra arguments) of every measurement group: draw(world, plan, *args)
     reads every stream of the group, and score(world, state, plan, drawn, *args) only
     encodes, classifies and ranks what was drawn, and returns its metrics. The groups
     start longest first, which shortens the pool's makespan: the few-shot probes
     (PROBE_ITERATIONS steps), the groups that rank an index of retrieval_index_size
     items, then the emergent pairs."""
-    groups = [(draw, score, ()) for draw, score, setting in (
-        (_few_shot_draw, _few_shot_score, plan.few_shot_modality),
-        (_ensemble_draw, _ensemble_score, plan.ensemble_pair),
-        (_arithmetic_draw, _arithmetic_score, plan.arithmetic_pair)) if setting is not None]
-    groups += [(_retrieval_draw, _retrieval_score, pair) for pair in plan.retrieval_pairs]
+    groups = [(draw, score, args) for draw, score, args, setting in (
+        (_few_shot_draw, _few_shot_score, (), plan.few_shot_modality),
+        (_ranked_draw, _ensemble_score, (world.hub, plan.ensemble_pair), plan.ensemble_pair),
+        (_arithmetic_draw, _arithmetic_score, (), plan.arithmetic_pair)) if setting is not None]
+    groups += [(_ranked_draw, _retrieval_score, (i, (q,))) for q, i in plan.retrieval_pairs]
     return groups + [(_emergent_draw, _emergent_score, pair) for pair in plan.emergent_pairs]
 
 
@@ -599,8 +615,8 @@ def run_eval_plan(
         raise EvaluationError(f"evaluation worker lost in {name}: {type(error).__name__}: {error}")
 
     metrics: dict[str, float] = {}
-    max_workers = None if plan.retrieval_index_size >= POOLED_INDEX_ITEMS else 1
-    with ordered_map(run, _measurement_groups(plan), lost=lost, max_workers=max_workers) as done:
+    workers = None if plan.retrieval_index_size >= POOLED_INDEX_ITEMS else 1
+    with ordered_map(run, _measurement_groups(world, plan), lost=lost, max_workers=workers) as done:
         for group_metrics in done:
             metrics.update(group_metrics)
     pairs = [(a, "vs", b) for a, b in plan.emergent_pairs]

@@ -12,7 +12,8 @@ times per epoch. Batching is pure pool indexing driven by the global step
 counter, so a run resumed from a checkpoint is step-identical to an
 uninterrupted one. `init_train_state` is the one definition of a run's state:
 `check_resume` lets a state continue a run only if it is laid out as the state
-`init_train_state` builds for that run, whatever its trained values.
+`init_train_state` builds for that run, whatever its trained values, and a
+checkpoint's seed it carries is the run's.
 """
 
 from __future__ import annotations
@@ -307,11 +308,13 @@ def _share_temperature(temperatures: dict[str, TemperatureParam], config: TrainC
 def check_resume(
     state: TrainState, world: WorldSpec, archs: dict[str, EncoderArch], config: TrainConfig
 ) -> None:
-    """Raise unless `state` may continue the run: whatever values training gave it, it is
-    laid out as the state `init_train_state` builds for (world, archs, config), and under
-    shared_temperature every pair's temperature is equal."""
+    """Raise unless `state` may continue the run: a seed in its `extra` is the run's;
+    whatever values training gave it, it is laid out as the state `init_train_state` builds
+    for (world, archs, config); and under shared_temperature every pair's temperature is
+    equal."""
     def layout(s):  # each encoder's arch and frozen flag, each temperature's settings, all keys
-        return {"encoders": {n: {"arch": e.arch, "frozen": e.frozen}
+        return {"extra": {"seed": s.extra.get("seed", config.seed)},
+                "encoders": {n: {"arch": e.arch, "frozen": e.frozen}
                              for n, e in s.encoders.items()},
                 "moments": dict.fromkeys(s.moments, "present"),
                 "temperatures": {k: to_doc(t, config=True) for k, t in s.temperatures.items()},
@@ -468,7 +471,9 @@ def train_summary(state: TrainState, config: TrainConfig) -> dict:
 
 
 def save_checkpoint(state: TrainState, path: str | Path, extra: dict | None = None) -> None:
-    """Write the full training state as JSON; floats round-trip bit-exactly.
+    """Write the full training state as JSON; floats round-trip bit-exactly. The keys of
+    `state.extra` (a loaded checkpoint's seed and config_hash) follow, overridden by those
+    of `extra`, so a loaded state saves with the identity it was loaded with.
 
     The write is atomic: a failed one leaves whatever `path` held before.
     """
@@ -482,8 +487,7 @@ def save_checkpoint(state: TrainState, path: str | Path, extra: dict | None = No
         "tau_moments": to_doc(state.tau_moments),
         "loss_history": [[r.step, r.pair, r.loss, r.tau] for r in state.loss_history],
     }
-    if extra:
-        doc.update(extra)
+    doc.update({**state.extra, **(extra or {})})
     write_atomic(path, json.dumps(doc, indent=1))
 
 

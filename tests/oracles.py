@@ -250,12 +250,14 @@ def observations_replay(world, modalities, labels, scale, rng):
 
 def resume_mismatches_loops(state, hub, archs, config):
     """(part, key) of every entry where `state` differs from what a run of (hub, archs,
-    config) holds, trained values aside, written out from the TrainConfig: each encoder
-    has its arch and is frozen only as the hub of a hub_frozen run; the moments have a
-    key per encoder; each pair's temperature has its config's mode, value and clamps; the
-    temperature moments have a key per pair, or the one "__shared__" under
-    shared_temperature. Parts in that order, keys sorted within a part."""
-    want = {"encoders": {}, "moments": {}, "temperatures": {}, "temperature moments": {}}
+    config) holds, trained values aside, written out from the TrainConfig: a seed in the
+    state's extra is the config's; each encoder has its arch and is frozen only as the hub
+    of a hub_frozen run; the moments have a key per encoder; each pair's temperature has
+    its config's mode, value and clamps; the temperature moments have a key per pair, or
+    the one "__shared__" under shared_temperature. Parts in that order, keys sorted within
+    a part."""
+    want = {"extra": {"seed": config.seed}, "encoders": {}, "moments": {}, "temperatures": {},
+            "temperature moments": {}}
     for name, arch in archs.items():
         want["encoders"][name] = (arch, name == hub and config.hub_frozen)
         want["moments"][name] = True
@@ -264,6 +266,7 @@ def resume_mismatches_loops(state, hub, archs, config):
         want["temperatures"][pc.spoke] = (t.mode, t.value, t.clamp_min, t.clamp_max)
         want["temperature moments"]["__shared__" if config.shared_temperature else pc.spoke] = True
     have = {
+        "extra": {"seed": state.extra["seed"] if "seed" in state.extra else config.seed},
         "encoders": {name: (e.arch, e.frozen) for name, e in state.encoders.items()},
         "moments": {name: True for name in state.moments},
         "temperatures": {k: (t.mode, t.value, t.clamp_min, t.clamp_max)

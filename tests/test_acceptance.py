@@ -489,7 +489,7 @@ class TestDrawThenScore:
         # run_eval_plan metrics, bit for bit
         run = desk_runs[0]
         plan = run.cfg.eval_plan
-        groups = _measurement_groups(plan)
+        groups = _measurement_groups(run.world, plan)
         assert len(groups) == 5  # few-shot, ensemble, arithmetic, one retrieval, one emergent
         states = (run.state, run.untrained)
         reports = [run_eval_plan(run.world, state, plan) for state in states]

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import modbind
 import modbind.ablation as ablation_mod
+import modbind.cli as cli_mod
 import modbind.evaluation as evaluation_mod
 import modbind.pool as pool_mod
 from modbind.ablation import (
@@ -52,10 +53,11 @@ from modbind.evaluation import (
     POOLED_INDEX_ITEMS,
     EvaluationError,
     embed_arithmetic,
+    ranked_items,
     run_eval_plan,
 )
 from modbind.pool import usable_cores
-from modbind.trainer import init_train_state, load_checkpoint
+from modbind.trainer import init_train_state, load_checkpoint, save_checkpoint
 from modbind.world import make_world
 
 from .conftest import doc_nodes, is_number, node_at, resize, set_at, small_config_document
@@ -1007,6 +1009,30 @@ class TestCliTrain:
         assert manifest["seed"] == 9
         assert (tmp_path / "checkpoint.json").read_bytes() != (out / "checkpoint.json").read_bytes()
 
+    def test_seed_override_is_parsed_once_with_the_document(self, cli_space, tmp_path, monkeypatch):
+        # --seed replaces the file's seed before the one parse, as ablate's does
+        _, cfg_path, _ = cli_space
+        doc = json.loads(cfg_path.read_text())
+        doc["seed"] = -1
+        bad_seed = tmp_path / "bad_seed.json"
+        bad_seed.write_text(json.dumps(doc))
+        parses = []
+        real = cli_mod.parse_experiment_config
+        monkeypatch.setattr(cli_mod, "parse_experiment_config",
+                            lambda *a, **kw: parses.append(a) or real(*a, **kw))
+        assert main(["train", "--config", str(bad_seed), "--out", str(tmp_path), "--seed", "9"]) == 0
+        assert len(parses) == 1
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["seed"] == 9
+
+    def test_bad_seed_override_is_config_error(self, cli_space, tmp_path, capsys):
+        _, cfg_path, _ = cli_space
+        for command in ("train", "eval", "worldgen"):
+            code = main([command, "--config", str(cfg_path), "--out", str(tmp_path), "--seed", "-1"])
+            assert code == 2
+            assert capsys.readouterr().err == \
+                "config error: config.seed: must lie in [0, 2**32), got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_input_config_not_mutated(self, cli_space, tmp_path):
         _, cfg_path, _ = cli_space
         before = cfg_path.read_bytes()
@@ -1073,7 +1099,10 @@ class TestCliEval:
         code = main(["eval", "--config", str(cfg_path), "--seed", "4", "--checkpoint", ckpt,
                      "--out", str(tmp_path)])
         assert code == 2
-        assert "seed does not match" in capsys.readouterr().err
+        # check_resume holds the seed rule, and its message names both seeds
+        message = "config error: checkpoint: state does not fit the run: extra 'seed': 3 in the " \
+                  "state, 4 in the run\n"
+        assert capsys.readouterr().err == message
         # retrieve has no --seed flag; the seed comes from the config document
         doc = json.loads(cfg_path.read_text())
         doc["seed"] = 4
@@ -1082,7 +1111,19 @@ class TestCliEval:
         code = main(["retrieve", "--config", str(other), "--checkpoint", ckpt,
                      "--index-modality", "hub", "--query-modality", "alpha"])
         assert code == 2
-        assert "seed does not match" in capsys.readouterr().err
+        assert capsys.readouterr().err == message
+
+    def test_checkpoint_saved_from_a_loaded_state_keeps_its_seed(self, cli_space, tmp_path, capsys):
+        # a plain save of a loaded state writes the seed and config_hash it was loaded with,
+        # so the copy is the same bytes and is refused under another seed, as the original is
+        _, cfg_path, out = cli_space
+        copy = tmp_path / "copy.json"
+        save_checkpoint(load_checkpoint(out / "checkpoint.json"), copy)
+        assert copy.read_bytes() == (out / "checkpoint.json").read_bytes()
+        code = main(["eval", "--config", str(cfg_path), "--seed", "5", "--checkpoint", str(copy),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "extra 'seed': 3 in the state, 5 in the run" in capsys.readouterr().err
 
     def test_checkpoint_without_seed_still_loads(self, cli_space, tmp_path):
         _, cfg_path, out = cli_space
@@ -1285,38 +1326,72 @@ class TestCliRetrieve:
         assert (rank, item) == ("1", "2")
         assert abs(float(sim) - 1.0) <= 1e-9
 
-    def test_compose_endpoint_equals_plain_query(self, cli_space, capsys):
-        _, cfg_path, out = cli_space
-        common = ["retrieve", "--config", str(cfg_path), "--checkpoint", str(out / "checkpoint.json"),
-                  "--index-modality", "hub", "--query-id", "4", "--k", "5"]
-        assert main(common + ["--query-modality", "alpha"]) == 0
-        plain = capsys.readouterr().out
-        assert main(common + ["--compose", "alpha+beta", "--compose-weight", "1.0"]) == 0
-        composed = capsys.readouterr().out
-        assert composed == plain
-
-    def test_printed_similarities_are_the_batch_values(self, cli_space, capsys):
-        # the query is embedded in the batch of all items that `bind eval` ranks
-        _, cfg_path, out = cli_space
+    @staticmethod
+    def replay(cfg_path, out, mods, stream):
+        """(n, {modality: embedded view}) of a ranked draw of `mods` from `stream`, as the
+        sampler oracle replays it."""
         cfg = parse_experiment_config(json.loads(cfg_path.read_text()))
         world = make_world(cfg.world, cfg.seed)
         encoders = load_checkpoint(out / "checkpoint.json").encoders
         n = cfg.eval_plan.retrieval_index_size
+        obs = observations_replay(world, mods, np.arange(n) % world.num_classes,
+                                  world.within_class_scale, world.stream(stream))
+        return n, {m: embed(encoders[m], obs[m]) for m in mods}
+
+    def test_compose_endpoint_ranks_as_its_first_view(self, cli_space, capsys):
+        # at w=1 a composition ranks as its first view of the ensemble's draw; a plain query
+        # of that view ranks the other draw, of recall_at_K/alpha_to_hub, as `bind eval` does
+        _, cfg_path, out = cli_space
         common = ["retrieve", "--config", str(cfg_path), "--checkpoint", str(out / "checkpoint.json"),
-                  "--index-modality", "hub", "--k", str(n)]
-        for query, mods in ((["--query-modality", "alpha"], ["hub", "alpha"]),
-                            (["--compose", "alpha+beta"], ["hub", "alpha", "beta"])):
-            # the draw from eval/retrieve, as the sampler oracle replays it
-            obs = observations_replay(world, mods, np.arange(n) % world.num_classes,
-                                      world.within_class_scale, world.stream("eval/retrieve"))
-            emb = {m: embed(encoders[m], obs[m]) for m in mods}
+                  "--index-modality", "hub", "--query-id", "4", "--k", "5"]
+        assert main(common + ["--compose", "alpha+beta", "--compose-weight", "1.0"]) == 0
+        composed = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        n, emb = self.replay(cfg_path, out, ["hub", "alpha", "beta"], "eval/ensemble/alpha_beta")
+        sims = emb["alpha"] @ emb["hub"].T
+        assert [int(j) for _, j, _ in composed] == sorted(range(n), key=lambda j: (-sims[4, j], j))[:5]
+        assert [float(sim) for _, _, sim in composed] == [sims[4, int(j)] for _, j, _ in composed]
+        assert main(common + ["--query-modality", "alpha"]) == 0
+        plain = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [sim for _, _, sim in plain] != [sim for _, _, sim in composed]
+
+    def test_printed_similarities_are_the_batch_values(self, cli_space, capsys):
+        # the query is embedded in the batch of all items that `bind eval` ranks, drawn from
+        # the stream of the measurement whose items it ranks
+        _, cfg_path, out = cli_space
+        common = ["retrieve", "--config", str(cfg_path), "--checkpoint", str(out / "checkpoint.json"),
+                  "--index-modality", "hub"]
+        for query, mods, stream in (
+            (["--query-modality", "alpha"], ["alpha", "hub"], "eval/retrieval/alpha_to_hub"),
+            (["--compose", "alpha+beta"], ["hub", "alpha", "beta"], "eval/ensemble/alpha_beta"),
+        ):
+            n, emb = self.replay(cfg_path, out, mods, stream)
             queries = emb["alpha"] if len(mods) == 2 else embed_arithmetic(emb["alpha"], emb["beta"])
             batch = queries @ emb["hub"].T
             for qid in (0, 7, n - 1):
-                assert main(common + query + ["--query-id", str(qid)]) == 0
+                assert main(common + query + ["--query-id", str(qid), "--k", str(n)]) == 0
                 rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
                 assert [int(j) for _, j, _ in rows] == sorted(range(n), key=lambda j: (-batch[qid, j], j))
                 assert [float(sim) for _, _, sim in rows] == [batch[qid, int(j)] for _, j, _ in rows]
+
+    def test_prints_the_ranked_items(self, cli_space, capsys):
+        _, cfg_path, out = cli_space
+        assert main(["retrieve", "--config", str(cfg_path), "--checkpoint", str(out / "checkpoint.json"),
+                     "--index-modality", "hub", "--compose", "alpha+beta", "--compose-weight", "0.25",
+                     "--query-id", "3", "--k", "7"]) == 0
+        cfg = parse_experiment_config(json.loads(cfg_path.read_text()))
+        items = ranked_items(make_world(cfg.world, cfg.seed), load_checkpoint(out / "checkpoint.json"),
+                             cfg.eval_plan, "hub", ("alpha", "beta"), 0.25, 3, 7)
+        assert capsys.readouterr().out == "rank,id,similarity\n" + "".join(
+            f"{rank},{j},{sim!r}\n" for rank, (j, sim) in enumerate(items, start=1))
+
+    @pytest.mark.parametrize("compose", ["hub+alpha", "alpha+hub", "alpha+alpha"])
+    def test_compose_of_the_index_or_one_view_twice_rejected(self, cli_space, capsys, compose):
+        # the ensemble composes two views of its own; one of the index's would find itself
+        _, cfg_path, out = cli_space
+        code = main(["retrieve", "--config", str(cfg_path), "--checkpoint", str(out / "checkpoint.json"),
+                     "--index-modality", "hub", "--compose", compose])
+        assert code == 2
+        assert "--compose" in capsys.readouterr().err
 
     def test_compose_midpoint_runs(self, cli_space, capsys):
         _, cfg_path, out = cli_space

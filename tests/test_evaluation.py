@@ -34,6 +34,7 @@ from modbind.evaluation import (
     few_shot_probe,
     few_shot_probes,
     frozen_hub_eval,
+    ranked_items,
     run_eval_plan,
     zero_shot_classify,
 )
@@ -759,7 +760,7 @@ class TestRunEvalPlan:
             retrieval_pairs=[("alpha", "beta"), ("beta", "hub")],
         )
         results = [score(world, state, plan, draw(world, plan, *args), *args)
-                   for draw, score, args in _measurement_groups(plan)]
+                   for draw, score, args in _measurement_groups(world, plan)]
         assert len(results) == 7
         for one, other in itertools.combinations([set(result) for result in results], 2):
             assert not one & other
@@ -771,15 +772,49 @@ class TestRunEvalPlan:
             "emergent/beta_to_hub",
         }
 
-    def test_groups_start_longest_first(self):
+    def test_groups_start_longest_first(self, world):
         plan = dataclasses.replace(
             self.full_plan(), emergent_pairs=[("alpha", "beta"), ("beta", "alpha")]
         )
-        groups = _measurement_groups(plan)
+        groups = _measurement_groups(world, plan)
         names = ["few_shot", "ensemble", "arithmetic", "retrieval", "emergent", "emergent"]
-        assert [draw.__name__ for draw, _, _ in groups] == [f"_{n}_draw" for n in names]
+        # the ensemble and each retrieval pair draw the items they rank in one way
+        draws = ["few_shot", "ranked", "arithmetic", "ranked", "emergent", "emergent"]
+        assert [draw.__name__ for draw, _, _ in groups] == [f"_{n}_draw" for n in draws]
         assert [score.__name__ for _, score, _ in groups] == [f"_{n}_score" for n in names]
+        (query, index), = plan.retrieval_pairs
+        assert [groups[1][2], groups[3][2]] == [(world.hub, plan.ensemble_pair), (index, (query,))]
         assert [args for _, _, args in groups[-2:]] == plan.emergent_pairs
+
+    def test_ranked_items_rank_what_the_report_measures(self, world, trained):
+        # whether each id finds itself in ranked_items' top K gives the report's recall, bit
+        # for bit, for every retrieval pair and K and every ensemble weight
+        _, state = trained
+        pairs = [("alpha", "beta"), ("beta", "hub")]
+        plan = dataclasses.replace(self.full_plan(), retrieval_pairs=pairs)
+        metrics = run_eval_plan(world, state, plan).metrics
+
+        def found(index_mod, query_mods, weight, k):
+            tops = [[j for j, _ in ranked_items(world, state, plan, index_mod, query_mods, weight, i, k)]
+                    for i in range(plan.retrieval_index_size)]
+            return float(np.mean([i in top for i, top in enumerate(tops)]))
+
+        rebuilt = {f"recall_at_{k}/{query}_to_{index}": found(index, (query,), 0.5, k)
+                   for query, index in pairs for k in plan.k_list}
+        k = plan.retrieval_k
+        rebuilt.update({f"ensemble_recall_at_{k}/w={w:g}": found("hub", plan.ensemble_pair, w, k)
+                        for w in plan.ensemble_weights})
+        assert set(rebuilt) == {key for key in metrics if "recall_at_" in key}
+        assert {key: v.hex() for key, v in rebuilt.items()} == {
+            key: metrics[key].hex() for key in rebuilt
+        }
+        assert len(set(rebuilt.values())) > 2  # neither all found nor all lost
+
+    @pytest.mark.parametrize("query_id, k", [(-1, 5), (40, 5), (0, 0), (0, 41)])
+    def test_ranked_items_outside_the_index_rejected(self, world, trained, query_id, k):
+        _, state = trained
+        with pytest.raises(EvaluationError, match="outside the index"):
+            ranked_items(world, state, self.full_plan(), "hub", ("alpha",), 0.5, query_id, k)
 
     def test_deterministic(self, world, trained):
         _, state = trained

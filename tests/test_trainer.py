@@ -921,6 +921,18 @@ class TestCheckpointing:
             save_checkpoint(state, path, extra=extra)
             assert load_checkpoint(path).extra == extra
 
+    def test_loaded_state_saves_with_its_extra(self, tiny_world, tmp_path):
+        # a plain save of a loaded state writes the very bytes it was loaded from, so the
+        # seed and config_hash that bind a checkpoint to its run survive the round trip
+        state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config(), max_steps=2)
+        save_checkpoint(state, tmp_path / "a.json", extra={"config_hash": "beef", "seed": 5})
+        loaded = load_checkpoint(tmp_path / "a.json")
+        save_checkpoint(loaded, tmp_path / "b.json")
+        assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+        # an extra passed to the save overrides the loaded one, key by key
+        save_checkpoint(loaded, tmp_path / "c.json", extra={"seed": 6})
+        assert load_checkpoint(tmp_path / "c.json").extra == {"config_hash": "beef", "seed": 6}
+
     def test_training_log_is_stable(self, tiny_world, tmp_path):
         state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config())
         a = tmp_path / "a.csv"
@@ -956,6 +968,10 @@ def _shared_moments(state):
 # (id, edit of the run's config document, edit of a fresh state of small_config_document(),
 # the (part, key) pairs where that state then differs from the run, worked out by hand)
 RESUME_CASES = [
+    # small_config_document() runs seed 3; a loaded checkpoint keeps its seed in extra
+    ("checkpoint of another seed", None, lambda s: s.extra.update(seed=0), [("extra", "seed")]),
+    ("run of another seed", lambda d: d.update(seed=4), lambda s: s.extra.update(seed=3),
+     [("extra", "seed")]),
     ("drop encoder", None, lambda s: s.encoders.pop("beta"), [("encoders", "beta")]),
     ("add encoder", None, lambda s: s.encoders.update(gamma=s.encoders["alpha"]),
      [("encoders", "gamma")]),
@@ -1056,6 +1072,15 @@ class TestCheckResume:
         with pytest.raises(TrainerError, match=f"fit the run: {part}: "):
             train_run(world, run.archs, run.train, state=state)
         assert state.step == 2
+
+    def test_library_resume_of_another_seed_rejected(self, tmp_path):
+        # the pools of a seed-4 run would meet weights trained on seed 3's
+        world, cfg = self.run_of()
+        state, _ = train_run(world, cfg.archs, cfg.train, max_steps=2)
+        save_checkpoint(state, tmp_path / "ckpt.json", extra={"seed": cfg.seed})
+        world4, run = self.run_of(lambda d: d.update(seed=4))
+        with pytest.raises(TrainerError, match="fit the run: extra 'seed': 3 in the state, 4 in"):
+            train_run(world4, run.archs, run.train, state=load_checkpoint(tmp_path / "ckpt.json"))
 
 
 class TestSummary:
