@@ -83,7 +83,8 @@ def _write_manifest(out: Path, name: str, command: str, cfg_hash: str, seed: int
 
 def _load_state_for(cfg: ExperimentConfig, world, checkpoint: str | None):
     """Checkpointed state when given (validated against the config, `check_resume` holding
-    the seed rule), else fresh init. A checkpoint without a config_hash is not checked on it.
+    the seed and world_hash rules), else fresh init. A checkpoint without a config_hash is
+    not checked on it.
     """
     if checkpoint is None:
         return init_train_state(world, cfg.archs, cfg.train)

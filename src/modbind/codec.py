@@ -14,10 +14,17 @@ leaves out fields marked RUN_STATE and fields marked OMIT_DEFAULT while they
 hold their default. Config hashes are taken over config documents, so these
 two marks are part of every hash. A config document must also hold the
 fields marked CONFIG_REQUIRED, whose defaults serve library callers only.
+
+No config holds an array: `np.ndarray` fields are checkpoint parts. An array
+is written as an array object, {"shape": [...], "data": "<base64>"}, whose
+data is the array's little-endian float64 bytes (`array_to_doc` and
+`array_from_doc`), so no float is formatted or parsed. Checkpoint formats 1
+and 2 wrote nested lists of numbers instead; `rows=True` reads those.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import functools
 import math
@@ -47,7 +54,8 @@ def _in_config(f: dataclasses.Field, value) -> bool:
 
 
 def to_doc(value, config: bool = False):
-    """JSON-ready form: dataclasses become objects in field order, tuples and arrays lists."""
+    """JSON-ready form: dataclasses become objects in field order, tuples lists and arrays
+    array objects."""
     if dataclasses.is_dataclass(value):
         return {
             f.name: to_doc(getattr(value, f.name), config)
@@ -59,8 +67,40 @@ def to_doc(value, config: bool = False):
     if isinstance(value, (list, tuple)):
         return [to_doc(v, config) for v in value]
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        return array_to_doc(value)
     return value
+
+
+def array_to_doc(a: np.ndarray) -> dict:
+    """The array object of `a`: its shape, and its little-endian float64 bytes in base64."""
+    data = base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
+    return {"shape": list(a.shape), "data": data}
+
+
+def array_from_doc(doc, path: str) -> np.ndarray:
+    """The float64 array an array object stands for. Its data must be the one base64
+    encoding of exactly 8 bytes per element of its shape; the array is read-only."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path, f"expected an array object, got {type(doc).__name__}")
+    check_keys(doc, path, ("shape", "data"), ())
+    shape, data = doc["shape"], doc["data"]
+    if type(shape) is not list or any(type(n) is not int or n < 0 for n in shape):
+        raise ConfigError(f"{path}.shape", f"expected a list of non-negative integers, got {shape!r}")
+    if type(data) is not str:
+        raise ConfigError(f"{path}.data", f"expected a base64 string, got {type(data).__name__}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as e:  # binascii.Error, or a character outside ASCII
+        raise ConfigError(f"{path}.data", f"invalid base64: {e}") from e
+    if len(raw) != 8 * math.prod(shape):
+        raise ConfigError(f"{path}.data", f"{len(raw)} bytes for shape {shape}, "
+                                          f"expected {8 * math.prod(shape)}")
+    # each whole group of 3 bytes has one encoding; a short last group must be encoded as
+    # b64encode encodes it: zero bits after its last byte, then just enough padding
+    groups = len(raw) // 3
+    if data[4 * groups:] != base64.b64encode(raw[3 * groups:]).decode("ascii"):
+        raise ConfigError(f"{path}.data", "invalid base64: not the encoding of its bytes")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def check_keys(doc, path: str, required, optional) -> None:
@@ -89,13 +129,13 @@ def _schema(cls, config: bool) -> tuple[dict, tuple, tuple]:
     return hints, required, optional
 
 
-def from_doc(cls, doc, path: str = "value", config: bool = False, **given):
+def from_doc(cls, doc, path: str = "value", config: bool = False, rows: bool = False, **given):
     """Build dataclass `cls` from a JSON object; `given` supplies fields the document lacks."""
     hints, required, optional = _schema(cls, config)
     check_keys(
         doc, path, [k for k in required if k not in given], [k for k in optional if k not in given]
     )
-    kwargs = {k: decode(hints[k], v, f"{path}.{k}", config) for k, v in doc.items()}
+    kwargs = {k: decode(hints[k], v, f"{path}.{k}", config, rows) for k, v in doc.items()}
     try:
         return cls(**kwargs, **given)
     # constructors raise ValueError subclasses, or TrainerError (a RuntimeError)
@@ -103,14 +143,15 @@ def from_doc(cls, doc, path: str = "value", config: bool = False, **given):
         raise ConfigError(path, str(e)) from e
 
 
-def decode(tp, value, path: str, config: bool = False):
-    """The value of type `tp` that a JSON value stands for."""
+def decode(tp, value, path: str, config: bool = False, rows: bool = False):
+    """The value of type `tp` that a JSON value stands for. An array is an array object,
+    or with `rows` a list of numbers or of rows of numbers (checkpoint formats 1 and 2)."""
     origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
     if dataclasses.is_dataclass(tp):
-        return from_doc(tp, value, path, config)
+        return from_doc(tp, value, path, config, rows)
     if origin in (typing.Union, types.UnionType):  # only `X | None` occurs
         (inner,) = [a for a in args if a is not type(None)]
-        return None if value is None else decode(inner, value, path, config)
+        return None if value is None else decode(inner, value, path, config, rows)
     if origin in (list, tuple):
         if not isinstance(value, list):
             raise ConfigError(path, f"expected a list, got {value!r}")
@@ -122,9 +163,12 @@ def decode(tp, value, path: str, config: bool = False):
             raise ConfigError(path, f"expected exactly {len(args)} values, got {len(value)}")
         else:
             items = args
-        out = [decode(t, v, f"{path}[{i}]", config) for i, (t, v) in enumerate(zip(items, value))]
+        out = [decode(t, v, f"{path}[{i}]", config, rows)
+               for i, (t, v) in enumerate(zip(items, value))]
         return out if origin is list else tuple(out)
     if tp is np.ndarray:
+        if not rows:
+            return array_from_doc(value, path)
         _check_numbers(value, path)
         try:
             return np.asarray(value, dtype=np.float64)

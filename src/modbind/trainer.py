@@ -12,8 +12,13 @@ times per epoch. Batching is pure pool indexing driven by the global step
 counter, so a run resumed from a checkpoint is step-identical to an
 uninterrupted one. `init_train_state` is the one definition of a run's state:
 `check_resume` lets a state continue a run only if it is laid out as the state
-`init_train_state` builds for that run, whatever its trained values, and a
-checkpoint's seed it carries is the run's.
+`init_train_state` builds for that run, whatever its trained values, and the
+seed and world fingerprint it carries are the run's.
+
+A checkpoint (format 3) is one JSON object: a header, the state's parts with
+every float array as a `codec` array object of its raw float64 bytes, the loss
+history as rows, then the keys of `TrainState.extra`. Formats 1 and 2, which
+wrote arrays as nested lists of numbers, still load.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .encoders import EncoderArch, EncoderParams, encode, encode_backward, init_
 from .report import render_csv, write_atomic
 from .world import WorldSpec, sample_training_batch, stream_rng
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 class TrainerError(RuntimeError):
@@ -160,7 +165,8 @@ class TrainState:
     tau_moments: dict[str, AdamMoments]  # one-element m and v for each log-temperature
     step: int = 0
     loss_history: list[LossRecord] = field(default_factory=list)
-    # keys a loaded checkpoint carried beside the state, such as config_hash and seed
+    # keys a checkpoint holds beside the state: the world_hash of the world the state was
+    # built for, and once saved by a run, its config_hash and seed
     extra: dict = field(default_factory=dict)
 
 
@@ -273,7 +279,8 @@ def check_layout(
 def init_train_state(
     world: WorldSpec, archs: dict[str, EncoderArch], config: TrainConfig
 ) -> TrainState:
-    """Fresh encoders, zero optimizer buffers, per-pair (or shared) temperatures."""
+    """Fresh encoders, zero optimizer buffers, per-pair (or shared) temperatures, and the
+    world's fingerprint in `extra` as world_hash."""
     obs_dims = {m.name: m.obs_dim for m in world.modalities}
     check_layout(obs_dims, world.hub, archs, config)
 
@@ -294,7 +301,8 @@ def init_train_state(
     tau_moments = {key: AdamMoments(m=[np.zeros(1)], v=[np.zeros(1)]) for key in tau_keys}
     _share_temperature(temperatures, config)
     return TrainState(
-        encoders=encoders, moments=moments, temperatures=temperatures, tau_moments=tau_moments
+        encoders=encoders, moments=moments, temperatures=temperatures, tau_moments=tau_moments,
+        extra={"world_hash": world.fingerprint()},
     )
 
 
@@ -308,19 +316,23 @@ def _share_temperature(temperatures: dict[str, TemperatureParam], config: TrainC
 def check_resume(
     state: TrainState, world: WorldSpec, archs: dict[str, EncoderArch], config: TrainConfig
 ) -> None:
-    """Raise unless `state` may continue the run: a seed in its `extra` is the run's;
-    whatever values training gave it, it is laid out as the state `init_train_state` builds
-    for (world, archs, config); and under shared_temperature every pair's temperature is
-    equal."""
+    """Raise unless `state` may continue the run: a seed and a world_hash in its `extra` are
+    the run's; whatever values training gave it, it is laid out as the state
+    `init_train_state` builds for (world, archs, config); and under shared_temperature every
+    pair's temperature is equal."""
+    fresh = init_train_state(world, archs, config)
+
     def layout(s):  # each encoder's arch and frozen flag, each temperature's settings, all keys
-        return {"extra": {"seed": s.extra.get("seed", config.seed)},
+        # a checkpoint saved before world_hash existed is not checked on it
+        world_hash = s.extra.get("world_hash", fresh.extra["world_hash"])
+        return {"extra": {"seed": s.extra.get("seed", config.seed), "world_hash": world_hash},
                 "encoders": {n: {"arch": e.arch, "frozen": e.frozen}
                              for n, e in s.encoders.items()},
                 "moments": dict.fromkeys(s.moments, "present"),
                 "temperatures": {k: to_doc(t, config=True) for k, t in s.temperatures.items()},
                 "temperature moments": dict.fromkeys(s.tau_moments, "present")}
 
-    have, want = layout(state), layout(init_train_state(world, archs, config))
+    have, want = layout(state), layout(fresh)
     for part, run in want.items():
         diffs = [f"{k!r}: {have[part].get(k, 'missing')} in the state, {run.get(k, 'missing')} "
                  f"in the run" for k in sorted(have[part].keys() | run.keys())
@@ -471,12 +483,19 @@ def train_summary(state: TrainState, config: TrainConfig) -> dict:
 
 
 def save_checkpoint(state: TrainState, path: str | Path, extra: dict | None = None) -> None:
-    """Write the full training state as JSON; floats round-trip bit-exactly. The keys of
-    `state.extra` (a loaded checkpoint's seed and config_hash) follow, overridden by those
-    of `extra`, so a loaded state saves with the identity it was loaded with.
+    """Write the full training state as a format 3 checkpoint; arrays round-trip bit for
+    bit. The keys of `state.extra` (its world_hash, and a loaded checkpoint's seed and
+    config_hash) follow the state, overridden by those of `extra`, so a loaded state saves
+    with the identity it was loaded with.
 
-    The write is atomic: a failed one leaves whatever `path` held before.
+    A state that `load_checkpoint` would reject, such as one with a non-finite weight, is a
+    TrainerError, and nothing is written. The write is atomic: a failed one leaves whatever
+    `path` held before.
     """
+    header = {**state.extra, **(extra or {})}
+    error = _checkpoint_error(state, header)
+    if error is not None:
+        raise TrainerError(f"cannot save checkpoint: {error}")
     doc = {
         "version": CHECKPOINT_FORMAT_VERSION,
         "kind": "checkpoint",
@@ -486,22 +505,57 @@ def save_checkpoint(state: TrainState, path: str | Path, extra: dict | None = No
         "temperatures": to_doc(state.temperatures),
         "tau_moments": to_doc(state.tau_moments),
         "loss_history": [[r.step, r.pair, r.loss, r.tau] for r in state.loss_history],
+        **header,
     }
-    doc.update({**state.extra, **(extra or {})})
-    write_atomic(path, json.dumps(doc, indent=1))
+    # no indent: json's C encoder writes the document, and no float array goes through it
+    write_atomic(path, json.dumps(doc, separators=(",", ":")))
 
 
 _STATE_KEYS = ("version", "kind", "step", "encoders", "moments", "temperatures", "tau_moments",
                "loss_history")
 
 
+def _checkpoint_error(state: TrainState, header: dict) -> str | None:
+    """Why a checkpoint of `state`, with the keys of `header` beside it, is one that
+    `load_checkpoint` rejects, or None. The one rule of both: a save refuses what a load
+    would reject."""
+    clash = sorted(header.keys() & set(_STATE_KEYS))
+    if clash:
+        return f"keys beside the state must not be state keys, got {clash}"
+    seed = header.get("seed", 0)
+    if type(seed) is not int or not 0 <= seed < 2**32:
+        return f"seed must be an integer in [0, 2**32), got {seed!r}"
+    for key in ("config_hash", "world_hash"):
+        if type(header.get(key, "")) is not str:
+            return f"{key} must be a string, got {header[key]!r}"
+    if state.step < 0:
+        return f"step must be >= 0, got {state.step}"
+    encoders, moments, tau_moments = state.encoders, state.moments, state.tau_moments
+    if moments.keys() != encoders.keys():
+        return f"moments for {sorted(moments)} do not match encoders {sorted(encoders)}"
+    expected = [(f"moments.{n}", mom, encoders[n].arch.param_shapes()) for n, mom in moments.items()]
+    expected += [(f"tau_moments.{n}", mom, [(1,)]) for n, mom in tau_moments.items()]
+    for where, mom, shapes in expected:
+        if [a.shape for a in mom.m] != shapes or [a.shape for a in mom.v] != shapes:
+            return f"moment shapes mismatch in {where}"
+    arrays = [enc.flat for enc in encoders.values()]
+    for mom in [*moments.values(), *tau_moments.values()]:
+        arrays += [mom.m_flat, mom.v_flat]
+    finite = all(math.isfinite(r.loss) and math.isfinite(r.tau) for r in state.loss_history)
+    if not (finite and all(np.isfinite(a).all() for a in arrays)):
+        return "non-finite weights, optimizer moments or losses"
+    return None
+
+
 def load_checkpoint(path: str | Path) -> TrainState:
     """Read a checkpoint back; rejects unknown versions, malformed content and
     non-finite weights, moments or losses. Keys beside the state land in `extra`;
-    of those, a `seed` must be an integer in [0, 2**32) and a `config_hash` a string.
+    of those, a `seed` must be an integer in [0, 2**32), and a `config_hash` and a
+    `world_hash` strings.
 
-    Format 1 stored each temperature's moments as scalars, {"m": x, "v": y,
-    "t": n}; they are read as one-element AdamMoments.
+    Formats 1 and 2 wrote each array as nested lists of numbers. Format 1 also
+    stored each temperature's moments as scalars, {"m": x, "v": y, "t": n};
+    they are read as one-element AdamMoments.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -512,14 +566,8 @@ def load_checkpoint(path: str | Path) -> TrainState:
         raise TrainerError("corrupt checkpoint: not a checkpoint document")
     version = doc.get("version")
     # exact types: JSON 2.0 and true compare equal to 2 and 1
-    if type(version) is not int or version not in (1, CHECKPOINT_FORMAT_VERSION):
+    if type(version) is not int or version not in (1, 2, CHECKPOINT_FORMAT_VERSION):
         raise TrainerError(f"unsupported checkpoint version {version!r}")
-    extra = {k: v for k, v in doc.items() if k not in _STATE_KEYS}
-    seed, config_hash = extra.get("seed", 0), extra.get("config_hash", "")
-    if type(seed) is not int or not 0 <= seed < 2**32:
-        raise TrainerError(f"corrupt checkpoint: seed must be an integer in [0, 2**32), got {seed!r}")
-    if type(config_hash) is not str:
-        raise TrainerError(f"corrupt checkpoint: config_hash must be a string, got {config_hash!r}")
     try:
         if version == 1:
             doc["tau_moments"] = {
@@ -527,7 +575,8 @@ def load_checkpoint(path: str | Path) -> TrainState:
                 for key, d in doc["tau_moments"].items()
             }
         parts = {
-            key: {name: from_doc(cls, d, f"{key}.{name}") for name, d in doc[key].items()}
+            key: {name: from_doc(cls, d, f"{key}.{name}", rows=version < 3)
+                  for name, d in doc[key].items()}
             for key, cls in (("encoders", EncoderParams), ("moments", AdamMoments),
                              ("temperatures", TemperatureParam), ("tau_moments", AdamMoments))
         }
@@ -541,30 +590,12 @@ def load_checkpoint(path: str | Path) -> TrainState:
         step = decode(int, doc["step"], "step")
     except (KeyError, TypeError, IndexError, AttributeError, ValueError) as e:
         raise TrainerError(f"corrupt checkpoint: {e!r}") from e
-    if step < 0:
-        raise TrainerError(f"corrupt checkpoint: step must be >= 0, got {step}")
-    encoders, moments, tau_moments = parts["encoders"], parts["moments"], parts["tau_moments"]
-    if moments.keys() != encoders.keys():
-        raise TrainerError(
-            f"corrupt checkpoint: moments for {sorted(moments)} do not match encoders {sorted(encoders)}"
-        )
-    expected = [(f"moments.{n}", mom, encoders[n].arch.param_shapes()) for n, mom in moments.items()]
-    expected += [(f"tau_moments.{n}", mom, [(1,)]) for n, mom in tau_moments.items()]
-    for where, mom, shapes in expected:
-        if [a.shape for a in mom.m] != shapes or [a.shape for a in mom.v] != shapes:
-            raise TrainerError(f"corrupt checkpoint: moment shapes mismatch in {where}")
-    arrays = [enc.flat for enc in encoders.values()]
-    for mom in [*moments.values(), *tau_moments.values()]:
-        arrays += [mom.m_flat, mom.v_flat]
-    finite = all(math.isfinite(r.loss) and math.isfinite(r.tau) for r in history)
-    if not (finite and all(np.all(np.isfinite(a)) for a in arrays)):
-        raise TrainerError("corrupt checkpoint: non-finite weights, optimizer moments or losses")
-    return TrainState(
-        **parts,
-        step=step,
-        loss_history=history,
-        extra=extra,
-    )
+    extra = {k: v for k, v in doc.items() if k not in _STATE_KEYS}
+    state = TrainState(**parts, step=step, loss_history=history, extra=extra)
+    error = _checkpoint_error(state, extra)
+    if error is not None:
+        raise TrainerError(f"corrupt checkpoint: {error}")
+    return state
 
 
 def write_training_log(state: TrainState, path: str | Path, config_hash: str | None = None) -> None:

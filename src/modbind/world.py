@@ -166,6 +166,15 @@ class WorldSpec:
         """Named sampling stream tied to this world's seed."""
         return stream_rng(self.seed, name)
 
+    def fingerprint(self) -> str:
+        """sha256 hex digest of the numbers `make_world` drew: the class means, then each
+        observer's weight and bias, each as its shape and its little-endian float64 bytes."""
+        digest = hashlib.sha256()
+        for a in [self.class_means, *(a for obs in self.modalities for a in (obs.weight, obs.bias))]:
+            digest.update(repr(a.shape).encode("ascii"))
+            digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        return digest.hexdigest()
+
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:

@@ -11,10 +11,16 @@ bit for bit, so it keeps NumPy's operations in their original order.
 world's draws on NumPy's generator, in the order the samplers take them,
 since the values the samplers must equal are that generator's.
 `resume_mismatches_loops` writes out, from a TrainConfig alone, what a state
-must hold to continue a run.
+must hold to continue a run, and `world_fingerprint_loops` the world hash it
+must carry. `legacy_checkpoint_text` is the writer of checkpoint formats 1
+and 2, which the package no longer has, so that their readers stay tested.
 """
 
+import dataclasses
+import hashlib
+import json
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,25 +254,42 @@ def observations_replay(world, modalities, labels, scale, rng):
     return out
 
 
-def resume_mismatches_loops(state, hub, archs, config):
-    """(part, key) of every entry where `state` differs from what a run of (hub, archs,
+def world_fingerprint_loops(world):
+    """sha256 hex digest of the world's drawn numbers, written out value by value: for the
+    class means, then each observer's weight and bias, the repr of its shape, then each
+    value in row-major order as its 8 little-endian IEEE 754 bytes."""
+    digest = hashlib.sha256()
+    arrays = [world.class_means]
+    for obs in world.modalities:
+        arrays += [obs.weight, obs.bias]
+    for a in arrays:
+        digest.update(repr(tuple(np.shape(a))).encode("ascii"))
+        for value in np.ravel(a).tolist():
+            digest.update(struct.pack("<d", value))
+    return digest.hexdigest()
+
+
+def resume_mismatches_loops(state, world, archs, config):
+    """(part, key) of every entry where `state` differs from what a run of (world, archs,
     config) holds, trained values aside, written out from the TrainConfig: a seed in the
-    state's extra is the config's; each encoder has its arch and is frozen only as the hub
-    of a hub_frozen run; the moments have a key per encoder; each pair's temperature has
-    its config's mode, value and clamps; the temperature moments have a key per pair, or
-    the one "__shared__" under shared_temperature. Parts in that order, keys sorted within
-    a part."""
-    want = {"extra": {"seed": config.seed}, "encoders": {}, "moments": {}, "temperatures": {},
-            "temperature moments": {}}
+    state's extra is the config's, and a world_hash the world's fingerprint; each encoder
+    has its arch and is frozen only as the hub of a hub_frozen run; the moments have a key
+    per encoder; each pair's temperature has its config's mode, value and clamps; the
+    temperature moments have a key per pair, or the one "__shared__" under
+    shared_temperature. Parts in that order, keys sorted within a part."""
+    world_hash = world_fingerprint_loops(world)
+    want = {"extra": {"seed": config.seed, "world_hash": world_hash}, "encoders": {},
+            "moments": {}, "temperatures": {}, "temperature moments": {}}
     for name, arch in archs.items():
-        want["encoders"][name] = (arch, name == hub and config.hub_frozen)
+        want["encoders"][name] = (arch, name == world.hub and config.hub_frozen)
         want["moments"][name] = True
     for pc in config.pairs:
         t = pc.temperature
         want["temperatures"][pc.spoke] = (t.mode, t.value, t.clamp_min, t.clamp_max)
         want["temperature moments"]["__shared__" if config.shared_temperature else pc.spoke] = True
     have = {
-        "extra": {"seed": state.extra["seed"] if "seed" in state.extra else config.seed},
+        "extra": {"seed": state.extra["seed"] if "seed" in state.extra else config.seed,
+                  "world_hash": state.extra.get("world_hash", world_hash)},
         "encoders": {name: (e.arch, e.frozen) for name, e in state.encoders.items()},
         "moments": {name: True for name in state.moments},
         "temperatures": {k: (t.mode, t.value, t.clamp_min, t.clamp_max)
@@ -279,6 +302,42 @@ def resume_mismatches_loops(state, hub, archs, config):
             if want[part].get(key) != have[part].get(key):
                 out.append((part, key))
     return out
+
+
+def _legacy_doc(value):
+    """The JSON form formats 1 and 2 gave a state part: dataclasses as objects in field
+    order, tuples as lists, arrays as nested lists of numbers."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _legacy_doc(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: _legacy_doc(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_legacy_doc(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def legacy_checkpoint_text(state, version=2, extra=None):
+    """The checkpoint file of `state` in format 2, or 1: the state's parts with every array
+    as nested lists of numbers, then the keys of state.extra overridden by those of `extra`,
+    all written with indent=1. Format 1 held each temperature's moments as the scalars
+    {"m": x, "v": y, "t": n}."""
+    doc = {
+        "version": version,
+        "kind": "checkpoint",
+        "step": state.step,
+        "encoders": _legacy_doc(state.encoders),
+        "moments": _legacy_doc(state.moments),
+        "temperatures": _legacy_doc(state.temperatures),
+        "tau_moments": _legacy_doc(state.tau_moments),
+        "loss_history": [[r.step, r.pair, r.loss, r.tau] for r in state.loss_history],
+    }
+    if version == 1:
+        doc["tau_moments"] = {key: {"m": d["m"][0][0], "v": d["v"][0][0], "t": d["t"]}
+                              for key, d in doc["tau_moments"].items()}
+    doc.update({**state.extra, **(extra or {})})
+    return json.dumps(doc, indent=1)
 
 
 def adamw_scalar_step_loops(p, m, v, t, g, lr, beta1, beta2, weight_decay, eps=1e-8):

@@ -1,5 +1,6 @@
 """Tests for the dataclass codec behind configs and checkpoints."""
 
+import base64
 import math
 from dataclasses import dataclass, field
 
@@ -11,6 +12,8 @@ from modbind.codec import (
     OMIT_DEFAULT,
     RUN_STATE,
     ConfigError,
+    array_from_doc,
+    array_to_doc,
     decode,
     from_doc,
     to_doc,
@@ -88,12 +91,13 @@ def test_errors_name_their_path(doc, path, message):
 
 
 def test_int_becomes_float_and_arrays_decode():
+    # rows: the nested lists of checkpoint formats 1 and 2
     assert from_doc(Inner, {"x": 2}).x == 2.0
     assert isinstance(from_doc(Inner, {"x": 2}).x, float)
-    arr = decode(np.ndarray, [[1, 2], [3, 4]], "w")
+    arr = decode(np.ndarray, [[1, 2], [3, 4]], "w", rows=True)
     assert arr.dtype == np.float64 and arr.shape == (2, 2)
     with pytest.raises(ConfigError, match="^w: expected a numeric array"):
-        decode(np.ndarray, [[1, 2], [3]], "w")
+        decode(np.ndarray, [[1, 2], [3]], "w", rows=True)
 
 
 @pytest.mark.parametrize(
@@ -112,7 +116,85 @@ def test_int_becomes_float_and_arrays_decode():
 def test_arrays_take_only_numbers(value, path, message):
     # np.asarray would read true as 1.0 and "0.5" as 0.5
     with pytest.raises(ConfigError) as err:
-        decode(np.ndarray, value, "w")
+        decode(np.ndarray, value, "w", rows=True)
+    assert err.value.path == path
+    assert message in str(err.value)
+
+
+# values whose bits a text form could lose: -0.0, a subnormal, the extremes, a NaN payload
+AWKWARD = [-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 3), (3, 2, 1), (0,), (0, 4), ()])
+def test_array_objects_keep_every_bit(shape):
+    size = math.prod(shape)
+    a = np.resize(np.array(AWKWARD + [np.nan]), size).reshape(shape)
+    doc = array_to_doc(a)
+    assert doc["shape"] == list(shape) and all(type(n) is int for n in doc["shape"])
+    raw = base64.b64decode(doc["data"], validate=True)
+    assert raw == a.astype("<f8").tobytes()  # little-endian float64, element by element
+    back = decode(np.ndarray, doc, "w")
+    assert back.dtype == np.float64 and back.shape == shape and back.tobytes() == a.tobytes()
+    # the decoded form is one the encoder writes again, character for character
+    assert array_to_doc(back) == doc
+
+
+def test_arrays_inside_dataclasses_become_array_objects():
+    @dataclass
+    class Holder:
+        arrays: list[np.ndarray]
+
+    value = Holder([np.arange(3.0), np.eye(2)])
+    doc = to_doc(value)
+    assert doc == {"arrays": [array_to_doc(np.arange(3.0)), array_to_doc(np.eye(2))]}
+    back = from_doc(Holder, doc)
+    assert [a.tobytes() for a in back.arrays] == [a.tobytes() for a in value.arrays]
+    with pytest.raises(ConfigError, match=r"^value\.arrays\[0\]: expected an array object"):
+        from_doc(Holder, {"arrays": [[0.0, 1.0, 2.0]]})  # rows need rows=True
+
+
+def _blob(values, shape=None):
+    a = np.asarray(values, dtype=np.float64)
+    return {"shape": list(a.shape if shape is None else shape), "data": array_to_doc(a)["data"]}
+
+
+@pytest.mark.parametrize(
+    "doc, path, message",
+    [
+        (True, "w", "expected an array object, got bool"),
+        (1.5, "w", "expected an array object, got float"),
+        ([1.0, 2.0], "w", "expected an array object, got list"),
+        ({"shape": [1]}, "w.data", "missing required field"),
+        ({**_blob([1.0]), "dtype": "<f8"}, "w.dtype", "unknown key"),
+        ({"shape": (1,), "data": _blob([1.0])["data"]}, "w.shape", "expected a list"),
+        ({"shape": [True], "data": _blob([1.0])["data"]}, "w.shape", "non-negative integers"),
+        ({"shape": [1.0], "data": _blob([1.0])["data"]}, "w.shape", "non-negative integers"),
+        ({"shape": [-1], "data": _blob([1.0])["data"]}, "w.shape", "non-negative integers"),
+        ({"shape": 1, "data": _blob([1.0])["data"]}, "w.shape", "non-negative integers"),
+        ({"shape": [1], "data": 1.0}, "w.data", "expected a base64 string, got float"),
+        ({"shape": [1], "data": [1.0]}, "w.data", "expected a base64 string, got list"),
+        (_blob([1.0, 2.0], shape=[3]), "w.data", "16 bytes for shape [3], expected 24"),
+        (_blob([1.0, 2.0], shape=[1]), "w.data", "16 bytes for shape [1], expected 8"),
+        (_blob([1.0, 2.0], shape=[2, 2]), "w.data", "expected 32"),
+        ({"shape": [1], "data": _blob([1.0])["data"][:-4]}, "w.data", "bytes for shape [1]"),
+        ({"shape": [1], "data": _blob([1.0])["data"][:-1]}, "w.data", "invalid base64"),
+        ({"shape": [1], "data": "*" + _blob([1.0])["data"][1:]}, "w.data", "invalid base64"),
+        ({"shape": [1], "data": _blob([1.0])["data"] + "\n"}, "w.data", "invalid base64"),
+        ({"shape": [1], "data": "\u00e9" + _blob([1.0])["data"][1:]}, "w.data", "invalid base64"),
+        ({"shape": [1], "data": _blob([1.0])["data"] + "="}, "w.data", "invalid base64"),
+        # 8 bytes end on a short group of 2: its last character carries 2 unused bits,
+        # which the encoder writes as zeros; "A" -> "B" sets one
+        ({"shape": [1], "data": "AAAAAAAAAAB="}, "w.data", "not the encoding of its bytes"),
+    ],
+    ids=["true", "number", "rows", "no data", "unknown key", "tuple shape", "bool in shape",
+         "float in shape", "negative shape", "shape not a list", "data a number",
+         "data a list", "too few bytes", "too many bytes", "shape of too many", "truncated group",
+         "truncated character", "non-base64 character", "newline", "non-ascii character",
+         "extra padding", "unused bits set"],
+)
+def test_array_objects_are_read_strictly(doc, path, message):
+    with pytest.raises(ConfigError) as err:
+        array_from_doc(doc, "w")
     assert err.value.path == path
     assert message in str(err.value)
 

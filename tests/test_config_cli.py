@@ -38,6 +38,7 @@ from modbind.ablation import (
     write_summary_csv,
 )
 from modbind.cli import main
+from modbind.codec import array_to_doc
 from modbind.config import (
     ABLATION_AXES,
     DEFAULT_GRIDS,
@@ -61,7 +62,7 @@ from modbind.trainer import init_train_state, load_checkpoint, save_checkpoint
 from modbind.world import make_world
 
 from .conftest import doc_nodes, is_number, node_at, resize, set_at, small_config_document
-from .oracles import observations_replay
+from .oracles import legacy_checkpoint_text, observations_replay, world_fingerprint_loops
 
 # pool tests run two workers, or one where the process may use one core only
 POOL = min(2, usable_cores())
@@ -983,6 +984,14 @@ def cli_space(tmp_path_factory):
     return root, cfg_path, out
 
 
+@pytest.fixture(scope="module")
+def desk_checkpoint(tmp_path_factory):
+    """The checkpoint `bind train --config desk.json` writes."""
+    out = tmp_path_factory.mktemp("desk")
+    assert main(["train", "--config", "desk.json", "--out", str(out)]) == 0
+    return out / "checkpoint.json"
+
+
 class TestCliTrain:
     def test_artifacts_written(self, cli_space):
         _, cfg_path, out = cli_space
@@ -1099,9 +1108,13 @@ class TestCliEval:
         code = main(["eval", "--config", str(cfg_path), "--seed", "4", "--checkpoint", ckpt,
                      "--out", str(tmp_path)])
         assert code == 2
-        # check_resume holds the seed rule, and its message names both seeds
+        # check_resume holds the seed rule, and its message names both seeds; a world of
+        # another seed draws other numbers, so both world hashes follow
+        world_cfg = parse_experiment_config(small_config_document()).world
+        world_3, world_4 = (world_fingerprint_loops(make_world(world_cfg, s)) for s in (3, 4))
         message = "config error: checkpoint: state does not fit the run: extra 'seed': 3 in the " \
-                  "state, 4 in the run\n"
+                  f"state, 4 in the run; 'world_hash': {world_3} in the state, {world_4} in the " \
+                  "run\n"
         assert capsys.readouterr().err == message
         # retrieve has no --seed flag; the seed comes from the config document
         doc = json.loads(cfg_path.read_text())
@@ -1126,19 +1139,65 @@ class TestCliEval:
         assert "extra 'seed': 3 in the state, 5 in the run" in capsys.readouterr().err
 
     def test_checkpoint_without_seed_still_loads(self, cli_space, tmp_path):
+        # as checkpoints saved before either key existed; with a world_hash the seed 4
+        # world would not be the checkpoint's
         _, cfg_path, out = cli_space
         doc = json.loads((out / "checkpoint.json").read_text())
-        del doc["seed"]
+        del doc["seed"], doc["world_hash"]
         ckpt = tmp_path / "no_seed.json"
         ckpt.write_text(json.dumps(doc))
         code = main(["eval", "--config", str(cfg_path), "--seed", "4", "--checkpoint", str(ckpt),
                      "--out", str(tmp_path)])
         assert code == 0
 
-    def test_non_finite_weight_is_runtime_error(self, cli_space, tmp_path, capsys):
-        # NaN weights give NaN embeddings, which the ranking would count as hits
+    @pytest.mark.parametrize("command", ["eval", "retrieve"])
+    def test_checkpoint_of_another_world_is_config_error(self, cli_space, tmp_path, capsys,
+                                                         monkeypatch, command):
+        # the same config and seed, but make_world draws other numbers, as another version
+        # of the code could: the checkpoint's world_hash names the world it was trained on
+        _, cfg_path, out = cli_space
+        real_make_world = cli_mod.make_world
+        worlds = {}
+
+        def nudged_make_world(config, seed):
+            world = real_make_world(config, seed)
+            world.observer("beta").bias[0] += 1e-9
+            worlds["run"] = world
+            return world
+
+        monkeypatch.setattr(cli_mod, "make_world", nudged_make_world)
+        rest = {"eval": ["--out", str(tmp_path / "out")],
+                "retrieve": ["--index-modality", "hub", "--query-modality", "alpha"]}[command]
+        code = main([command, "--config", str(cfg_path), "--checkpoint",
+                     str(out / "checkpoint.json"), *rest])
+        captured = capsys.readouterr()
+        trained = world_fingerprint_loops(real_make_world(
+            parse_experiment_config(small_config_document()).world, 3))
+        assert code == 2
+        assert captured.err == (
+            f"config error: checkpoint: state does not fit the run: extra 'world_hash': "
+            f"{trained} in the state, {world_fingerprint_loops(worlds['run'])} in the run\n")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_without_world_hash_still_loads(self, cli_space, tmp_path):
+        # as one saved before the key existed: the same metrics, byte for byte
         _, cfg_path, out = cli_space
         doc = json.loads((out / "checkpoint.json").read_text())
+        del doc["world_hash"]
+        ckpt = tmp_path / "no_world_hash.json"
+        ckpt.write_text(json.dumps(doc))
+        for name, path in (("with", out / "checkpoint.json"), ("without", ckpt)):
+            assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(path),
+                         "--out", str(tmp_path / name)]) == 0
+        with_hash, without = ((tmp_path / n / "metrics.json").read_bytes() for n in ("with", "without"))
+        assert with_hash == without
+
+    def test_non_finite_weight_is_runtime_error(self, cli_space, tmp_path, capsys):
+        # NaN weights give NaN embeddings, which the ranking would count as hits; a
+        # format 2 document of the checkpoint, whose weights are rows of numbers
+        _, cfg_path, out = cli_space
+        doc = json.loads(legacy_checkpoint_text(load_checkpoint(out / "checkpoint.json")))
         doc["encoders"]["alpha"]["weights"][0][0][0] = float("nan")
         ckpt = tmp_path / "poisoned.json"
         ckpt.write_text(json.dumps(doc))
@@ -1149,9 +1208,9 @@ class TestCliEval:
         assert not (tmp_path / "metrics.json").exists()
 
     def test_non_number_weight_is_runtime_error(self, cli_space, tmp_path, capsys):
-        # JSON true would otherwise load as the weight 1.0
+        # JSON true would otherwise load as the weight 1.0 (a format 2 document)
         _, cfg_path, out = cli_space
-        doc = json.loads((out / "checkpoint.json").read_text())
+        doc = json.loads(legacy_checkpoint_text(load_checkpoint(out / "checkpoint.json")))
         doc["encoders"]["alpha"]["weights"][0][0][0] = True
         ckpt = tmp_path / "poisoned.json"
         ckpt.write_text(json.dumps(doc))
@@ -1174,16 +1233,43 @@ class TestCliEval:
         assert "log_tau must be finite" in capsys.readouterr().err
         assert not (tmp_path / "metrics.json").exists()
 
-    def test_overflowing_weights_are_runtime_error(self, tmp_path, capsys):
-        # finite weights pass load_checkpoint; at 1e300 every spoke1 embedding
-        # overflows, and rows without a direction would score at chance with exit 0
-        assert main(["train", "--config", "desk.json", "--out", str(tmp_path / "desk")]) == 0
-        capsys.readouterr()
-        doc = json.loads((tmp_path / "desk" / "checkpoint.json").read_text())
-        w0 = np.array(doc["encoders"]["spoke1"]["weights"][0])
-        doc["encoders"]["spoke1"]["weights"][0] = (w0 * (1e300 / np.abs(w0).max())).tolist()
-        ckpt = tmp_path / "huge.json"
+    def test_non_finite_weight_in_an_array_object_is_runtime_error(self, cli_space, tmp_path,
+                                                                    capsys):
+        _, cfg_path, out = cli_space
+        doc = json.loads((out / "checkpoint.json").read_text())
+        w0 = load_checkpoint(out / "checkpoint.json").encoders["alpha"].weights[0].copy()
+        w0[0, 0] = float("nan")
+        doc["encoders"]["alpha"]["weights"][0] = array_to_doc(w0)
+        ckpt = tmp_path / "poisoned.json"
         ckpt.write_text(json.dumps(doc))
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_non_number_weight_in_an_array_object_is_runtime_error(self, cli_space, tmp_path,
+                                                                    capsys):
+        # a format 3 weight is an array object; true in its place is no weight at all
+        _, cfg_path, out = cli_space
+        doc = json.loads((out / "checkpoint.json").read_text())
+        doc["encoders"]["alpha"]["weights"][0] = True
+        ckpt = tmp_path / "poisoned.json"
+        ckpt.write_text(json.dumps(doc))
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "encoders.alpha.weights[0]: expected an array object, got bool" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
+    @staticmethod
+    def huge_spoke1_weights(state):
+        w0 = state.encoders["spoke1"].weights[0]
+        return w0 * (1e300 / np.abs(w0).max())
+
+    @staticmethod
+    def assert_desk_eval_overflows(ckpt, tmp_path, capsys):
         for action in ("error", "ignore"):  # whatever becomes of NumPy's overflow warnings
             out = tmp_path / action
             with warnings.catch_warnings():
@@ -1193,6 +1279,26 @@ class TestCliEval:
             assert code == 3
             assert "degenerate embeddings" in capsys.readouterr().err
             assert not (out / "metrics.json").exists()
+
+    def test_overflowing_weights_are_runtime_error(self, desk_checkpoint, tmp_path, capsys):
+        # finite weights pass load_checkpoint; at 1e300 every spoke1 embedding
+        # overflows, and rows without a direction would score at chance with exit 0
+        # (a format 2 document)
+        state = load_checkpoint(desk_checkpoint)
+        doc = json.loads(legacy_checkpoint_text(state))
+        doc["encoders"]["spoke1"]["weights"][0] = self.huge_spoke1_weights(state).tolist()
+        ckpt = tmp_path / "huge.json"
+        ckpt.write_text(json.dumps(doc))
+        self.assert_desk_eval_overflows(ckpt, tmp_path, capsys)
+
+    def test_overflowing_weights_in_an_array_object_are_runtime_error(self, desk_checkpoint,
+                                                                      tmp_path, capsys):
+        doc = json.loads(desk_checkpoint.read_text())
+        huge = self.huge_spoke1_weights(load_checkpoint(desk_checkpoint))
+        doc["encoders"]["spoke1"]["weights"][0] = array_to_doc(huge)
+        ckpt = tmp_path / "huge.json"
+        ckpt.write_text(json.dumps(doc))
+        self.assert_desk_eval_overflows(ckpt, tmp_path, capsys)
 
     def test_checkpoint_not_utf8_is_runtime_error(self, cli_space, tmp_path, capsys):
         _, cfg_path, _ = cli_space

@@ -1,5 +1,6 @@
 """Tests for the optimizer, training loop, and checkpointing."""
 
+import base64
 import dataclasses
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modbind.trainer as trainer_mod
-from modbind.codec import from_doc, to_doc
+from modbind.codec import array_to_doc, from_doc, to_doc
 from modbind.config import parse_experiment_config
 from modbind.contrastive import LossOutput, TemperatureParam
 from modbind.encoders import EncoderArch, init_encoder
@@ -40,9 +41,13 @@ from .oracles import (
     encoder_backward_loops,
     encoder_forward_loops,
     l2_regression_grads_loops,
+    legacy_checkpoint_text,
     resume_mismatches_loops,
     symmetric_info_nce_grads_loops,
+    world_fingerprint_loops,
 )
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def tiny_archs(world, embed_dim=6, hidden=(8,)):
@@ -630,21 +635,20 @@ class TestTrainStep:
             assert state.temperatures["alpha"] is state.temperatures["beta"]
 
 
-def assert_resume_matches(world, tmp_path, cfg, rewrite=None):
+def assert_resume_matches(world, tmp_path, cfg, version=3):
     """Train cfg in one go, and again with a checkpoint after 5 steps; both must agree.
 
-    `rewrite`, when given, edits the checkpoint document before it is loaded.
-    Returns the resumed run's final state.
+    The checkpoint is written in format `version`: 3 by save_checkpoint, 1 or 2 by the
+    oracle writer of those formats. Returns the resumed run's final state.
     """
     archs = tiny_archs(world)
     full, _ = train_run(world, archs, cfg)
     half, _ = train_run(world, archs, cfg, max_steps=5)
     path = tmp_path / "half.json"
-    save_checkpoint(half, path)
-    if rewrite is not None:
-        doc = json.loads(path.read_text())
-        rewrite(doc)
-        path.write_text(json.dumps(doc))
+    if version == 3:
+        save_checkpoint(half, path)
+    else:
+        path.write_text(legacy_checkpoint_text(half, version))
     final, _ = train_run(world, archs, cfg, state=load_checkpoint(path))
 
     assert final.step == full.step
@@ -658,12 +662,13 @@ def assert_resume_matches(world, tmp_path, cfg, rewrite=None):
     return final
 
 
-def checkpoint_with(world, tmp_path, keys, bad):
-    """A checkpoint after 2 steps whose document holds `bad` at the key path `keys`."""
+def checkpoint_with(world, tmp_path, keys, bad, version=3):
+    """A checkpoint after 2 steps, in format `version` (2 from the oracle writer), whose
+    document holds `bad` at the key path `keys`."""
     state, _ = train_run(world, tiny_archs(world), quick_config(), max_steps=2)
     path = tmp_path / "ckpt.json"
     save_checkpoint(state, path)
-    doc = json.loads(path.read_text())
+    doc = json.loads(path.read_text() if version == 3 else legacy_checkpoint_text(state, version))
     target = doc
     for key in keys[:-1]:
         target = target[key]
@@ -739,22 +744,17 @@ class TestCheckpointing:
         assert final.temperatures["alpha"] is final.temperatures["beta"]
 
     def test_resume_of_format_1_matches_uninterrupted_run(self, tiny_world, tmp_path):
-        def to_format_1(doc):
-            doc["version"] = 1
-            doc["tau_moments"] = {
-                key: {"m": d["m"][0][0], "v": d["v"][0][0], "t": d["t"]}
-                for key, d in doc["tau_moments"].items()
-            }
-
         cfg = quick_config(epochs=2, steps_per_epoch=5)
-        assert_resume_matches(tiny_world, tmp_path, cfg, rewrite=to_format_1)
+        assert_resume_matches(tiny_world, tmp_path, cfg, version=1)
+
+    def test_resume_of_format_2_matches_uninterrupted_run(self, tiny_world, tmp_path):
+        cfg = quick_config(epochs=2, steps_per_epoch=5)
+        assert_resume_matches(tiny_world, tmp_path, cfg, version=2)
 
     def test_format_1_non_finite_tau_moment_rejected(self, tiny_world, tmp_path):
         state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config(), max_steps=2)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(state, path)
-        doc = json.loads(path.read_text())
-        doc["version"] = 1
+        doc = json.loads(legacy_checkpoint_text(state, version=1))
         doc["tau_moments"] = {
             "alpha": {"m": float("nan"), "v": 0.5, "t": 1},
             "beta": {"m": 0.25, "v": 0.5, "t": 1},
@@ -840,7 +840,9 @@ class TestCheckpointing:
         state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config(), max_steps=2)
         path = tmp_path / "ckpt.json"
         save_checkpoint(state, path, extra={"config_hash": "abc", "seed": 11})
-        assert load_checkpoint(path).extra == {"config_hash": "abc", "seed": 11}
+        world_hash = world_fingerprint_loops(tiny_world)
+        assert load_checkpoint(path).extra == {"world_hash": world_hash, "config_hash": "abc",
+                                               "seed": 11}
 
     @pytest.mark.parametrize(
         "keys, bad",
@@ -854,7 +856,30 @@ class TestCheckpointing:
         ],
     )
     def test_non_finite_numbers_rejected(self, tiny_world, tmp_path, keys, bad):
-        path = checkpoint_with(tiny_world, tmp_path, keys, bad)
+        # a format 2 document, whose arrays are rows of numbers
+        path = checkpoint_with(tiny_world, tmp_path, keys, bad, version=2)
+        with pytest.raises(TrainerError, match="non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("keys, index, bad", [
+        (("encoders", "alpha", "weights", 0), (0, 0), float("nan")),
+        (("encoders", "hub", "biases", 0), (3,), float("inf")),
+        (("moments", "beta", "v", 1), (2,), float("-inf")),
+        (("moments", "hub", "m", 0), (7, 5), float("nan")),
+        (("tau_moments", "alpha", "m", 0), (0,), float("inf")),
+        (("tau_moments", "beta", "v", 0), (0,), float("nan")),
+    ])
+    def test_non_finite_values_in_array_objects_rejected(self, tiny_world, tmp_path, keys,
+                                                         index, bad):
+        state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config(), max_steps=2)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path)
+        doc = json.loads(path.read_text())
+        part, name, field_name, i = keys
+        array = getattr(getattr(state, part)[name], field_name)[i].copy()
+        array[index] = bad
+        doc[part][name][field_name][i] = array_to_doc(array)
+        path.write_text(json.dumps(doc))
         with pytest.raises(TrainerError, match="non-finite"):
             load_checkpoint(path)
 
@@ -878,6 +903,8 @@ class TestCheckpointing:
             (("seed",), "0"),
             (("config_hash",), 0),
             (("config_hash",), None),
+            (("world_hash",), 0),
+            (("world_hash",), None),
         ],
     )
     def test_malformed_step_history_and_tau_moments_rejected(self, tiny_world, tmp_path, keys, bad):
@@ -917,9 +944,10 @@ class TestCheckpointing:
     def test_header_seed_and_config_hash_land_in_extra(self, tiny_world, tmp_path):
         state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config(), max_steps=2)
         path = tmp_path / "ckpt.json"
+        world_hash = world_fingerprint_loops(tiny_world)
         for extra in ({"seed": 0, "config_hash": ""}, {"seed": 2**32 - 1, "config_hash": "beef"}):
             save_checkpoint(state, path, extra=extra)
-            assert load_checkpoint(path).extra == extra
+            assert load_checkpoint(path).extra == {"world_hash": world_hash, **extra}
 
     def test_loaded_state_saves_with_its_extra(self, tiny_world, tmp_path):
         # a plain save of a loaded state writes the very bytes it was loaded from, so the
@@ -931,7 +959,106 @@ class TestCheckpointing:
         assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
         # an extra passed to the save overrides the loaded one, key by key
         save_checkpoint(loaded, tmp_path / "c.json", extra={"seed": 6})
-        assert load_checkpoint(tmp_path / "c.json").extra == {"config_hash": "beef", "seed": 6}
+        assert load_checkpoint(tmp_path / "c.json").extra == {
+            "world_hash": world_fingerprint_loops(tiny_world), "config_hash": "beef", "seed": 6}
+
+    @pytest.mark.parametrize("spoil, extra, message", [
+        (lambda s: s.encoders["alpha"].weights[0].__setitem__((0, 0), np.nan), None, "non-finite"),
+        (lambda s: s.encoders["hub"].biases[1].__setitem__(2, np.inf), None, "non-finite"),
+        (lambda s: s.moments["beta"].v[0].__setitem__((1, 1), -np.inf), None, "non-finite"),
+        (lambda s: s.tau_moments["alpha"].m[0].__setitem__(0, np.nan), None, "non-finite"),
+        (lambda s: setattr(s.loss_history[1], "loss", np.nan), None, "non-finite"),
+        (lambda s: setattr(s.loss_history[0], "tau", np.inf), None, "non-finite"),
+        (None, {"seed": -1}, "seed must be"),
+        (None, {"seed": True}, "seed must be"),
+        (None, {"config_hash": 7}, "config_hash must be a string"),
+        (None, {"world_hash": None}, "world_hash must be a string"),
+    ], ids=["weight", "bias", "moment", "tau moment", "loss", "tau", "negative seed",
+            "bool seed", "config_hash", "world_hash"])
+    def test_save_refuses_what_load_rejects(self, tiny_world, tmp_path, spoil, extra, message):
+        # json.dumps would write NaN, and every later load would reject the file
+        archs = tiny_archs(tiny_world)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(train_run(tiny_world, archs, quick_config(), max_steps=2)[0], path)
+        old_bytes = path.read_bytes()
+        state, _ = train_run(tiny_world, archs, quick_config(), max_steps=3)
+        if spoil is not None:
+            spoil(state)
+        with pytest.raises(TrainerError, match=f"cannot save checkpoint: .*{message}"):
+            save_checkpoint(state, path, extra=extra)
+        assert path.read_bytes() == old_bytes
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+        # the format 2 writer wrote such states; the load rejects them under the same rule
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(legacy_checkpoint_text(state, extra=extra))
+        with pytest.raises(TrainerError, match=f"corrupt checkpoint: .*{message}"):
+            load_checkpoint(legacy)
+
+    @pytest.mark.parametrize("key", ["version", "step", "encoders", "loss_history"])
+    def test_save_refuses_an_extra_key_that_would_replace_the_state(self, tiny_world, tmp_path,
+                                                                     key):
+        state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config(), max_steps=2)
+        with pytest.raises(TrainerError, match=f"must not be state keys, got \\['{key}'\\]"):
+            save_checkpoint(state, tmp_path / "ckpt.json", extra={key: 5})
+        assert not list(tmp_path.iterdir())
+
+    def test_format_3_document(self, tiny_world, tmp_path):
+        # one compact JSON object: the header and state parts in the order format 2 had,
+        # every float array an array object, the loss history rows, then the extra keys
+        state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config(), max_steps=3)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path, extra={"config_hash": "beef", "seed": 11})
+        text = path.read_text()
+        assert "\n" not in text and ", " not in text
+        doc = json.loads(text)
+        assert list(doc) == ["version", "kind", "step", "encoders", "moments", "temperatures",
+                             "tau_moments", "loss_history", "world_hash", "config_hash", "seed"]
+        assert (doc["version"], doc["kind"], doc["step"]) == (3, "checkpoint", 3)
+        assert doc["world_hash"] == world_fingerprint_loops(tiny_world)
+        for name, enc in state.encoders.items():
+            assert doc["encoders"][name]["weights"] == [array_to_doc(w) for w in enc.weights]
+            assert doc["encoders"][name]["biases"] == [array_to_doc(b) for b in enc.biases]
+            for key in ("m", "v"):
+                want = [array_to_doc(a) for a in getattr(state.moments[name], key)]
+                assert doc["moments"][name][key] == want
+        for key, mom in state.tau_moments.items():
+            assert doc["tau_moments"][key] == {"t": mom.t, "m": [array_to_doc(mom.m[0])],
+                                               "v": [array_to_doc(mom.v[0])]}
+        assert doc["loss_history"] == [[r.step, r.pair, r.loss, r.tau] for r in state.loss_history]
+
+    def test_format_2_fixture_loads_and_saves_as_format_3_bit_for_bit(self, tmp_path):
+        # a checkpoint written by the format 2 writer (a 12-step run of
+        # fixtures/format2_config.json); its rows are read here with json alone
+        legacy = FIXTURES / "format2_checkpoint.json"
+        doc = json.loads(legacy.read_text())
+        assert doc["version"] == 2
+        old = load_checkpoint(legacy)
+        save_checkpoint(old, tmp_path / "v3.json")
+        new = load_checkpoint(tmp_path / "v3.json")
+        assert json.loads((tmp_path / "v3.json").read_text())["version"] == 3
+
+        def bits(values):
+            return np.asarray(values, dtype=np.float64).tobytes()
+
+        for name, enc in new.encoders.items():
+            want = doc["encoders"][name]
+            assert (enc.arch, enc.frozen) == (old.encoders[name].arch, want["frozen"])
+            assert [bits(w) for w in enc.weights] == [bits(w) for w in want["weights"]]
+            assert [bits(b) for b in enc.biases] == [bits(b) for b in want["biases"]]
+        for part in ("moments", "tau_moments"):
+            for name, mom in getattr(new, part).items():
+                want = doc[part][name]
+                assert mom.t == want["t"]
+                assert [bits(a) for a in mom.m] == [bits(a) for a in want["m"]]
+                assert [bits(a) for a in mom.v] == [bits(a) for a in want["v"]]
+        for name, temp in new.temperatures.items():
+            assert to_doc(temp) == doc["temperatures"][name]
+        assert [[r.step, r.pair, r.loss, r.tau] for r in new.loss_history] == doc["loss_history"]
+        assert new.step == doc["step"] and new.extra == old.extra == {
+            "config_hash": doc["config_hash"], "seed": doc["seed"]}
+        # and the format 3 file saves again as the same bytes
+        save_checkpoint(new, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "v3.json").read_bytes()
 
     def test_training_log_is_stable(self, tiny_world, tmp_path):
         state, _ = train_run(tiny_world, tiny_archs(tiny_world), quick_config())
@@ -972,6 +1099,10 @@ RESUME_CASES = [
     ("checkpoint of another seed", None, lambda s: s.extra.update(seed=0), [("extra", "seed")]),
     ("run of another seed", lambda d: d.update(seed=4), lambda s: s.extra.update(seed=3),
      [("extra", "seed")]),
+    ("state of another world", None, lambda s: s.extra.update(world_hash="0" * 64),
+     [("extra", "world_hash")]),
+    ("another world and seed", None, lambda s: s.extra.update(seed=1, world_hash=""),
+     [("extra", "seed"), ("extra", "world_hash")]),
     ("drop encoder", None, lambda s: s.encoders.pop("beta"), [("encoders", "beta")]),
     ("add encoder", None, lambda s: s.encoders.update(gamma=s.encoders["alpha"]),
      [("encoders", "gamma")]),
@@ -1023,7 +1154,7 @@ class TestCheckResume:
         if mutate is not None:
             mutate(state)
         _, run = self.run_of(edit_run)
-        assert resume_mismatches_loops(state, world.hub, run.archs, run.train) == want
+        assert resume_mismatches_loops(state, world, run.archs, run.train) == want
         with pytest.raises(TrainerError) as err:
             check_resume(state, world, run.archs, run.train)
         # the message names the first part that differs, then each differing key of it
@@ -1046,8 +1177,34 @@ class TestCheckResume:
         trained, _ = train_run(world, cfg.archs, cfg.train, max_steps=3)
         save_checkpoint(trained, tmp_path / "ckpt.json")
         for state in (fresh, load_checkpoint(tmp_path / "ckpt.json")):
-            assert resume_mismatches_loops(state, world.hub, cfg.archs, cfg.train) == []
+            assert resume_mismatches_loops(state, world, cfg.archs, cfg.train) == []
             check_resume(state, world, cfg.archs, cfg.train)
+
+    def test_resume_in_another_world_rejected(self, tmp_path):
+        # same config and seed, other drawn numbers: what a changed make_world would give
+        world, cfg = self.run_of()
+        state, _ = train_run(world, cfg.archs, cfg.train, max_steps=3)
+        other = make_world(cfg.world, cfg.seed)
+        other.class_means[0, 0] += 1e-12
+        want = (f"state does not fit the run: extra 'world_hash': "
+                f"{world_fingerprint_loops(world)} in the state, "
+                f"{world_fingerprint_loops(other)} in the run")
+        assert resume_mismatches_loops(state, other, cfg.archs, cfg.train) == [("extra", "world_hash")]
+        save_checkpoint(state, tmp_path / "ckpt.json")
+        for s in (state, load_checkpoint(tmp_path / "ckpt.json")):
+            with pytest.raises(TrainerError) as err:
+                train_run(other, cfg.archs, cfg.train, state=s)
+            assert str(err.value) == want
+
+    def test_state_without_world_hash_continues_any_world(self):
+        # a checkpoint saved before world_hash existed carries none, and is not checked on it
+        world, cfg = self.run_of()
+        state = init_train_state(world, cfg.archs, cfg.train)
+        del state.extra["world_hash"]
+        other = make_world(cfg.world, cfg.seed)
+        other.class_means[0, 0] += 1e-12
+        assert resume_mismatches_loops(state, other, cfg.archs, cfg.train) == []
+        check_resume(state, other, cfg.archs, cfg.train)
 
     def test_unequal_shared_temperatures_rejected(self):
         world, cfg = self.run_of(lambda d: d["train"].update(shared_temperature=True))
@@ -1055,7 +1212,7 @@ class TestCheckResume:
         beta = state.temperatures["beta"]
         state.temperatures["beta"] = dataclasses.replace(beta, log_tau=beta.log_tau + 0.125)
         # the settings agree, so only the value rule speaks
-        assert resume_mismatches_loops(state, world.hub, cfg.archs, cfg.train) == []
+        assert resume_mismatches_loops(state, world, cfg.archs, cfg.train) == []
         with pytest.raises(TrainerError, match="shared_temperature needs equal temperatures"):
             check_resume(state, world, cfg.archs, cfg.train)
 
@@ -1117,12 +1274,13 @@ class TestSummary:
 
 @pytest.fixture(scope="module")
 def fuzz_space(tmp_path_factory):
-    """A directory to write checkpoint variants to, and the text of a 2-step checkpoint."""
+    """A directory to write checkpoint variants to, and the text of a 2-step checkpoint in
+    format 3 and, from the oracle writer, in format 2."""
     cfg = parse_experiment_config(small_config_document())
     state, _ = train_run(make_world(cfg.world, cfg.seed), cfg.archs, cfg.train, max_steps=2)
     root = tmp_path_factory.mktemp("fuzz")
     save_checkpoint(state, root / "base.json")
-    return root, (root / "base.json").read_text()
+    return root, (root / "base.json").read_text(), legacy_checkpoint_text(state)
 
 
 def is_matrix(value):
@@ -1135,6 +1293,12 @@ def under_state_arrays(path):
     return bool(path) and path[0] in ("encoders", "moments", "tau_moments")
 
 
+def array_objects(doc):
+    """Key paths of every array object of a format 3 document."""
+    return [p for p, v in doc_nodes(doc)
+            if under_state_arrays(p) and isinstance(v, dict) and set(v) == {"shape", "data"}]
+
+
 def load_fails(root, text):
     path = root / "variant.json"
     path.write_text(text)
@@ -1143,23 +1307,36 @@ def load_fails(root, text):
 
 
 class TestLoadCheckpointFuzz:
-    """Every corrupted checkpoint fails with TrainerError: no other exception, and no load."""
+    """Every corrupted checkpoint fails with TrainerError: no other exception, and no load.
+    The corruptions of rows of numbers run on a format 2 document."""
 
     def test_base_checkpoint_loads(self, fuzz_space):
-        root, text = fuzz_space
+        root, text, legacy = fuzz_space
         (root / "same.json").write_text(text)
+        (root / "legacy.json").write_text(legacy)
         assert load_checkpoint(root / "same.json").step == 2
+        assert load_checkpoint(root / "legacy.json").step == 2
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_truncated_json(self, fuzz_space, data):
-        root, text = fuzz_space
+        root, text, _ = fuzz_space
         load_fails(root, text[: data.draw(st.integers(0, len(text) - 1))])
 
     @given(data=st.data(), bad=st.sampled_from([math.nan, math.inf, -math.inf, True, False]))
     @settings(max_examples=150, deadline=None)
     def test_non_finite_or_bool_number(self, fuzz_space, data, bad):
-        root, text = fuzz_space
+        root, _, legacy = fuzz_space
+        doc = json.loads(legacy)
+        numbers = [p for p, v in doc_nodes(doc) if is_number(v)]
+        set_at(doc, data.draw(st.sampled_from(numbers)), bad)
+        load_fails(root, json.dumps(doc))
+
+    @given(data=st.data(), bad=st.sampled_from([math.nan, math.inf, -math.inf, True, False]))
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_or_bool_number_outside_array_objects(self, fuzz_space, data, bad):
+        # a header field, a step or history entry, a temperature, a moment count or a shape
+        root, text, _ = fuzz_space
         doc = json.loads(text)
         numbers = [p for p, v in doc_nodes(doc) if is_number(v)]
         set_at(doc, data.draw(st.sampled_from(numbers)), bad)
@@ -1170,8 +1347,8 @@ class TestLoadCheckpointFuzz:
     def test_wrong_shape(self, fuzz_space, data, grow):
         # one entry more or fewer in a list of the state's arrays, in an array, or in
         # a loss_history row (the history itself may have any length)
-        root, text = fuzz_space
-        doc = json.loads(text)
+        root, _, legacy = fuzz_space
+        doc = json.loads(legacy)
         lists = [p for p, v in doc_nodes(doc) if isinstance(v, list) and v
                  and (under_state_arrays(p) or p[:1] == ("loss_history",) and len(p) == 2)]
         resize(node_at(doc, data.draw(st.sampled_from(lists))), grow)
@@ -1179,20 +1356,97 @@ class TestLoadCheckpointFuzz:
 
     @given(data=st.data(), grow=st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_ragged_rows(self, fuzz_space, data, grow):
-        root, text = fuzz_space
+    def test_wrong_shape_of_array_objects(self, fuzz_space, data, grow):
+        # one entry more or fewer in a list of array objects or in an array object's shape
+        root, text, _ = fuzz_space
         doc = json.loads(text)
+        lists = [p for p, v in doc_nodes(doc) if isinstance(v, list) and v and under_state_arrays(p)]
+        resize(node_at(doc, data.draw(st.sampled_from(lists))), grow)
+        load_fails(root, json.dumps(doc))
+
+    @given(data=st.data(), grow=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_ragged_rows(self, fuzz_space, data, grow):
+        root, _, legacy = fuzz_space
+        doc = json.loads(legacy)
         matrices = [p for p, v in doc_nodes(doc)
                     if under_state_arrays(p) and isinstance(p[-1], int) and is_matrix(v)]
         matrix = node_at(doc, data.draw(st.sampled_from(matrices)))
         resize(matrix[data.draw(st.integers(0, len(matrix) - 1))], grow)
         load_fails(root, json.dumps(doc))
 
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_truncated_data_string(self, fuzz_space, data):
+        root, text, _ = fuzz_space
+        doc = json.loads(text)
+        blob = node_at(doc, data.draw(st.sampled_from(array_objects(doc))))
+        blob["data"] = blob["data"][: data.draw(st.integers(0, len(blob["data"]) - 1))]
+        load_fails(root, json.dumps(doc))
+
+    @given(data=st.data(), char=st.sampled_from(list("*-_.=!~ \t\n\x00\u00e9\u2603")))
+    @settings(max_examples=100, deadline=None)
+    def test_non_base64_character(self, fuzz_space, data, char):
+        root, text, _ = fuzz_space
+        doc = json.loads(text)
+        blob = node_at(doc, data.draw(st.sampled_from(array_objects(doc))))
+        i = data.draw(st.integers(0, len(blob["data"]) - 1))
+        if char == "=" and blob["data"][i] == "=":
+            char = "*"
+        blob["data"] = blob["data"][:i] + char + blob["data"][i + 1:]
+        load_fails(root, json.dumps(doc))
+
+    @given(data=st.data(), change=st.integers(-40, 40).filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_byte_length_that_does_not_match_the_shape(self, fuzz_space, data, change):
+        # valid base64 of some bytes more or fewer than 8 per element of the shape
+        root, text, _ = fuzz_space
+        doc = json.loads(text)
+        blob = node_at(doc, data.draw(st.sampled_from(array_objects(doc))))
+        raw = base64.b64decode(blob["data"])
+        raw = raw + bytes(change) if change > 0 else raw[:change]
+        blob["data"] = base64.b64encode(raw).decode("ascii")
+        load_fails(root, json.dumps(doc))
+
+    @given(data=st.data(), shape=st.one_of(
+        st.sampled_from([None, True, 3, 2.0, "8", {}, [], [None], [True], [8.0], [-8], ["8"],
+                         [[8]], [8, True], [2**70]]),
+        st.lists(st.integers(0, 64), max_size=4)))
+    @settings(max_examples=150, deadline=None)
+    def test_shape_that_is_not_a_list_of_ints_or_not_the_arrays(self, fuzz_space, data, shape):
+        root, text, _ = fuzz_space
+        doc = json.loads(text)
+        blob = node_at(doc, data.draw(st.sampled_from(array_objects(doc))))
+        if shape == blob["shape"]:
+            shape = shape + [1, 2]
+        blob["shape"] = shape
+        load_fails(root, json.dumps(doc))
+
+    @given(data=st.data(), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_bytes_in_an_array_object(self, fuzz_space, data, bad):
+        root, text, _ = fuzz_space
+        doc = json.loads(text)
+        blob = node_at(doc, data.draw(st.sampled_from(array_objects(doc))))
+        values = np.frombuffer(base64.b64decode(blob["data"]), dtype="<f8").copy()
+        values[data.draw(st.integers(0, values.size - 1))] = bad
+        blob["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+        load_fails(root, json.dumps(doc))
+
+    @given(data=st.data(), bad=st.sampled_from([0, 1, -2.5, 1e300, math.nan, True, False, None,
+                                                "", [], {}]))
+    @settings(max_examples=100, deadline=None)
+    def test_array_object_replaced_by_a_number_or_true(self, fuzz_space, data, bad):
+        root, text, _ = fuzz_space
+        doc = json.loads(text)
+        set_at(doc, data.draw(st.sampled_from(array_objects(doc))), bad)
+        load_fails(root, json.dumps(doc))
+
     @given(data=st.data(), byte=st.integers(0x80, 0xFF))
     @settings(max_examples=60, deadline=None)
     def test_byte_outside_ascii(self, fuzz_space, data, byte):
         # the checkpoint is ASCII, where a lone byte of 0x80-0xFF is never valid UTF-8
-        root, text = fuzz_space
+        root, text, _ = fuzz_space
         raw = bytearray(text.encode("ascii"))
         raw[data.draw(st.integers(0, len(raw) - 1))] = byte
         path = root / "variant.json"
@@ -1205,7 +1459,7 @@ class TestLoadCheckpointFuzz:
     @settings(max_examples=100, deadline=None)
     def test_unknown_key(self, fuzz_space, data, key, value):
         # keys beside the state land in `extra`; inside it, every object has a fixed schema
-        root, text = fuzz_space
+        root, text, _ = fuzz_space
         doc = json.loads(text)
         objects = [p for p, v in doc_nodes(doc) if p and isinstance(v, dict)]
         target = node_at(doc, data.draw(st.sampled_from(objects)))

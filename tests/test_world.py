@@ -18,7 +18,7 @@ from modbind.world import (
     stream_rng,
 )
 
-from .oracles import gelu_power_loops, latents_replay, observations_replay
+from .oracles import gelu_power_loops, latents_replay, observations_replay, world_fingerprint_loops
 
 
 def noiseless_config(within_class_scale=0.0):
@@ -144,6 +144,27 @@ class TestMakeWorld:
     def test_unknown_modality_lookup(self, tiny_world):
         with pytest.raises(WorldError):
             tiny_world.observer("nonexistent")
+
+
+class TestFingerprint:
+    def test_matches_the_value_by_value_oracle(self, tiny_world):
+        assert tiny_world.fingerprint() == world_fingerprint_loops(tiny_world)
+        assert len(tiny_world.fingerprint()) == 64
+
+    def test_same_config_and_seed_give_the_same_fingerprint(self, tiny_world_config, tiny_world):
+        assert make_world(tiny_world_config, seed=7).fingerprint() == tiny_world.fingerprint()
+        assert make_world(tiny_world_config, seed=8).fingerprint() != tiny_world.fingerprint()
+
+    @pytest.mark.parametrize("array", ["class_means", "hub weight", "alpha bias", "beta weight"])
+    def test_every_drawn_number_moves_it(self, tiny_world_config, array):
+        world = make_world(tiny_world_config, seed=7)
+        before = world.fingerprint()
+        target = {"class_means": world.class_means, "hub weight": world.observer("hub").weight,
+                  "alpha bias": world.observer("alpha").bias,
+                  "beta weight": world.observer("beta").weight}[array]
+        target.flat[-1] = np.nextafter(target.flat[-1], np.inf)  # one ulp
+        assert world.fingerprint() != before
+        assert world.fingerprint() == world_fingerprint_loops(world)
 
 
 class TestObserver:
